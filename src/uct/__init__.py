@@ -12,7 +12,8 @@ certificate.
 
 from .errors import (DimensionMismatch, DisconnectedGraph, FieldTooLarge,
                      GraphTooLarge, GraphTooLargeForOracle, NotPrime,
-                     RingTooLarge, UctError, WrongField, ZeroInverse)
+                     NotTranslationInvariant, RingTooLarge, UctError,
+                     WrongField, ZeroInverse)
 from .finite_field import (DEFAULT_FIELD_CAP, FieldTable, field_add,
                            field_inv, field_mul, field_sub, make_field)
 from .tri_ring import (DEFAULT_VERTEX_CAP, HARD_VERTEX_CAP, RingSpec,
@@ -21,7 +22,8 @@ from .tri_ring import (DEFAULT_VERTEX_CAP, HARD_VERTEX_CAP, RingSpec,
 from .graph_core import (Graph, all_pairs_distances, antipodal, clique_number,
                          connected_components, diameter, is_bipartite,
                          is_complete_bipartite, iso_check, labeled_equal,
-                         max_clique, triameter, triametral_triple)
+                         max_clique, translation_distances, triameter,
+                         triametral_triple)
 from .constructors import (VertexLabeling, antipodal_hamming_direct,
                            complete_bipartite, complete_graph,
                            diagonal_quotient, hamming_graph,

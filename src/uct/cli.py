@@ -14,15 +14,17 @@ import json
 import os
 import sys
 
-from .errors import FieldTooLarge, GraphTooLarge, RingTooLarge, WrongField
+from .errors import (FieldTooLarge, GraphTooLarge, NotPrime, RingTooLarge,
+                     WrongField)
 from .finite_field import make_field
-from .graph_core import (all_pairs_distances, clique_number,
-                         connected_components, triameter)
+from .graph_core import (clique_number, connected_components,
+                         translation_distances, triameter)
 from .graphio import dump_json, to_dot, to_edge_list
 from .constructors import unitary_cayley
 from .theorem_checker import (CHECKS, checks_for, report_json, run_check,
                               run_suite)
-from .tri_ring import DEFAULT_VERTEX_CAP, HARD_VERTEX_CAP, RingSpec
+from .tri_ring import (DEFAULT_VERTEX_CAP, HARD_VERTEX_CAP, RingSpec,
+                       difference_codes)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -154,7 +156,7 @@ def cmd_invariants(args) -> int:
     comps = connected_components(g)
     connected = len(comps) == 1
     if connected:
-        diam = int(all_pairs_distances(g).max())
+        diam = int(translation_distances(g, difference_codes(spec, cap)).max())
         triam = (triameter(g) if g.vertex_count >= 3
                  else "undefined: fewer than 3 vertices")
     else:
@@ -213,7 +215,7 @@ def main(argv=None) -> int:
     except (RingTooLarge, GraphTooLarge, FieldTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ValueError, WrongField) as exc:
+    except (ValueError, WrongField, NotPrime) as exc:
         return _usage_error(str(exc))
 
 

@@ -1,7 +1,10 @@
 """Immutable dense simple graphs and exact invariant algorithms.
 
 Distances are returned as a float matrix with np.inf marking pairs in
-different components.  Diameter, triameter and antipodal graphs are only
+different components.  Graphs whose adjacency depends only on the
+difference of the endpoints in an additive group (Cayley graphs) get
+their distances from a single BFS out of vertex 0, since then
+d(x, y) = d(x - y, 0).  Diameter, triameter and antipodal graphs are only
 defined for connected graphs and raise DisconnectedGraph otherwise.
 """
 
@@ -13,7 +16,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse import csgraph
 
-from .errors import DisconnectedGraph, GraphTooLarge, GraphTooLargeForOracle
+from .errors import (DisconnectedGraph, GraphTooLarge, GraphTooLargeForOracle,
+                     NotTranslationInvariant)
 from .tri_ring import DEFAULT_VERTEX_CAP
 
 ISO_ORACLE_CAP = 512
@@ -123,6 +127,33 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
         else:
             d = csgraph.shortest_path(csr_matrix(g.adjacency), method="D",
                                       directed=False, unweighted=True)
+        d.flags.writeable = False
+        g._cache["dist"] = d
+    return g._cache["dist"]
+
+
+def translation_distances(g: Graph, diff) -> np.ndarray:
+    """All-pairs hop distances of a Cayley graph from one BFS out of vertex 0.
+
+    `diff[x, y]` is the vertex index of x - y in the underlying group (see
+    tri_ring.difference_codes).  Every pair is checked to satisfy
+    adj[x, y] == adj[x - y, 0] first, so translation is an automorphism and
+    d(x, y) = d(x - y, 0); NotTranslationInvariant is raised otherwise.  The
+    result fills the same cache slot as all_pairs_distances.
+    """
+    adj = g.adjacency
+    diff = np.asarray(diff)
+    if diff.shape != adj.shape or g.vertex_count == 0:
+        raise ValueError("difference table must be V x V with V >= 1")
+    if diff.min() < 0 or diff.max() >= g.vertex_count:
+        raise ValueError("difference table entries must be vertex indices")
+    if not np.array_equal(adj[:, 0][diff], adj):
+        raise NotTranslationInvariant(
+            "adjacency is not invariant under the given translations")
+    if "dist" not in g._cache:
+        d0 = csgraph.shortest_path(csr_matrix(adj), method="D", directed=False,
+                                   unweighted=True, indices=0)
+        d = d0[diff]
         d.flags.writeable = False
         g._cache["dist"] = d
     return g._cache["dist"]

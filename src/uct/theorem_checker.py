@@ -23,13 +23,13 @@ from .constructors import (VertexLabeling, antipodal_hamming_direct,
                            semistrong_product, unitary_cayley)
 from .errors import UctError, WrongField
 from .finite_field import is_prime
-from .graph_core import (ISO_ORACLE_CAP, all_pairs_distances,
-                         connected_components, is_bipartite,
+from .graph_core import (ISO_ORACLE_CAP, connected_components, is_bipartite,
                          is_complete_bipartite, iso_check, labeled_equal,
-                         max_clique, triametral_triple)
-from .tri_ring import (DEFAULT_VERTEX_CAP, RingSpec, diagonal_slots, encode,
-                       entry_digit_matrix, enumerate_ring, from_parts, is_unit,
-                       strict_upper_slots, zn_units)
+                         max_clique, translation_distances, triametral_triple)
+from .tri_ring import (DEFAULT_VERTEX_CAP, RingSpec, diagonal_slots,
+                       difference_codes, encode, entry_digit_matrix,
+                       enumerate_ring, from_parts, is_unit, strict_upper_slots,
+                       zn_units)
 
 
 @dataclass
@@ -173,7 +173,7 @@ def check_connectivity_and_diameter(spec: RingSpec,
         raise WrongField("connectivity claim needs q > 2")
     g = unitary_cayley(spec, cap)
     comps = connected_components(g)
-    dist = all_pairs_distances(g)
+    dist = translation_distances(g, difference_codes(spec, cap))
     diam = int(dist[np.isfinite(dist)].max())
 
     certificate = {}
@@ -217,13 +217,13 @@ def check_triameter(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> Verdict:
     if spec.q == 2:
         raise WrongField("triameter claim needs q > 2")
     g = unitary_cayley(spec, cap)
+    dist = translation_distances(g, difference_codes(spec, cap))
     value, triple = triametral_triple(g)
 
     a, b, c = 0, 1, 2
     d1 = _diagonal_matrix_encoding(spec, [a] * spec.n)
     d2 = _diagonal_matrix_encoding(spec, [a] + [b] * (spec.n - 1))
     d3 = _diagonal_matrix_encoding(spec, [a] + [c] * (spec.n - 1))
-    dist = all_pairs_distances(g)
     witness_sum = int(dist[d1, d2] + dist[d1, d3] + dist[d2, d3])
 
     expected = {"triameter": 6, "diagonal_witness_sum": 6}

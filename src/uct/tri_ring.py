@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionMismatch, RingTooLarge
-from .finite_field import DEFAULT_FIELD_CAP, FieldTable, make_field
+from .finite_field import DEFAULT_FIELD_CAP, FieldTable, is_prime, make_field
 
 DEFAULT_VERTEX_CAP = 1 << 16
 HARD_VERTEX_CAP = 1 << 20
@@ -135,6 +135,8 @@ class RingSpec:
         if self.kind == "tri":
             if self.n < 2:
                 raise ValueError("matrix dimension must be >= 2")
+            if not is_prime(self.p):
+                raise ValueError(f"p={self.p} is not prime")
             if self.k < 1:
                 raise ValueError("extension degree must be >= 1")
         elif self.kind == "zn":
@@ -224,6 +226,26 @@ def entry_digit_matrix(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> np.ndar
         codes, r = np.divmod(codes, q)
         cols.append(r.astype(np.int16))
     return np.stack(cols, axis=1)
+
+
+def difference_codes(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> np.ndarray:
+    """order x order int32 table: entry [x, y] is the encoding of x - y.
+
+    Triangular rings subtract entry by entry through the field's
+    sub_table; Z_n uses (x - y) mod n.
+    """
+    _check_order(spec, cap)
+    if spec.kind == "zn":
+        idx = np.arange(spec.order, dtype=np.int32)
+        return (idx[:, None] - idx[None, :]) % np.int32(spec.modulus)
+    sub = spec.field().sub_table
+    digits = entry_digit_matrix(spec, cap)
+    codes = np.zeros((spec.order, spec.order), dtype=np.int32)
+    for t in reversed(range(digits.shape[1])):
+        col = digits[:, t]
+        codes *= spec.q
+        codes += sub[col[:, None], col[None, :]]
+    return codes
 
 
 def zn_units(m: int) -> np.ndarray:

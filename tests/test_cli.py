@@ -1,7 +1,13 @@
 """End-to-end CLI behavior: flags, formats, exit codes, report schema."""
 
 import json
+import os
+import subprocess
+import sys
 
+import pytest
+
+import uct
 from uct.cli import main
 
 
@@ -213,3 +219,20 @@ def test_failed_verdicts_exit_1(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "verify", "--spec", "tri:2,3,1")
     assert code == 1
     assert "FAIL" in err
+
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--ring", "tri", "--n", "2", "--p", "4"],
+    ["verify", "--spec", "tri:2,4,1"],
+    ["field", "info", "--p", "4"],
+])
+def test_non_prime_p_is_a_usage_error(argv):
+    src = os.path.dirname(os.path.dirname(uct.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "uct", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [proc.stderr.strip()]
+    assert proc.stderr.startswith("error:") and "not prime" in proc.stderr

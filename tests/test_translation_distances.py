@@ -1,0 +1,68 @@
+"""The Cayley fast path (one BFS from 0 plus a translation check) against
+the generic all-pairs BFS it replaces for ring graphs."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from uct import (Graph, NotTranslationInvariant, RingSpec, all_pairs_distances,
+                 translation_distances, unitary_cayley)
+from uct.tri_ring import difference_codes
+
+# Every triangular spec of at most 1024 vertices that the test suite or
+# the benchmark's verify workload runs, q = 2 (disconnected) ones included.
+TRI_SPECS = ["tri:2,2,1", "tri:3,2,1", "tri:4,2,1", "tri:2,3,1", "tri:3,3,1",
+             "tri:2,2,2", "tri:2,5,1", "tri:2,3,2", "tri:2,2,3", "tri:2,7,1"]
+ZN_SPECS = ["zn:2", "zn:12", "zn:30", "zn:64", "zn:9", "zn:45", "zn:13",
+            "zn:97"]
+
+
+@pytest.mark.parametrize("text", TRI_SPECS + ZN_SPECS)
+def test_matches_generic_distances(text):
+    spec = RingSpec.parse(text)
+    fast = translation_distances(unitary_cayley(spec), difference_codes(spec))
+    generic = all_pairs_distances(unitary_cayley(spec))
+    assert np.array_equal(fast, generic)
+    assert not fast.flags.writeable
+
+
+def test_fills_the_all_pairs_cache():
+    spec = RingSpec.parse("tri:2,3,1")
+    g = unitary_cayley(spec)
+    assert translation_distances(g, difference_codes(spec)) is all_pairs_distances(g)
+
+
+def test_circulant_with_one_edge_removed_raises():
+    spec = RingSpec.integers_mod(9)
+    adj = np.array(unitary_cayley(spec).adjacency)
+    adj[2, 3] = adj[3, 2] = False
+    with pytest.raises(NotTranslationInvariant):
+        translation_distances(Graph(adj), difference_codes(spec))
+
+
+def test_rejects_a_malformed_difference_table():
+    g = unitary_cayley(RingSpec.integers_mod(6))
+    with pytest.raises(ValueError):
+        translation_distances(g, difference_codes(RingSpec.integers_mod(5)))
+    with pytest.raises(ValueError):
+        translation_distances(g, -difference_codes(RingSpec.integers_mod(6)))
+
+
+@st.composite
+def circulants(draw):
+    m = draw(st.integers(min_value=2, max_value=40))
+    half = draw(st.sets(st.integers(min_value=1, max_value=m // 2)))
+    mask = np.zeros(m, dtype=bool)
+    for s in half:
+        mask[s] = mask[-s % m] = True
+    return m, mask
+
+
+@settings(max_examples=60, deadline=None)
+@given(circulants())
+def test_random_circulant_matches_generic(case):
+    m, connection = case
+    diff = difference_codes(RingSpec.integers_mod(m))
+    fast = translation_distances(Graph(connection[diff]), diff)
+    assert np.array_equal(fast, all_pairs_distances(Graph(connection[diff])))

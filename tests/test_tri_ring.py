@@ -8,7 +8,7 @@ import pytest
 from uct import (DimensionMismatch, RingSpec, RingTooLarge, TriMatrix, decode,
                  diagonal_of, encode, enumerate_ring, from_parts, is_unit,
                  make_field, mat_det, mat_sub, strict_upper_of)
-from uct.tri_ring import (diagonal_slots, entry_digit_matrix,
+from uct.tri_ring import (diagonal_slots, difference_codes, entry_digit_matrix,
                           strict_upper_slots, upper_positions, zn_units)
 
 
@@ -140,6 +140,22 @@ def test_entry_digit_matrix_matches_decode():
         assert tuple(int(x) for x in digits[code]) == decode(f, 2, code).entries
 
 
+@pytest.mark.parametrize("text", ["tri:2,3,1", "tri:3,2,1", "tri:2,2,2"])
+def test_difference_codes_match_mat_sub(text):
+    spec = RingSpec.parse(text)
+    diff = difference_codes(spec)
+    assert diff.dtype == np.int32 and diff.shape == (spec.order, spec.order)
+    elems = enumerate_ring(spec)
+    for x, a in enumerate(elems):
+        assert [int(c) for c in diff[x]] == [encode(mat_sub(a, b)) for b in elems]
+
+
+def test_difference_codes_zn():
+    diff = difference_codes(RingSpec.integers_mod(12))
+    for x in range(12):
+        assert [int(c) for c in diff[x]] == [(x - y) % 12 for y in range(12)]
+
+
 def test_ring_spec_parse_roundtrip():
     for text in ["tri:2,3,1", "tri:3,2,2", "zn:8"]:
         assert str(RingSpec.parse(text)) == text
@@ -154,6 +170,8 @@ def test_ring_spec_parse_roundtrip():
 def test_ring_spec_validation():
     with pytest.raises(ValueError):
         RingSpec.triangular(1, 3, 1)  # needs n >= 2
+    with pytest.raises(ValueError, match="not prime"):
+        RingSpec.triangular(2, 4, 1)
     with pytest.raises(ValueError):
         RingSpec.integers_mod(1)
     spec = RingSpec.triangular(2, 2, 2)
