@@ -17,14 +17,12 @@ import sys
 from .errors import (FieldTooLarge, GraphTooLarge, NotPrime, RingTooLarge,
                      WrongField)
 from .finite_field import make_field
-from .graph_core import (clique_number, connected_components,
-                         translation_distances, triameter)
+from .graph_core import clique_number, connected_components, triameter
 from .graphio import dump_json, to_dot, to_edge_list
 from .constructors import unitary_cayley
-from .theorem_checker import (CHECKS, checks_for, report_json, run_check,
-                              run_suite)
-from .tri_ring import (DEFAULT_VERTEX_CAP, HARD_VERTEX_CAP, RingSpec,
-                       difference_codes)
+from .theorem_checker import (CHECKS, RingInstance, checks_for, report_json,
+                              run_check, run_suite)
+from .tri_ring import DEFAULT_VERTEX_CAP, HARD_VERTEX_CAP, RingSpec
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -150,13 +148,13 @@ def cmd_build(args) -> int:
 
 def cmd_invariants(args) -> int:
     cap = _resolve_cap(args)
-    spec = _ring_spec(args)
-    g = unitary_cayley(spec, cap)
+    ring = RingInstance(_ring_spec(args), cap)
+    g = ring.graph
     degrees = g.degrees()
     comps = connected_components(g)
     connected = len(comps) == 1
     if connected:
-        diam = int(translation_distances(g, difference_codes(spec, cap)).max())
+        diam = int(ring.dist.max())
         triam = (triameter(g) if g.vertex_count >= 3
                  else "undefined: fewer than 3 vertices")
     else:

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import GraphTooLarge, RingTooLarge
 from .graph_core import Graph
 from .tri_ring import (DEFAULT_VERTEX_CAP, RingSpec, diagonal_slots,
-                       entry_digit_matrix, zn_units)
+                       entry_digit_matrix, tuple_codes, zn_units)
 
 
 @dataclass(frozen=True)
@@ -39,17 +39,6 @@ class VertexLabeling:
 
     def __len__(self):
         return len(self.encodings)
-
-
-def tuple_codes(length: int, base: int) -> np.ndarray:
-    """base**length x length array of digit tuples in encoding order
-    (first coordinate least significant)."""
-    codes = np.arange(base ** length, dtype=np.int64)
-    cols = []
-    for _ in range(length):
-        codes, r = np.divmod(codes, base)
-        cols.append(r.astype(np.int16))
-    return np.stack(cols, axis=1)
 
 
 def _digit_labels(digits: np.ndarray) -> list:

@@ -27,8 +27,9 @@ class Graph:
     """Simple undirected graph over a dense boolean adjacency matrix.
 
     Immutable after construction: the adjacency array is read-only and
-    expensive derived data (distances, bitset rows) is cached on first
-    use.  Labels are optional opaque strings kept for export.
+    expensive derived data (distances, bitset rows, components, the
+    two-coloring) is cached on first use.  Labels are optional opaque
+    strings kept for export.
     """
 
     def __init__(self, adjacency, labels=None, cap: int = DEFAULT_VERTEX_CAP):
@@ -108,10 +109,14 @@ def labeled_equal(g: Graph, h: Graph) -> bool:
 
 
 def connected_components(g: Graph) -> list:
-    """Vertex partition; components ordered by their smallest vertex index."""
+    """Vertex partition; components ordered by their smallest vertex index.
+    The labelling is cached on the graph; every call returns fresh lists."""
     if g.vertex_count == 0:
         return []
-    n, label = csgraph.connected_components(csr_matrix(g.adjacency), directed=False)
+    if "components" not in g._cache:
+        g._cache["components"] = csgraph.connected_components(
+            csr_matrix(g.adjacency), directed=False)
+    n, label = g._cache["components"]
     comps = [[] for _ in range(n)]
     for v, c in enumerate(label):
         comps[c].append(int(v))
@@ -278,11 +283,17 @@ def clique_number(g: Graph) -> int:
 
 
 def two_coloring(g: Graph):
-    """A proper 2-coloring as an int array, or None if any component has an
-    odd cycle.  Works on disconnected graphs."""
-    v = g.vertex_count
+    """A proper 2-coloring as a read-only int array, or None if any
+    component has an odd cycle.  Works on disconnected graphs; the result
+    is cached on the graph."""
+    if "coloring" not in g._cache:
+        g._cache["coloring"] = _bfs_two_coloring(g.adjacency)
+    return g._cache["coloring"]
+
+
+def _bfs_two_coloring(adj: np.ndarray):
+    v = adj.shape[0]
     color = np.full(v, -1, dtype=np.int8)
-    adj = g.adjacency
     for s in range(v):
         if color[s] >= 0:
             continue
@@ -298,6 +309,7 @@ def two_coloring(g: Graph):
                     elif color[w] == color[u]:
                         return None
             frontier = nxt
+    color.flags.writeable = False
     return color
 
 

@@ -2,9 +2,9 @@
 graphs of upper-triangular matrix rings, with re-checkable certificates.
 
 Every check takes a RingSpec, measures the built graph, compares against
-the claimed value, and returns a Verdict.  Claims conditional on the
-field size are gated: the two-element-field claims raise WrongField for
-q > 2 and vice versa.
+the claimed value, and returns a Verdict; the checks of one spec share
+one RingInstance.  Claims conditional on the field size are gated: the
+two-element-field claims raise WrongField for q > 2 and vice versa.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,16 +59,77 @@ class Verdict:
         }
 
 
-def _finish(claim_id, spec, expected, computed, certificate, started, seed=None):
-    return Verdict(claim_id=claim_id, spec=str(spec), expected=expected,
+class RingInstance:
+    """One spec's unitary Cayley graph and the data derived from it, each
+    built on first use and shared by the spec's checks.  An int spec is
+    the modulus of Z_n."""
+
+    def __init__(self, spec, cap: int = DEFAULT_VERTEX_CAP):
+        self.spec = RingSpec.integers_mod(spec) if isinstance(spec, int) else spec
+        self.cap = cap
+
+    @cached_property
+    def graph(self):
+        return unitary_cayley(self.spec, self.cap)
+
+    @cached_property
+    def digits(self) -> np.ndarray:
+        """Canonical entry digits, one row per vertex (triangular rings)."""
+        return entry_digit_matrix(self.spec, self.cap)
+
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        return self.digits[:, list(diagonal_slots(self.spec.n))]
+
+    @cached_property
+    def dist(self) -> np.ndarray:
+        """All-pairs distances, from one BFS out of vertex 0."""
+        return translation_distances(self.graph,
+                                     difference_codes(self.spec, self.cap))
+
+
+CHECKS = {}
+CLAIM_IDS = {}
+_REGISTRY = {}  # name -> (ring kind, gf2 gate, seeded, body)
+
+
+def _check(name: str, claim_id: str, kind: str = "tri", gf2=None,
+           seeded: bool = False):
+    """Declare a check under its CLI name and claim id, for rings of `kind`;
+    `gf2` limits a triangular claim to q = 2 (True) or q > 2 (False).  The
+    body reads a RingInstance (and the seed, when `seeded`) and returns
+    (expected, computed, certificate); the declared function takes a
+    RingSpec and returns the Verdict."""
+    def register(body):
+        if seeded:
+            def check(spec, cap: int = DEFAULT_VERTEX_CAP, seed: int = 0):
+                return _measure(name, RingInstance(spec, cap), seed)
+        else:
+            def check(spec, cap: int = DEFAULT_VERTEX_CAP):
+                return _measure(name, RingInstance(spec, cap))
+        check.__name__ = check.__qualname__ = body.__name__
+        check.__doc__ = body.__doc__
+        CHECKS[name], CLAIM_IDS[name] = check, claim_id
+        _REGISTRY[name] = kind, gf2, seeded, body
+        return check
+    return register
+
+
+def _measure(name: str, ring: RingInstance, seed: int = 0) -> Verdict:
+    started = time.perf_counter()
+    kind, gf2, seeded, body = _REGISTRY[name]
+    spec = ring.spec
+    if spec.kind != kind:
+        raise ValueError(f"check {name!r} needs a {kind} ring, got {spec}")
+    if gf2 is not None and gf2 != (spec.q == 2):
+        raise WrongField(f"check {name!r} needs q {'=' if gf2 else '>'} 2, "
+                         f"got q = {spec.q}")
+    expected, computed, certificate = body(ring, seed) if seeded else body(ring)
+    return Verdict(claim_id=CLAIM_IDS[name], spec=str(spec), expected=expected,
                    computed=computed, passed=expected == computed,
                    certificate=certificate,
-                   millis=(time.perf_counter() - started) * 1000.0, seed=seed)
-
-
-def _require_tri(spec: RingSpec):
-    if spec.kind != "tri":
-        raise ValueError(f"check needs a triangular ring, got {spec}")
+                   millis=(time.perf_counter() - started) * 1000.0,
+                   seed=seed if seeded else None)
 
 
 def _diagonal_matrix_encoding(spec: RingSpec, diagonal) -> int:
@@ -76,56 +138,41 @@ def _diagonal_matrix_encoding(spec: RingSpec, diagonal) -> int:
     return encode(from_parts(f, spec.n, zeros, tuple(diagonal)))
 
 
-def check_prop0(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> Verdict:
+@_check("prop0", "prop0.regularity")
+def check_prop0(ring: RingInstance):
     """Regularity: every vertex degree equals (q-1)^n * q^((n^2-n)/2), the
     number of units, which is also counted exhaustively."""
-    started = time.perf_counter()
-    _require_tri(spec)
-    g = unitary_cayley(spec, cap)
+    spec, g = ring.spec, ring.graph
     q, n = spec.q, spec.n
     formula = (q - 1) ** n * q ** ((n * n - n) // 2)
     degrees = g.degrees()
-    unit_count = sum(1 for a in enumerate_ring(spec, cap) if is_unit(a))
+    unit_count = sum(1 for a in enumerate_ring(spec, ring.cap) if is_unit(a))
     expected = {"degree_min": formula, "degree_max": formula, "unit_count": formula}
     computed = {"degree_min": int(degrees.min()), "degree_max": int(degrees.max()),
                 "unit_count": unit_count}
-    return _finish("prop0.regularity", spec, expected, computed,
-                   {"vertices": g.vertex_count}, started)
+    return expected, computed, {"vertices": g.vertex_count}
 
 
-def check_prop1(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> Verdict:
-    """Adjacency criterion: the unit-difference (determinant) rule and the
-    all-diagonal-entries-differ rule agree on every vertex pair."""
-    started = time.perf_counter()
-    _require_tri(spec)
-    f = spec.field()
-    digits = entry_digit_matrix(spec, cap)
-    diag = digits[:, list(diagonal_slots(spec.n))]
-    det = np.ones((spec.order, spec.order), dtype=np.int16)
-    differs_everywhere = np.ones((spec.order, spec.order), dtype=bool)
-    for i in range(spec.n):
-        col = diag[:, i]
-        det = f.mul_table[det, f.sub_table[col[:, None], col[None, :]]]
+@_check("prop1", "prop1.diagonal_rule")
+def check_prop1(ring: RingInstance):
+    """Adjacency criterion: the graph, built by the unit-difference rule,
+    has an edge exactly where all diagonal entries differ, on every pair."""
+    adj = ring.graph.adjacency
+    differs_everywhere = np.ones(adj.shape, dtype=bool)
+    for col in ring.diagonal.T:
         differs_everywhere &= col[:, None] != col[None, :]
-    agree = bool(np.array_equal(det != 0, differs_everywhere))
-    pairs = spec.order * (spec.order - 1) // 2
-    return _finish("prop1.diagonal_rule", spec,
-                   {"rules_agree": True}, {"rules_agree": agree},
-                   {"pairs_checked": pairs}, started)
+    agree = bool(np.array_equal(adj, differs_everywhere))
+    pairs = ring.spec.order * (ring.spec.order - 1) // 2
+    return {"rules_agree": True}, {"rules_agree": agree}, {"pairs_checked": pairs}
 
 
-def check_theorem1(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> Verdict:
+@_check("theorem1", "theorem1.gf2_components", gf2=True)
+def check_theorem1(ring: RingInstance):
     """Two-element field: 2^(n-1) components, each complete bipartite
     K_{m,m} with m = 2^(n(n-1)/2), the parts being two diagonal classes
     whose diagonals are complementary."""
-    started = time.perf_counter()
-    _require_tri(spec)
-    if spec.q != 2:
-        raise WrongField(f"component-structure claim needs q = 2, got q = {spec.q}")
-    n = spec.n
-    g = unitary_cayley(spec, cap)
-    digits = entry_digit_matrix(spec, cap)
-    diag = digits[:, list(diagonal_slots(n))]
+    n = ring.spec.n
+    g, diag = ring.graph, ring.diagonal
     comps = connected_components(g)
     m = 2 ** (n * (n - 1) // 2)
 
@@ -158,22 +205,17 @@ def check_theorem1(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> Verdict:
 
     expected = {"components": 2 ** (n - 1), "all_components_k_mm": True, "m": m}
     computed = {"components": len(comps), "all_components_k_mm": components_ok, "m": m}
-    return _finish("theorem1.gf2_components", spec, expected, computed,
-                   {"components": certificate_comps}, started)
+    return expected, computed, {"components": certificate_comps}
 
 
-def check_connectivity_and_diameter(spec: RingSpec,
-                                    cap: int = DEFAULT_VERTEX_CAP) -> Verdict:
+@_check("connectivity", "theorem2.connectivity_diameter", gf2=False)
+def check_connectivity_and_diameter(ring: RingInstance):
     """q > 2: the graph is connected with diameter exactly 2.  The
     certificate carries one non-adjacent pair and an explicit midpoint
     (diagonal avoiding both, zero off-diagonal) adjacent to both."""
-    started = time.perf_counter()
-    _require_tri(spec)
-    if spec.q == 2:
-        raise WrongField("connectivity claim needs q > 2")
-    g = unitary_cayley(spec, cap)
+    spec, g = ring.spec, ring.graph
     comps = connected_components(g)
-    dist = translation_distances(g, difference_codes(spec, cap))
+    dist = ring.dist
     diam = int(dist[np.isfinite(dist)].max())
 
     certificate = {}
@@ -186,11 +228,7 @@ def check_connectivity_and_diameter(spec: RingSpec,
             witness = (u, int(others[0]))
             break
     if witness is not None:
-        f = spec.field()
-        digits = entry_digit_matrix(spec, cap)
-        diag_slots = list(diagonal_slots(spec.n))
-        da = digits[witness[0]][diag_slots]
-        db = digits[witness[1]][diag_slots]
+        da, db = ring.diagonal[witness[0]], ring.diagonal[witness[1]]
         mid_diag = []
         for x, y in zip(da, db):
             c = next(e for e in range(spec.q) if e != x and e != y)
@@ -204,21 +242,17 @@ def check_connectivity_and_diameter(spec: RingSpec,
     expected = {"components": 1, "diameter": 2, "midpoint_ok": True}
     computed = {"components": len(comps), "diameter": diam,
                 "midpoint_ok": certificate.get("midpoint_adjacent_to_both", False)}
-    return _finish("theorem2.connectivity_diameter", spec, expected, computed,
-                   certificate, started)
+    return expected, computed, certificate
 
 
-def check_triameter(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> Verdict:
+@_check("triameter", "triameter.value", gf2=False)
+def check_triameter(ring: RingInstance):
     """q > 2: the triameter is exactly 6.  Also verifies the diagonal-matrix
     witness triple diag(a,a,...), diag(a,b,...), diag(a,c,...) attains
     2+2+2."""
-    started = time.perf_counter()
-    _require_tri(spec)
-    if spec.q == 2:
-        raise WrongField("triameter claim needs q > 2")
-    g = unitary_cayley(spec, cap)
-    dist = translation_distances(g, difference_codes(spec, cap))
-    value, triple = triametral_triple(g)
+    spec = ring.spec
+    dist = ring.dist  # fills the graph's distance cache triametral_triple reads
+    value, triple = triametral_triple(ring.graph)
 
     a, b, c = 0, 1, 2
     d1 = _diagonal_matrix_encoding(spec, [a] * spec.n)
@@ -235,15 +269,14 @@ def check_triameter(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> Verdict:
                      int(dist[triple[1], triple[2]])],
         "diagonal_witness": [d1, d2, d3],
     }
-    return _finish("triameter.value", spec, expected, computed, certificate, started)
+    return expected, computed, certificate
 
 
-def check_clique(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> Verdict:
+@_check("clique", "clique.value")
+def check_clique(ring: RingInstance):
     """The clique number equals q: the q scalar matrices diag(a,...,a) are
     pairwise adjacent (lower bound) and exact search finds nothing larger."""
-    started = time.perf_counter()
-    _require_tri(spec)
-    g = unitary_cayley(spec, cap)
+    spec, g = ring.spec, ring.graph
     q = spec.q
     scalars = [_diagonal_matrix_encoding(spec, [a] * spec.n) for a in range(q)]
     adj = g.adjacency
@@ -252,41 +285,36 @@ def check_clique(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> Verdict:
     found = max_clique(g)
     expected = {"clique_number": q, "scalar_clique_ok": True}
     computed = {"clique_number": len(found), "scalar_clique_ok": scalars_adjacent}
-    return _finish("clique.value", spec, expected, computed,
-                   {"scalar_clique": scalars, "found_clique": found}, started)
+    return expected, computed, {"scalar_clique": scalars, "found_clique": found}
 
 
 def theorem3_relabeling(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> VertexLabeling:
     """The structural bijection: matrix -> (strict-upper encoding) * q^n +
     (diagonal encoding).  Maps Cayley-graph vertices onto vertices of
-    K_m (bullet) A(H(n, q)) in product order."""
-    _require_tri(spec)
-    q, n = spec.q, spec.n
-    digits = entry_digit_matrix(spec, cap)
-    up = digits[:, list(strict_upper_slots(n))].astype(np.int64)
-    dg = digits[:, list(diagonal_slots(n))].astype(np.int64)
+    K_m (bullet) A(H(n, q)) in product order.  A RingInstance may stand
+    in for the spec; its digit matrix is then reused."""
+    ring = spec if isinstance(spec, RingInstance) else RingInstance(spec, cap)
+    q, n = ring.spec.q, ring.spec.n
+    up = ring.digits[:, list(strict_upper_slots(n))].astype(np.int64)
+    dg = ring.diagonal.astype(np.int64)
     up_code = up @ (q ** np.arange(up.shape[1], dtype=np.int64))
     dg_code = dg @ (q ** np.arange(n, dtype=np.int64))
     return VertexLabeling(tuple(int(x) for x in up_code * q ** n + dg_code))
 
 
-def check_theorem3(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP,
-                   seed: int = 0) -> Verdict:
+@_check("theorem3", "theorem3.semistrong_product", gf2=False, seeded=True)
+def check_theorem3(ring: RingInstance, seed: int):
     """q > 2: the Cayley graph equals K_m (bullet) A(H(n,q)) as a labeled
     graph after the structural relabeling, m = q^(n(n-1)/2).  Every vertex
     pair is compared; degree sequence, edge count and component count are
     asserted as redundant cross-checks, and the generic isomorphism oracle
     independently confirms instances small enough for it."""
-    started = time.perf_counter()
-    _require_tri(spec)
-    if spec.q == 2:
-        raise WrongField("semistrong-product claim needs q > 2")
+    spec, g, cap = ring.spec, ring.graph, ring.cap
     q, n = spec.q, spec.n
-    g = unitary_cayley(spec, cap)
     m = q ** (n * (n - 1) // 2)
     product = semistrong_product(complete_graph(m, cap),
                                  antipodal_hamming_direct(n, q, cap), cap)
-    phi = theorem3_relabeling(spec, cap)
+    phi = theorem3_relabeling(ring)
     perm = np.array(phi.encodings)
     if len(phi) != product.vertex_count or perm.max() >= product.vertex_count:
         raise AssertionError("relabeling is not onto the product vertex set")
@@ -322,35 +350,28 @@ def check_theorem3(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP,
                    "pairs_checked": v * (v - 1) // 2,
                    "edge_count": g.edge_count(),
                    "phi": [int(x) for x in perm]}
-    return _finish("theorem3.semistrong_product", spec, expected, computed,
-                   certificate, started, seed=seed)
+    return expected, computed, certificate
 
 
-def check_quotient(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> Verdict:
+@_check("quotient", "quotient.antipodal_hamming")
+def check_quotient(ring: RingInstance):
     """The diagonal-class quotient equals the direct all-coordinates-differ
     Hamming companion, vertex for vertex (any q, including q = 2, where
     both are perfect matchings)."""
-    started = time.perf_counter()
-    _require_tri(spec)
+    spec, cap = ring.spec, ring.cap
     quotient = diagonal_quotient(spec, cap)
     direct = antipodal_hamming_direct(spec.n, spec.q, cap)
     equal = labeled_equal(quotient, direct) and quotient.labels == direct.labels
-    return _finish("quotient.antipodal_hamming", spec,
-                   {"labeled_equal": True}, {"labeled_equal": bool(equal)},
-                   {"vertices": quotient.vertex_count}, started)
+    return ({"labeled_equal": True}, {"labeled_equal": bool(equal)},
+            {"vertices": quotient.vertex_count})
 
 
-def check_zn_oracles(spec, cap: int = DEFAULT_VERTEX_CAP) -> Verdict:
+@_check("zn", "zn.baselines", kind="zn")
+def check_zn_oracles(ring: RingInstance):
     """Known facts about C_{Z_n} used as independent regressions: complete
     for prime n, complete bipartite with equal parts for n = 2^s, bipartite
     for even n, and always regular of degree |units|."""
-    started = time.perf_counter()
-    if isinstance(spec, int):
-        spec = RingSpec.integers_mod(spec)
-    if spec.kind != "zn":
-        raise ValueError(f"Z_n oracle check needs a zn spec, got {spec}")
-    m = spec.modulus
-    g = unitary_cayley(spec, cap)
+    m, g = ring.spec.modulus, ring.graph
     units = int(zn_units(m).sum())
     degrees = g.degrees()
 
@@ -360,7 +381,7 @@ def check_zn_oracles(spec, cap: int = DEFAULT_VERTEX_CAP) -> Verdict:
     certificate = {"units": units}
     if is_prime(m):
         expected["complete"] = True
-        computed["complete"] = labeled_equal(g, complete_graph(m, cap))
+        computed["complete"] = labeled_equal(g, complete_graph(m, ring.cap))
     if m & (m - 1) == 0:  # power of two
         expected["bipartition_sizes"] = [m // 2, m // 2]
         parts = is_complete_bipartite(g)
@@ -371,7 +392,7 @@ def check_zn_oracles(spec, cap: int = DEFAULT_VERTEX_CAP) -> Verdict:
     if m % 2 == 0:
         expected["bipartite"] = True
         computed["bipartite"] = is_bipartite(g)
-    return _finish("zn.baselines", spec, expected, computed, certificate, started)
+    return expected, computed, certificate
 
 
 # -- suite orchestration ---------------------------------------------------
@@ -386,51 +407,25 @@ DEFAULT_SUITE_SPECS = (
     RingSpec.triangular(2, 5, 1),
 )
 
-CHECKS = {
-    "prop0": check_prop0,
-    "prop1": check_prop1,
-    "theorem1": check_theorem1,
-    "connectivity": check_connectivity_and_diameter,
-    "triameter": check_triameter,
-    "clique": check_clique,
-    "theorem3": check_theorem3,
-    "quotient": check_quotient,
-    "zn": check_zn_oracles,
-}
-
-CLAIM_IDS = {
-    "prop0": "prop0.regularity",
-    "prop1": "prop1.diagonal_rule",
-    "theorem1": "theorem1.gf2_components",
-    "connectivity": "theorem2.connectivity_diameter",
-    "triameter": "triameter.value",
-    "clique": "clique.value",
-    "theorem3": "theorem3.semistrong_product",
-    "quotient": "quotient.antipodal_hamming",
-    "zn": "zn.baselines",
-}
-
 
 def checks_for(spec: RingSpec) -> list:
-    """Names of the checks applicable to a spec, in fixed order."""
-    if spec.kind == "zn":
-        return ["zn"]
-    if spec.q == 2:
-        return ["prop0", "prop1", "theorem1", "clique", "quotient"]
-    return ["prop0", "prop1", "connectivity", "triameter", "clique",
-            "theorem3", "quotient"]
+    """Names of the checks applicable to a spec, in declaration order."""
+    return [name for name, (kind, gf2, _, _) in _REGISTRY.items()
+            if kind == spec.kind and (gf2 is None or gf2 == (spec.q == 2))]
 
 
 def run_check(name: str, spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP,
               seed: int = 0) -> Verdict:
     """Run one named check; errors become failed Verdicts, not exceptions."""
+    return _run(name, RingInstance(spec, cap), seed)
+
+
+def _run(name: str, ring: RingInstance, seed: int) -> Verdict:
     started = time.perf_counter()
     try:
-        if name == "theorem3":
-            return check_theorem3(spec, cap, seed=seed)
-        return CHECKS[name](spec, cap)
+        return _measure(name, ring, seed)
     except UctError as exc:
-        return Verdict(claim_id=CLAIM_IDS[name], spec=str(spec),
+        return Verdict(claim_id=CLAIM_IDS[name], spec=str(ring.spec),
                        expected="no error", computed=f"{type(exc).__name__}: {exc}",
                        passed=False, certificate={"error": str(exc)},
                        millis=(time.perf_counter() - started) * 1000.0)
@@ -444,7 +439,8 @@ def _run_spec(spec: RingSpec, cap: int, seed: int) -> list:
                         passed=False,
                         certificate={"error": "RingTooLarge", "order": spec.order},
                         millis=0.0)]
-    return [run_check(name, spec, cap, seed) for name in checks_for(spec)]
+    ring = RingInstance(spec, cap)
+    return [_run(name, ring, seed) for name in checks_for(spec)]
 
 
 def run_suite(specs=None, cap: int = DEFAULT_VERTEX_CAP, threads=None,

@@ -18,8 +18,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch, RingTooLarge
-from .finite_field import DEFAULT_FIELD_CAP, FieldTable, is_prime, make_field
+from .errors import DimensionMismatch, FieldTooLarge, RingTooLarge
+from .finite_field import (DEFAULT_FIELD_CAP, FieldTable, base_digits,
+                           digits_to_int, is_prime, make_field)
 
 DEFAULT_VERTEX_CAP = 1 << 16
 HARD_VERTEX_CAP = 1 << 20
@@ -103,18 +104,11 @@ def from_parts(field: FieldTable, n: int, strict_upper, diagonal) -> TriMatrix:
 
 def encode(a: TriMatrix) -> int:
     """Canonical integer encoding (entry sequence as base-q digits, LSD first)."""
-    v = 0
-    for e in reversed(a.entries):
-        v = v * a.field.q + e
-    return v
+    return digits_to_int(a.entries, a.field.q)
 
 
 def decode(field: FieldTable, n: int, code: int) -> TriMatrix:
-    entries = []
-    for _ in range(n * (n + 1) // 2):
-        code, r = divmod(code, field.q)
-        entries.append(r)
-    return TriMatrix(field, n, tuple(entries))
+    return TriMatrix(field, n, tuple(base_digits(code, field.q, n * (n + 1) // 2)))
 
 
 @dataclass(frozen=True)
@@ -139,6 +133,10 @@ class RingSpec:
                 raise ValueError(f"p={self.p} is not prime")
             if self.k < 1:
                 raise ValueError("extension degree must be >= 1")
+            # Capping the exponent keeps p**k small; 2**bit_length(cap) > cap.
+            if self.p ** min(self.k, DEFAULT_FIELD_CAP.bit_length()) > DEFAULT_FIELD_CAP:
+                raise FieldTooLarge(f"p**k = {self.p}**{self.k} exceeds field "
+                                    f"cap {DEFAULT_FIELD_CAP}")
         elif self.kind == "zn":
             if self.modulus < 2:
                 raise ValueError("modulus must be >= 2")
@@ -184,15 +182,15 @@ class RingSpec:
             return self.q ** (self.n * (self.n + 1) // 2)
         return self.modulus
 
-    def field(self, cap: int = DEFAULT_FIELD_CAP) -> FieldTable:
+    def field(self) -> FieldTable:
         if self.kind != "tri":
             raise ValueError("only triangular rings carry a field")
-        return _field(self.p, self.k, cap)
+        return _field(self.p, self.k)
 
 
 @lru_cache(maxsize=None)
-def _field(p, k, cap):
-    return make_field(p, k, cap)
+def _field(p, k):
+    return make_field(p, k)
 
 
 def _check_order(spec: RingSpec, cap: int):
@@ -213,19 +211,24 @@ def enumerate_ring(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> list:
     return [decode(f, spec.n, e) for e in range(spec.order)]
 
 
+def tuple_codes(length: int, base: int) -> np.ndarray:
+    """base**length x length array of digit tuples in encoding order
+    (first coordinate least significant)."""
+    codes = np.arange(base ** length, dtype=np.int64)
+    cols = []
+    for _ in range(length):
+        codes, r = np.divmod(codes, base)
+        cols.append(r.astype(np.int16))
+    return np.stack(cols, axis=1)
+
+
 def entry_digit_matrix(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> np.ndarray:
     """order x n(n+1)/2 array: row e holds the canonical entry digits of
     the matrix with encoding e.  Triangular rings only."""
     if spec.kind != "tri":
         raise ValueError("digit matrix is only defined for triangular rings")
     _check_order(spec, cap)
-    q = spec.q
-    codes = np.arange(spec.order, dtype=np.int64)
-    cols = []
-    for _ in range(spec.n * (spec.n + 1) // 2):
-        codes, r = np.divmod(codes, q)
-        cols.append(r.astype(np.int16))
-    return np.stack(cols, axis=1)
+    return tuple_codes(spec.n * (spec.n + 1) // 2, spec.q)
 
 
 def difference_codes(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> np.ndarray:

@@ -236,3 +236,17 @@ def test_non_prime_p_is_a_usage_error(argv):
     assert proc.stdout == ""
     assert proc.stderr.splitlines() == [proc.stderr.strip()]
     assert proc.stderr.startswith("error:") and "not prime" in proc.stderr
+
+
+def test_verify_field_over_cap_exits_3():
+    """A field above the cap is a resource limit, as for build and
+    invariants: no verdicts, one error line."""
+    src = os.path.dirname(os.path.dirname(uct.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "uct", "verify", "--spec",
+                           "tri:2,67,1", "--cap", str(2 ** 20)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [proc.stderr.strip()]
+    assert proc.stderr.startswith("error:") and "field cap" in proc.stderr

@@ -12,6 +12,7 @@ from uct import (DisconnectedGraph, Graph, GraphTooLarge,
                  connected_components, diameter, hamming_graph, is_bipartite,
                  is_complete_bipartite, iso_check, labeled_equal, max_clique,
                  triameter, triametral_triple)
+from uct.graph_core import two_coloring
 from uct.graphio import (from_json_envelope, read_edge_list, to_dot,
                          to_edge_list, to_json_envelope)
 
@@ -104,6 +105,14 @@ def test_components():
     edgeless = Graph(np.zeros((5, 5), dtype=bool))
     assert connected_components(edgeless) == [[0], [1], [2], [3], [4]]
     two = Graph.from_edges(6, [(0, 2), (2, 4), (1, 3), (3, 5)])
+    assert connected_components(two) == [[0, 2, 4], [1, 3, 5]]
+
+
+def test_components_are_cached_but_returned_fresh():
+    two = Graph.from_edges(6, [(0, 2), (2, 4), (1, 3), (3, 5)])
+    first = connected_components(two)
+    first[0].append(99)
+    first.pop()
     assert connected_components(two) == [[0, 2, 4], [1, 3, 5]]
 
 
@@ -226,6 +235,17 @@ def test_is_bipartite():
     assert is_bipartite(cycle_graph(6))
     assert not is_bipartite(cycle_graph(5))
     assert is_bipartite(Graph.from_edges(4, [(0, 1), (2, 3)]))  # disconnected ok
+
+
+def test_two_coloring_is_cached_read_only():
+    g = cycle_graph(6)
+    color = two_coloring(g)
+    assert list(color) == [0, 1, 0, 1, 0, 1]
+    assert two_coloring(g) is color
+    with pytest.raises(ValueError):
+        color[0] = 1
+    odd = cycle_graph(5)
+    assert two_coloring(odd) is None and two_coloring(odd) is None
 
 
 # -- antipodal ----------------------------------------------------------------

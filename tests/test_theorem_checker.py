@@ -1,11 +1,14 @@
 """Checks of the verification layer itself: verdict content, gating,
 suite orchestration, and offline re-verification of certificates."""
 
+import inspect
 import json
 import random
 
+import numpy as np
 import pytest
 
+import uct.theorem_checker as tc
 from uct import (RingSpec, WrongField, all_pairs_distances,
                  antipodal_hamming_direct, check_clique,
                  check_connectivity_and_diameter, check_prop0, check_prop1,
@@ -13,6 +16,7 @@ from uct import (RingSpec, WrongField, all_pairs_distances,
                  check_triameter, check_zn_oracles, complete_graph,
                  connected_components, run_check, run_suite,
                  semistrong_product, unitary_cayley)
+from uct.graph_core import Graph
 from uct.theorem_checker import (DEFAULT_SUITE_SPECS, checks_for, report_json,
                                  theorem3_relabeling)
 
@@ -265,3 +269,53 @@ def _diag_of_label(label):
     # labels hold the canonical entry digits; diagonal slots of n=3 are 0,3,5
     digits = [int(c) for c in label.split(",")]
     return digits[0], digits[3], digits[5]
+
+
+# -- one instance per spec -----------------------------------------------------
+
+def test_suite_builds_each_graph_and_difference_table_once(monkeypatch):
+    built = {"graphs": [], "tables": []}
+
+    def counting(key, real):
+        def wrapper(spec, cap):
+            built[key].append(str(spec))
+            return real(spec, cap)
+        return wrapper
+
+    monkeypatch.setattr(tc, "unitary_cayley",
+                        counting("graphs", tc.unitary_cayley))
+    monkeypatch.setattr(tc, "difference_codes",
+                        counting("tables", tc.difference_codes))
+    verdicts = run_suite([T23, T22], threads=1)
+    assert all(v.passed for v in verdicts)
+    assert built == {"graphs": ["tri:2,3,1", "tri:2,2,1"],
+                     "tables": ["tri:2,3,1"]}
+
+
+def test_prop1_checks_the_graph_the_other_checks_use(monkeypatch):
+    real = tc.unitary_cayley
+
+    def one_edge_missing(spec, cap):
+        adj = real(spec, cap).adjacency.copy()
+        u, v = np.argwhere(adj)[0]
+        adj[u, v] = adj[v, u] = False
+        return Graph(adj)
+
+    assert check_prop1(T23).passed
+    monkeypatch.setattr(tc, "unitary_cayley", one_edge_missing)
+    v = check_prop1(T23)
+    assert not v.passed
+    assert v.computed == {"rules_agree": False}
+
+
+def test_registry_declares_each_check_once():
+    assert list(tc.CHECKS) == list(tc.CLAIM_IDS)
+    assert tc.CLAIM_IDS["connectivity"] == "theorem2.connectivity_diameter"
+    for name, check in tc.CHECKS.items():
+        params = list(inspect.signature(check).parameters)
+        assert params == (["spec", "cap", "seed"] if name == "theorem3"
+                          else ["spec", "cap"])
+    assert check_theorem3(T23).seed == 0
+    assert check_prop0(T23).seed is None
+    with pytest.raises(TypeError):
+        check_prop0(T23, seed=1)

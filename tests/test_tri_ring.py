@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from uct import (DimensionMismatch, RingSpec, RingTooLarge, TriMatrix, decode,
-                 diagonal_of, encode, enumerate_ring, from_parts, is_unit,
-                 make_field, mat_det, mat_sub, strict_upper_of)
+from uct import (DimensionMismatch, FieldTooLarge, RingSpec, RingTooLarge,
+                 TriMatrix, constructors, decode, diagonal_of, encode,
+                 enumerate_ring, from_parts, is_unit, make_field, mat_det,
+                 mat_sub, strict_upper_of)
 from uct.tri_ring import (diagonal_slots, difference_codes, entry_digit_matrix,
-                          strict_upper_slots, upper_positions, zn_units)
+                          strict_upper_slots, tuple_codes, upper_positions,
+                          zn_units)
 
 
 def tri(field, n, entries):
@@ -179,6 +181,13 @@ def test_ring_spec_validation():
     assert spec.order == 4 ** 3
     with pytest.raises(ValueError):
         RingSpec.integers_mod(8).q
+    # The field cap (64) is checked when the spec is made, before any table.
+    assert RingSpec.triangular(2, 2, 6).q == 64
+    for p, k in [(67, 1), (2, 7), (3, 4), (2, 10 ** 9)]:
+        with pytest.raises(FieldTooLarge):
+            RingSpec.triangular(2, p, k)
+    with pytest.raises(FieldTooLarge):
+        RingSpec.parse("tri:2,67,1")
 
 
 def test_tri_matrix_validation():
@@ -195,3 +204,7 @@ def test_digit_matrix_is_vectorized_consistently():
     assert digits.shape == (64, 6)
     codes = digits.astype(np.int64) @ (2 ** np.arange(6, dtype=np.int64))
     assert (codes == np.arange(64)).all()
+    # One digit expansion: the digit matrix is tuple_codes over n(n+1)/2
+    # entries, and the Hamming constructors use the same function.
+    assert np.array_equal(digits, tuple_codes(6, 2))
+    assert constructors.tuple_codes is tuple_codes
