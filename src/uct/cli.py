@@ -2,7 +2,8 @@
 
 Subcommands: ``field info``, ``build``, ``invariants``, ``verify``.
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage
-error, 3 resource limit (ring, graph, or field over the configured cap).
+error, 3 resource limit (ring, graph, or field over the configured cap, or
+an allocation the machine cannot hold).
 The vertex cap comes from ``--cap`` or the UCT_VERTEX_CAP environment
 variable, hard ceiling 2^20.
 """
@@ -210,8 +211,8 @@ def main(argv=None) -> int:
         if args.command == "invariants":
             return cmd_invariants(args)
         return cmd_verify(args)
-    except (RingTooLarge, GraphTooLarge, FieldTooLarge) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (RingTooLarge, GraphTooLarge, FieldTooLarge, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
     except (ValueError, WrongField, NotPrime) as exc:
         return _usage_error(str(exc))

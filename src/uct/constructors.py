@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GraphTooLarge, RingTooLarge
+from .errors import GraphTooLarge
 from .graph_core import Graph
 from .tri_ring import (DEFAULT_VERTEX_CAP, RingSpec, diagonal_slots,
-                       entry_digit_matrix, tuple_codes, zn_units)
+                       difference_codes, entry_digit_matrix, tuple_codes,
+                       zn_units)
 
 
 @dataclass(frozen=True)
@@ -49,19 +50,14 @@ def unitary_cayley(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     """The unitary Cayley graph of the ring: vertices in canonical encoding
     order, edge xy iff x - y is a unit.
 
-    For triangular rings adjacency is computed from the determinant of the
-    difference (the product of its diagonal entries); check_prop1 compares
-    it with the all-diagonal-entries-differ rule on every pair.
+    Z_n reads its unit mask at tri_ring.difference_codes.  For triangular
+    rings adjacency is computed from the determinant of the difference (the
+    product of its diagonal entries); check_prop1 compares it with the
+    all-diagonal-entries-differ rule on every pair.
     """
-    if spec.order > cap:
-        raise RingTooLarge(f"ring {spec} has {spec.order} elements, cap is {cap}")
-
     if spec.kind == "zn":
-        m = spec.modulus
-        units = zn_units(m)
-        idx = np.arange(m)
-        adj = units[(idx[:, None] - idx[None, :]) % m]
-        return Graph(adj, labels=[str(x) for x in range(m)], cap=cap)
+        adj = zn_units(spec.modulus)[difference_codes(spec, cap)]
+        return Graph(adj, labels=[str(x) for x in range(spec.modulus)], cap=cap)
 
     f = spec.field()
     digits = entry_digit_matrix(spec, cap)

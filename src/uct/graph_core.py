@@ -1,8 +1,9 @@
 """Immutable dense simple graphs and exact invariant algorithms.
 
-Distances are returned as a float matrix with np.inf marking pairs in
-different components.  Graphs whose adjacency depends only on the
-difference of the endpoints in an additive group (Cayley graphs) get
+Components, distances and the two-coloring come from scipy.sparse.csgraph
+traversals.  Distances are returned as a float matrix with np.inf marking
+pairs in different components.  Graphs whose adjacency depends only on
+the difference of the endpoints in an additive group (Cayley graphs) get
 their distances from a single BFS out of vertex 0, since then
 d(x, y) = d(x - y, 0).  Diameter, triameter and antipodal graphs are only
 defined for connected graphs and raise DisconnectedGraph otherwise.
@@ -54,11 +55,16 @@ class Graph:
 
     @classmethod
     def from_edges(cls, vertex_count, edges, labels=None, cap=DEFAULT_VERTEX_CAP):
+        ends = np.array(list(edges) or np.zeros((0, 2), dtype=int))
+        if ends.ndim != 2 or ends.shape[1] != 2 or ends.dtype.kind not in "iu":
+            raise ValueError("edges must be pairs of integer vertex indices")
+        if ((ends < 0) | (ends >= vertex_count)).any():
+            raise ValueError(f"edge endpoint is not a vertex index in "
+                             f"0..{vertex_count - 1}")
+        if (ends[:, 0] == ends[:, 1]).any():
+            raise ValueError("loops are not allowed")
         adj = np.zeros((vertex_count, vertex_count), dtype=bool)
-        for u, v in edges:
-            if u == v:
-                raise ValueError("loops are not allowed")
-            adj[u, v] = adj[v, u] = True
+        adj[ends[:, 0], ends[:, 1]] = adj[ends[:, 1], ends[:, 0]] = True
         return cls(adj, labels=labels, cap=cap)
 
     @property
@@ -284,33 +290,26 @@ def clique_number(g: Graph) -> int:
 
 def two_coloring(g: Graph):
     """A proper 2-coloring as a read-only int array, or None if any
-    component has an odd cycle.  Works on disconnected graphs; the result
-    is cached on the graph."""
+    component has an odd cycle; cached on the graph.
+
+    One scipy BFS from each component's smallest vertex (colour 0) colours
+    every vertex by the parity of its depth, and the coloring is proper iff
+    no edge joins equal colours.  The adjacency is symmetric, so the
+    directed traversal needs no transpose; float64 CSR data spares scipy a
+    copy per BFS.
+    """
     if "coloring" not in g._cache:
-        g._cache["coloring"] = _bfs_two_coloring(g.adjacency)
+        adj = csr_matrix(g.adjacency, dtype=np.float64)
+        color = np.zeros(g.vertex_count, dtype=np.int8)
+        for comp in connected_components(g):
+            order, pred = csgraph.breadth_first_order(
+                adj, comp[0], directed=True, return_predecessors=True)
+            for u, p in zip(order[1:].tolist(), pred[order[1:]].tolist()):
+                color[u] = 1 - color[p]
+        color.flags.writeable = False
+        odd = (np.repeat(color, np.diff(adj.indptr)) == color[adj.indices]).any()
+        g._cache["coloring"] = None if odd else color
     return g._cache["coloring"]
-
-
-def _bfs_two_coloring(adj: np.ndarray):
-    v = adj.shape[0]
-    color = np.full(v, -1, dtype=np.int8)
-    for s in range(v):
-        if color[s] >= 0:
-            continue
-        color[s] = 0
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in np.nonzero(adj[u])[0]:
-                    if color[w] < 0:
-                        color[w] = 1 - color[u]
-                        nxt.append(int(w))
-                    elif color[w] == color[u]:
-                        return None
-            frontier = nxt
-    color.flags.writeable = False
-    return color
 
 
 def is_bipartite(g: Graph) -> bool:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -250,3 +251,23 @@ def test_verify_field_over_cap_exits_3():
     assert proc.stdout == ""
     assert proc.stderr.splitlines() == [proc.stderr.strip()]
     assert proc.stderr.startswith("error:") and "field cap" in proc.stderr
+
+
+def test_out_of_memory_exits_3():
+    """An allocation the address-space limit refuses is a resource error:
+    exit 3 with one error line, not a traceback under exit 1."""
+    limit = 1_500_000_000
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = os.path.dirname(os.path.dirname(uct.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "uct", "build", "--ring", "tri",
+                           "--n", "3", "--p", "5", "--format", "text"], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          preexec_fn=cap_address_space)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [proc.stderr.strip()]
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr

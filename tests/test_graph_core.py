@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uct import (DisconnectedGraph, Graph, GraphTooLarge,
                  GraphTooLargeForOracle, all_pairs_distances, antipodal,
@@ -248,6 +250,32 @@ def test_two_coloring_is_cached_read_only():
     assert two_coloring(odd) is None and two_coloring(odd) is None
 
 
+@st.composite
+def small_graphs(draw, min_vertices=0, connected=False):
+    """Random graphs on at most 10 vertices; unless `connected`, they may be
+    disconnected and have isolated vertices."""
+    n = draw(st.integers(min_value=min_vertices, max_value=10))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    if connected:
+        order = draw(st.permutations(range(n)))
+        edges |= {tuple(sorted(e)) for e in zip(order, order[1:])}
+    return Graph.from_edges(n, sorted(edges))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+def test_two_coloring_matches_brute_force(g):
+    n, edges = g.vertex_count, list(g.edges())
+    proper_exists = any(all((s >> u & 1) != (s >> v & 1) for u, v in edges)
+                        for s in range(1 << n))
+    color = two_coloring(g)
+    assert (color is not None) == proper_exists
+    if color is not None:
+        assert all(color[u] != color[v] for u, v in edges)
+        assert all(color[comp[0]] == 0 for comp in connected_components(g))
+
+
 # -- antipodal ----------------------------------------------------------------
 
 def test_antipodal_of_complete_graph_is_itself():
@@ -353,8 +381,37 @@ def test_json_envelope_roundtrip():
     assert back.labels == g.labels
 
 
+@pytest.mark.parametrize("text", ["0 -1\n", "0 7\n"])
+def test_edge_list_rejects_endpoints_outside_the_vertex_range(text):
+    with pytest.raises(ValueError, match="vertex ind"):
+        read_edge_list(text, vertex_count=5)
+
+
+@pytest.mark.parametrize("edge", [[0, 1.0], [0, "1"], [0.5, 1], [None, 1]])
+def test_json_envelope_rejects_non_integer_endpoints(edge):
+    with pytest.raises(ValueError, match="vertex ind"):
+        from_json_envelope({"vertex_count": 3, "edges": [edge]})
+
+
 def test_induced_subgraph():
     g = complete_bipartite(3, 3)
     sub = g.induced_subgraph([0, 1, 3])
     assert sub.vertex_count == 3
     assert sub.edge_count() == 2  # the two cross pairs
+
+
+# -- relabelling invariance ----------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs(min_vertices=3, connected=True), st.randoms())
+def test_invariants_survive_random_relabelling(g, rnd):
+    perm = list(range(g.vertex_count))
+    rnd.shuffle(perm)
+    h = Graph.from_edges(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges()])
+    assert clique_number(h) == clique_number(g)
+    assert diameter(h) == diameter(g)
+    assert triameter(h) == triameter(g)
+    assert is_bipartite(h) == is_bipartite(g)
+    mapping = iso_check(g, h)
+    assert mapping is not None
+    assert np.array_equal(h.adjacency[np.ix_(mapping, mapping)], g.adjacency)
