@@ -56,7 +56,8 @@ def unitary_cayley(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     all-diagonal-entries-differ rule on every pair.
     """
     if spec.kind == "zn":
-        adj = zn_units(spec.modulus)[difference_codes(spec, cap)]
+        diff = difference_codes(spec, cap)
+        adj = zn_units(spec.modulus)[diff]
         return Graph(adj, labels=[str(x) for x in range(spec.modulus)], cap=cap)
 
     f = spec.field()

@@ -59,10 +59,7 @@ class Graph:
         if ends.ndim != 2 or ends.shape[1] != 2 or ends.dtype.kind not in "iu":
             raise ValueError("edges must be pairs of integer vertex indices")
         if ((ends < 0) | (ends >= vertex_count)).any():
-            raise ValueError(f"edge endpoint is not a vertex index in "
-                             f"0..{vertex_count - 1}")
-        if (ends[:, 0] == ends[:, 1]).any():
-            raise ValueError("loops are not allowed")
+            raise ValueError(f"endpoint not a vertex index 0..{vertex_count - 1}")
         adj = np.zeros((vertex_count, vertex_count), dtype=bool)
         adj[ends[:, 0], ends[:, 1]] = adj[ends[:, 1], ends[:, 0]] = True
         return cls(adj, labels=labels, cap=cap)
@@ -117,17 +114,20 @@ def labeled_equal(g: Graph, h: Graph) -> bool:
 def connected_components(g: Graph) -> list:
     """Vertex partition; components ordered by their smallest vertex index.
     The labelling is cached on the graph; every call returns fresh lists."""
-    if g.vertex_count == 0:
-        return []
-    if "components" not in g._cache:
-        g._cache["components"] = csgraph.connected_components(
-            csr_matrix(g.adjacency), directed=False)
-    n, label = g._cache["components"]
+    n, label = _component_labelling(g)
     comps = [[] for _ in range(n)]
     for v, c in enumerate(label):
         comps[c].append(int(v))
     comps.sort(key=lambda c: c[0])
     return comps
+
+
+def _component_labelling(g: Graph):
+    """scipy's (count, label per vertex) component labelling, cached."""
+    if "components" not in g._cache:
+        g._cache["components"] = csgraph.connected_components(
+            csr_matrix(g.adjacency), directed=False)
+    return g._cache["components"]
 
 
 def all_pairs_distances(g: Graph) -> np.ndarray:
@@ -292,18 +292,20 @@ def two_coloring(g: Graph):
     """A proper 2-coloring as a read-only int array, or None if any
     component has an odd cycle; cached on the graph.
 
-    One scipy BFS from each component's smallest vertex (colour 0) colours
-    every vertex by the parity of its depth, and the coloring is proper iff
-    no edge joins equal colours.  The adjacency is symmetric, so the
-    directed traversal needs no transpose; float64 CSR data spares scipy a
-    copy per BFS.
+    One scipy BFS from the smallest vertex (colour 0) of each component
+    with an edge colours every vertex by the parity of its depth; isolated
+    vertices keep colour 0.  The coloring is proper iff no edge joins equal
+    colours.  The adjacency is symmetric, so the directed traversal needs no
+    transpose; float64 CSR data spares scipy a copy per BFS.
     """
     if "coloring" not in g._cache:
         adj = csr_matrix(g.adjacency, dtype=np.float64)
         color = np.zeros(g.vertex_count, dtype=np.int8)
-        for comp in connected_components(g):
+        _, roots, sizes = np.unique(_component_labelling(g)[1],
+                                    return_index=True, return_counts=True)
+        for root in roots[sizes > 1].tolist():
             order, pred = csgraph.breadth_first_order(
-                adj, comp[0], directed=True, return_predecessors=True)
+                adj, root, directed=True, return_predecessors=True)
             for u, p in zip(order[1:].tolist(), pred[order[1:]].tolist()):
                 color[u] = 1 - color[p]
         color.flags.writeable = False

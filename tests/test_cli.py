@@ -255,7 +255,8 @@ def test_verify_field_over_cap_exits_3():
 
 def test_out_of_memory_exits_3():
     """An allocation the address-space limit refuses is a resource error:
-    exit 3 with one error line, not a traceback under exit 1."""
+    exit 3 with one error line, not a traceback under exit 1.  T_3(GF(7))
+    has 117649 elements, so its bool adjacency alone needs 13.8 GB."""
     limit = 1_500_000_000
 
     def cap_address_space():
@@ -264,10 +265,12 @@ def test_out_of_memory_exits_3():
     src = os.path.dirname(os.path.dirname(uct.__file__))
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-m", "uct", "build", "--ring", "tri",
-                           "--n", "3", "--p", "5", "--format", "text"], env=env,
+                           "--n", "3", "--p", "7", "--cap", "1048576",
+                           "--format", "text"], env=env,
                           capture_output=True, text=True, timeout=120,
                           preexec_fn=cap_address_space)
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr.splitlines() == [proc.stderr.strip()]
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    assert "allocate" in proc.stderr or "out of memory" in proc.stderr

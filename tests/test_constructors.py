@@ -100,6 +100,9 @@ def test_cayley_ring_too_large():
         unitary_cayley(RingSpec.triangular(9, 2, 1))
     with pytest.raises(RingTooLarge):
         unitary_cayley(RingSpec.integers_mod(100), cap=50)
+    # The order check comes before any modulus-sized work.
+    with pytest.raises(RingTooLarge):
+        unitary_cayley(RingSpec.integers_mod(10**15))
 
 
 def test_cayley_labels_are_entry_digits():
