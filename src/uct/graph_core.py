@@ -293,16 +293,16 @@ def two_coloring(g: Graph):
     component has an odd cycle; cached on the graph.
 
     One scipy BFS from the smallest vertex (colour 0) of each component
-    with an edge colours every vertex by the parity of its depth; isolated
-    vertices keep colour 0.  The coloring is proper iff no edge joins equal
-    colours.  The adjacency is symmetric, so the directed traversal needs no
-    transpose; float64 CSR data spares scipy a copy per BFS.
+    with an edge colours by depth parity; isolated vertices keep colour 0.
+    The coloring is proper iff no edge joins equal colours.  The BFS reads
+    the symmetric adjacency as a directed float64 CSR (no transpose, no
+    copy), built after the labelling so the two CSRs never coexist.
     """
     if "coloring" not in g._cache:
-        adj = csr_matrix(g.adjacency, dtype=np.float64)
-        color = np.zeros(g.vertex_count, dtype=np.int8)
         _, roots, sizes = np.unique(_component_labelling(g)[1],
                                     return_index=True, return_counts=True)
+        adj = csr_matrix(g.adjacency, dtype=np.float64)
+        color = np.zeros(g.vertex_count, dtype=np.int8)
         for root in roots[sizes > 1].tolist():
             order, pred = csgraph.breadth_first_order(
                 adj, root, directed=True, return_predecessors=True)
