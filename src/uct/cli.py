@@ -2,8 +2,11 @@
 
 Subcommands: ``field info``, ``build``, ``invariants``, ``verify``.
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage
-error, 3 resource limit (ring, graph, or field over the configured cap, or
-an allocation the machine cannot hold).
+error (a ValueError or any package error not listed under 3), 3 resource
+limit (ring, graph, or field over the configured cap, a graph too large
+for the isomorphism oracle, or an allocation the machine cannot hold).
+Each error ends in one ``error:`` line on stderr; ERROR_EXITS is the one
+table from error type to exit code.
 The vertex cap comes from ``--cap`` or the UCT_VERTEX_CAP environment
 variable, hard ceiling 2^20.
 """
@@ -15,8 +18,8 @@ import json
 import os
 import sys
 
-from .errors import (FieldTooLarge, GraphTooLarge, NotPrime, RingTooLarge,
-                     WrongField)
+from .errors import (FieldTooLarge, GraphTooLarge, GraphTooLargeForOracle,
+                     RingTooLarge, UctError, WrongField)
 from .finite_field import make_field
 from .graph_core import clique_number, connected_components, triameter
 from .graphio import dump_json, to_dot, to_edge_list
@@ -30,10 +33,12 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
+# Error type -> exit code; the first entry the error is an instance of wins.
+ERROR_EXITS = (
+    ((RingTooLarge, GraphTooLarge, FieldTooLarge, GraphTooLargeForOracle,
+      MemoryError), EXIT_RESOURCE),
+    ((ValueError, UctError), EXIT_USAGE),
+)
 
 
 def _resolve_cap(args) -> int:
@@ -211,11 +216,9 @@ def main(argv=None) -> int:
         if args.command == "invariants":
             return cmd_invariants(args)
         return cmd_verify(args)
-    except (RingTooLarge, GraphTooLarge, FieldTooLarge, MemoryError) as exc:
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except (ValueError, WrongField, NotPrime) as exc:
-        return _usage_error(str(exc))
+    except (UctError, ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return next(code for types, code in ERROR_EXITS if isinstance(exc, types))
 
 
 def _entry():  # console-script wrapper

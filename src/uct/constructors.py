@@ -4,7 +4,9 @@ Vertex order is always the canonical encoding order of the underlying
 objects (ring elements, tuples, product pairs), so structural claims can
 be tested as labeled-graph equality instead of isomorphism search.
 Tuples are encoded base-q with the first coordinate least significant,
-matching the matrix entry encoding in tri_ring.
+matching the matrix entry encoding in tri_ring.  Ring graphs are Cayley
+graphs of (R, +) and are built from that definition: a unit mask over the
+elements, read at the table of differences x - y.
 """
 
 from __future__ import annotations
@@ -15,9 +17,8 @@ import numpy as np
 
 from .errors import GraphTooLarge
 from .graph_core import Graph
-from .tri_ring import (DEFAULT_VERTEX_CAP, RingSpec, diagonal_slots,
-                       difference_codes, entry_digit_matrix, tuple_codes,
-                       zn_units)
+from .tri_ring import (DEFAULT_VERTEX_CAP, RingSpec, difference_codes,
+                       entry_digit_matrix, tuple_codes, unit_mask)
 
 
 @dataclass(frozen=True)
@@ -50,26 +51,16 @@ def unitary_cayley(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     """The unitary Cayley graph of the ring: vertices in canonical encoding
     order, edge xy iff x - y is a unit.
 
-    Z_n reads its unit mask at tri_ring.difference_codes.  For triangular
-    rings adjacency is computed from the determinant of the difference (the
-    product of its diagonal entries); check_prop1 compares it with the
-    all-diagonal-entries-differ rule on every pair.
+    Adjacency is tri_ring.unit_mask read at tri_ring.difference_codes, so
+    the unit rule (gcd for Z_n, a nonzero determinant for triangular rings)
+    is evaluated once per element, not once per pair.  check_prop1
+    compares the triangular graphs with the all-diagonal-entries-differ
+    rule on every pair.
     """
-    if spec.kind == "zn":
-        diff = difference_codes(spec, cap)
-        adj = zn_units(spec.modulus)[diff]
-        return Graph(adj, labels=[str(x) for x in range(spec.modulus)], cap=cap)
-
-    f = spec.field()
-    digits = entry_digit_matrix(spec, cap)
-    diag = digits[:, list(diagonal_slots(spec.n))]
-
-    # Unit rule: det(x - y) = prod_i (x_ii - y_ii) != 0.
-    det = np.ones((spec.order, spec.order), dtype=np.int16)
-    for i in range(spec.n):
-        col = diag[:, i]
-        det = f.mul_table[det, f.sub_table[col[:, None], col[None, :]]]
-    return Graph(det != 0, labels=_digit_labels(digits), cap=cap)
+    adj = unit_mask(spec, cap)[difference_codes(spec, cap)]
+    labels = (range(spec.modulus) if spec.kind == "zn"
+              else _digit_labels(entry_digit_matrix(spec, cap)))
+    return Graph(adj, labels=labels, cap=cap)
 
 
 def hamming_graph(length: int, q: int, cap: int = DEFAULT_VERTEX_CAP) -> Graph:

@@ -292,22 +292,21 @@ def two_coloring(g: Graph):
     """A proper 2-coloring as a read-only int array, or None if any
     component has an odd cycle; cached on the graph.
 
-    One scipy BFS from the smallest vertex (colour 0) of each component
-    with an edge colours by depth parity; isolated vertices keep colour 0.
-    The coloring is proper iff no edge joins equal colours.  The BFS reads
-    the symmetric adjacency as a directed float64 CSR (no transpose, no
-    copy), built after the labelling so the two CSRs never coexist.
+    One multi-source scipy shortest-path search (Dijkstra on unit weights)
+    from the smallest vertex of every component, isolated vertices
+    included, gives each vertex its depth; the colour is the depth parity,
+    so every root gets colour 0.  The coloring is proper iff no edge joins
+    equal colours.  The search reads the symmetric adjacency as a directed
+    float64 CSR whose stored ones are the weights (no transpose, no copy,
+    no second weight array), built after the labelling so the two CSRs
+    never coexist.
     """
     if "coloring" not in g._cache:
-        _, roots, sizes = np.unique(_component_labelling(g)[1],
-                                    return_index=True, return_counts=True)
+        _, roots = np.unique(_component_labelling(g)[1], return_index=True)
         adj = csr_matrix(g.adjacency, dtype=np.float64)
-        color = np.zeros(g.vertex_count, dtype=np.int8)
-        for root in roots[sizes > 1].tolist():
-            order, pred = csgraph.breadth_first_order(
-                adj, root, directed=True, return_predecessors=True)
-            for u, p in zip(order[1:].tolist(), pred[order[1:]].tolist()):
-                color[u] = 1 - color[p]
+        depth = csgraph.dijkstra(adj, directed=True, indices=roots,
+                                 min_only=True)
+        color = (depth % 2).astype(np.int8)
         color.flags.writeable = False
         odd = (np.repeat(color, np.diff(adj.indptr)) == color[adj.indices]).any()
         g._cache["coloring"] = None if odd else color
@@ -324,7 +323,7 @@ def is_complete_bipartite(g: Graph):
     Only defined for connected graphs.  The 2-coloring fixes the unique
     candidate bipartition; every cross pair must then be an edge.
     """
-    if len(connected_components(g)) != 1:
+    if _component_labelling(g)[0] != 1:
         raise DisconnectedGraph("complete-bipartite test needs a connected graph")
     color = two_coloring(g)
     if color is None:
@@ -349,24 +348,15 @@ def antipodal(g: Graph) -> Graph:
 
 # -- isomorphism oracle ---------------------------------------------------
 
-def _refine_colors(adj_lists, colors, rounds):
-    for _ in range(rounds):
-        table = {}
-        new = []
-        for v, neigh in enumerate(adj_lists):
-            sig = (colors[v], tuple(sorted(colors[u] for u in neigh)))
-            new.append(table.setdefault(sig, len(table)))
-        if new == colors:
-            break
-        colors = new
-    return colors
-
-
 def iso_check(g: Graph, h: Graph):
     """A vertex bijection g -> h, or None when the graphs are not isomorphic.
 
-    Backtracking over candidate sets pruned by iterated neighborhood
-    refinement; the search is exhaustive, so None is a definitive answer.
+    Backtracking over candidate sets: a vertex of g may map to the
+    vertices of h of its degree, pruned by adjacency to the vertices
+    already mapped.  The search is exhaustive, so None is a definitive
+    answer, and a mapping found is checked edge by edge.  There is no
+    colour refinement: theorem3 compares Cayley graphs, which are regular,
+    and refinement cannot split a regular graph's degree class.
     Capped at ISO_ORACLE_CAP vertices.
     """
     if max(g.vertex_count, h.vertex_count) > ISO_ORACLE_CAP:
@@ -380,28 +370,11 @@ def iso_check(g: Graph, h: Graph):
     if v == 0:
         return []
 
-    neigh_g = [list(np.nonzero(g.adjacency[u])[0]) for u in range(v)]
-    neigh_h = [[u + v for u in np.nonzero(h.adjacency[w])[0]] for w in range(v)]
-
-    # Joint color refinement over the disjoint union; the per-graph color
-    # histograms must stay identical round after round.
-    colors = [int(d) for d in g.degrees()] + [int(d) for d in h.degrees()]
-    for _ in range(v):
-        new = _refine_colors(neigh_g + neigh_h, colors, 1)
-        if sorted(new[:v]) != sorted(new[v:]):
-            return None
-        if new == colors:
-            break
-        colors = new
-    cg, ch = colors[:v], colors[v:]
-
     masks_h = h.neighbor_masks()
-    by_color_h = {}
-    for u, c in enumerate(ch):
-        by_color_h[c] = by_color_h.get(c, 0) | (1 << u)
-    cand = [by_color_h.get(c, 0) for c in cg]
-    if any(m == 0 for m in cand):
-        return None
+    by_degree_h = {}
+    for u, d in enumerate(h.degrees().tolist()):
+        by_degree_h[d] = by_degree_h.get(d, 0) | (1 << u)
+    cand = [by_degree_h[d] for d in g.degrees().tolist()]
 
     mapping = [-1] * v
     full = (1 << v) - 1

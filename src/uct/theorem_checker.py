@@ -30,7 +30,7 @@ from .graph_core import (ISO_ORACLE_CAP, connected_components, is_bipartite,
 from .tri_ring import (DEFAULT_VERTEX_CAP, RingSpec, diagonal_slots,
                        difference_codes, encode, entry_digit_matrix,
                        enumerate_ring, from_parts, is_unit, strict_upper_slots,
-                       zn_units)
+                       unit_mask)
 
 
 @dataclass
@@ -372,7 +372,7 @@ def check_zn_oracles(ring: RingInstance):
     for prime n, complete bipartite with equal parts for n = 2^s, bipartite
     for even n, and always regular of degree |units|."""
     m, g = ring.spec.modulus, ring.graph
-    units = int(zn_units(m).sum())
+    units = int(unit_mask(ring.spec, ring.cap).sum())
     degrees = g.degrees()
 
     expected = {"degree": units}

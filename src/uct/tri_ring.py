@@ -240,7 +240,9 @@ def difference_codes(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> np.ndarra
     _check_order(spec, cap)
     if spec.kind == "zn":
         idx = np.arange(spec.order, dtype=np.int32)
-        return (idx[:, None] - idx[None, :]) % np.int32(spec.modulus)
+        codes = idx[:, None] - idx[None, :]
+        codes %= np.int32(spec.modulus)  # in place: one V x V array, not two
+        return codes
     sub = spec.field().sub_table
     digits = entry_digit_matrix(spec, cap)
     codes = np.zeros((spec.order, spec.order), dtype=np.int32)
@@ -251,6 +253,16 @@ def difference_codes(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> np.ndarra
     return codes
 
 
-def zn_units(m: int) -> np.ndarray:
-    """Boolean mask over 0..m-1: True where the residue is a unit of Z_m."""
-    return np.gcd(np.arange(m, dtype=np.int64), m) == 1
+def unit_mask(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> np.ndarray:
+    """Boolean vector over the encodings 0..order-1: True where the element
+    is a unit.  Z_n: gcd(x, n) == 1.  Triangular rings: the determinant,
+    the field product of the diagonal digits, is nonzero."""
+    _check_order(spec, cap)
+    if spec.kind == "zn":
+        return np.gcd(np.arange(spec.modulus, dtype=np.int64), spec.modulus) == 1
+    mul = spec.field().mul_table
+    digits = entry_digit_matrix(spec, cap)
+    det = np.ones(spec.order, dtype=mul.dtype)
+    for t in diagonal_slots(spec.n):
+        det = mul[det, digits[:, t]]
+    return det != 0

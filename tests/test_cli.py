@@ -222,6 +222,29 @@ def test_failed_verdicts_exit_1(capsys, monkeypatch):
     assert "FAIL" in err
 
 
+RESOURCE_ERRORS = {"RingTooLarge", "GraphTooLarge", "FieldTooLarge",
+                   "GraphTooLargeForOracle", "MemoryError"}
+ERROR_TYPES = [cls for cls in vars(uct.errors).values()
+               if isinstance(cls, type) and issubclass(cls, uct.errors.UctError)]
+
+
+@pytest.mark.parametrize("error", ERROR_TYPES + [MemoryError, ValueError],
+                         ids=lambda cls: cls.__name__)
+def test_error_exit_codes(capsys, monkeypatch, error):
+    """Every package error, MemoryError and ValueError ends in one error
+    line: exit 3 for a resource limit, 2 for everything else."""
+    import uct.cli as cli_mod
+
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli_mod, "cmd_field_info", fail)
+    code, out, err = run_cli(capsys, "field", "info", "--p", "2")
+    assert code == (3 if error.__name__ in RESOURCE_ERRORS else 2)
+    assert out == ""
+    assert err == "error: boom\n"
+
+
 
 @pytest.mark.parametrize("argv", [
     ["build", "--ring", "tri", "--n", "2", "--p", "4"],

@@ -348,6 +348,26 @@ def test_iso_check_negatives():
                                                           (3, 4), (4, 5), (5, 3)])) is None
 
 
+def spider(legs):
+    """A tree: one centre (vertex 0) with paths of the given lengths."""
+    edges, nxt = [], 1
+    for length in legs:
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, nxt))
+            prev, nxt = nxt, nxt + 1
+    return Graph.from_edges(nxt, edges)
+
+
+def test_iso_check_irregular_equal_degree_sequences():
+    # Both spiders have 7 vertices and degrees 3,2,2,2,1,1,1, so no degree
+    # class tells them apart; the search has to.
+    a, b = spider((1, 2, 3)), spider((1, 1, 4))
+    assert sorted(a.degrees()) == sorted(b.degrees())
+    assert iso_check(a, b) is None
+    assert iso_check(a, spider((3, 1, 2))) is not None
+
+
 def test_iso_check_cap():
     big = Graph(np.zeros((513, 513), dtype=bool), cap=1024)
     with pytest.raises(GraphTooLargeForOracle):

@@ -10,8 +10,8 @@ from uct import (DimensionMismatch, FieldTooLarge, RingSpec, RingTooLarge,
                  enumerate_ring, from_parts, is_unit, make_field, mat_det,
                  mat_sub, strict_upper_of)
 from uct.tri_ring import (diagonal_slots, difference_codes, entry_digit_matrix,
-                          strict_upper_slots, tuple_codes, upper_positions,
-                          zn_units)
+                          strict_upper_slots, tuple_codes, unit_mask,
+                          upper_positions)
 
 
 def tri(field, n, entries):
@@ -127,11 +127,28 @@ def test_enumerate_ring_too_large():
         enumerate_ring(RingSpec.triangular(2, 3, 1), cap=10)
 
 
-def test_zn_units_match_gcd():
+def test_unit_mask_zn_matches_gcd():
     for m in [2, 6, 8, 12, 30]:
-        units = zn_units(m)
+        units = unit_mask(RingSpec.integers_mod(m))
+        assert units.shape == (m,)
         for x in range(m):
             assert units[x] == (math.gcd(x, m) == 1)
+
+
+@pytest.mark.parametrize("text", ["tri:2,3,1", "tri:3,2,1", "tri:2,2,2",
+                                  "tri:2,2,3"])
+def test_unit_mask_matches_is_unit(text):
+    spec = RingSpec.parse(text)
+    want = [is_unit(a) for a in enumerate_ring(spec)]
+    assert unit_mask(spec).tolist() == want
+
+
+def test_unit_mask_checks_order_first():
+    # No modulus-sized array is made before the cap check.
+    with pytest.raises(RingTooLarge):
+        unit_mask(RingSpec.integers_mod(10**15))
+    with pytest.raises(RingTooLarge):
+        unit_mask(RingSpec.triangular(2, 3, 1), cap=10)
 
 
 def test_entry_digit_matrix_matches_decode():
