@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csgraph, csr_matrix
 
 from uct import (DisconnectedGraph, Graph, GraphTooLarge,
                  GraphTooLargeForOracle, all_pairs_distances, antipodal,
@@ -14,7 +15,7 @@ from uct import (DisconnectedGraph, Graph, GraphTooLarge,
                  connected_components, diameter, hamming_graph, is_bipartite,
                  is_complete_bipartite, iso_check, labeled_equal, max_clique,
                  triameter, triametral_triple)
-from uct.graph_core import two_coloring
+from uct.graph_core import _all_sources_bfs, two_coloring
 from uct.graphio import (from_json_envelope, read_edge_list, to_dot,
                          to_edge_list, to_json_envelope)
 
@@ -147,6 +148,40 @@ def test_diameter():
     assert diameter(path_graph(5)) == 4
     with pytest.raises(DisconnectedGraph):
         diameter(Graph(np.zeros((3, 3), dtype=bool)))
+
+
+@st.composite
+def apsp_cases(draw):
+    """Symmetric adjacencies on 0-200 vertices (so V crosses multiples of
+    64) at any density, split into up to four blocks with no edge between
+    them, with a share of the vertices isolated."""
+    v = draw(st.integers(min_value=0, max_value=200))
+    density = draw(st.floats(min_value=0, max_value=1))
+    blocks = draw(st.integers(min_value=1, max_value=4))
+    isolated = draw(st.floats(min_value=0, max_value=0.3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    block = rng.integers(0, blocks, v)
+    kept = rng.random(v) >= isolated
+    adj = np.triu(rng.random((v, v)) < density, 1)
+    adj &= (block[:, None] == block) & kept[:, None] & kept
+    return adj | adj.T
+
+
+@settings(max_examples=80, deadline=None)
+@given(apsp_cases())
+def test_both_expand_steps_match_scipy(adj):
+    v = len(adj)
+    expected = (csgraph.shortest_path(csr_matrix(adj), directed=False,
+                                      unweighted=True) if v else np.zeros((0, 0)))
+    label = csgraph.connected_components(csr_matrix(adj), directed=False)[1]
+    apart = label[:, None] != label
+    for dense in (False, True):
+        d = _all_sources_bfs(adj, dense)
+        assert d.dtype == np.float64
+        assert np.array_equal(d, expected)
+        assert np.array_equal(np.isinf(d), apart)
+    d = all_pairs_distances(Graph(adj))
+    assert np.array_equal(d, expected) and not d.flags.writeable
 
 
 # -- triameter ----------------------------------------------------------------
