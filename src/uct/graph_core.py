@@ -2,9 +2,10 @@
 
 Components and the two-coloring come from scipy.sparse.csgraph traversals.
 All-pairs distances come from one level-synchronous BFS out of every vertex
-at once over packed bitset frontiers; each level ORs the frontier rows of
-every vertex's neighbours, or, on dense graphs, multiplies the frontier by
-the adjacency in float32.  Distances are returned as a float matrix with
+at once over packed bitset frontiers, each level ORing the frontier rows of
+every vertex's neighbours; graphs that may have too many levels for that
+(a diameter in the hundreds) get one scipy search per source instead.
+Distances are returned as a float matrix with
 np.inf marking pairs in different components.  Graphs whose adjacency
 depends only on the difference of the endpoints in an additive group
 (Cayley graphs) get their distances from a single BFS out of vertex 0,
@@ -125,55 +126,72 @@ def connected_components(g: Graph) -> list:
     return comps
 
 
-def _component_labelling(g: Graph):
-    """scipy's (count, label per vertex) component labelling, cached."""
+def _component_labelling(g: Graph, adj=None):
+    """scipy's (count, label per vertex) component labelling, cached.
+    `adj` is g's adjacency as a CSR, when the caller has one."""
     if "components" not in g._cache:
         g._cache["components"] = csgraph.connected_components(
-            csr_matrix(g.adjacency), directed=False)
+            csr_matrix(g.adjacency) if adj is None else adj, directed=False)
     return g._cache["components"]
+
+
+def _root_depths(g: Graph, adj) -> np.ndarray:
+    """Hop distance of every vertex from the smallest vertex of its
+    component, isolated vertices included, from one multi-source scipy
+    search (Dijkstra on unit weights).  `adj` is g's adjacency as a CSR;
+    a float64 one is read without a copy, and as directed since it is
+    symmetric (no transpose, no second weight array)."""
+    _, roots = np.unique(_component_labelling(g, adj)[1], return_index=True)
+    return csgraph.dijkstra(adj, directed=True, indices=roots, min_only=True)
 
 
 def all_pairs_distances(g: Graph) -> np.ndarray:
     """Hop distances between every pair; np.inf across components.
 
     One level-synchronous BFS from all sources at once (see
-    _all_sources_bfs).  The result is a read-only float64 matrix, cached on
-    the graph.
+    _all_sources_bfs), unless the graph may have more levels than that
+    pays for (see _LEVEL_WORDS_PER_VERTEX); then one scipy search per
+    source.  The result is a read-only float64 matrix, cached on the graph.
     """
     if "dist" not in g._cache:
-        adj = g.adjacency
         v = g.vertex_count
-        words = -(-v // 64)
-        dense = int(adj.sum()) * words * _BLAS_FMAS_PER_WORD_OR > v ** 3
-        d = _all_sources_bfs(adj, dense)
+        adj = csr_matrix(g.adjacency)
+        # d(x, y) <= d(x, root) + d(root, y) <= 2 * the root's eccentricity
+        levels = 2 * int(_root_depths(g, adj).max()) if v else 0
+        if levels * -(-v // 64) <= _LEVEL_WORDS_PER_VERTEX * v:
+            d = _all_sources_bfs(g.adjacency, adj)
+        else:
+            d = csgraph.shortest_path(adj, method="D", directed=False,
+                                      unweighted=True)
         d.flags.writeable = False
         g._cache["dist"] = d
     return g._cache["dist"]
 
 
-# One BFS level costs the gather step about nnz * ceil(V / 64) word ORs and
-# the BLAS step about V**3 float32 multiply-adds.  all_pairs_distances takes
-# the BLAS step when the gather would cost more, at this many multiply-adds
-# per word OR: the two steps took equal time at 140-210 on 2 cores with
-# V = 2048 and 4096 (circulants of degree 32-1024).  The crossover is an
-# average degree of 64 * V / 180, about 1460 at V = 4096.
-_BLAS_FMAS_PER_WORD_OR = 180
-# Bytes of frontier words one gather (or one float32 block) holds at a time.
+# Each level of _all_sources_bfs makes a few passes over V * ceil(V / 64)
+# words; per-source scipy search costs the same whatever the diameter.
+# all_pairs_distances runs the level BFS while its level bound times
+# ceil(V / 64) is at most this many words per vertex, i.e. while the bound
+# is at most 64 * 3 = 192 levels.  On 2 cores with V = 1024-4096 (paths,
+# cycles, grids, circulants and layered graphs of degree 2-64) the two took
+# equal time at 1.5-4.9 words per vertex, mostly 2-3, counting true levels;
+# the bound is up to twice the true count.
+_LEVEL_WORDS_PER_VERTEX = 3
+# Bytes of gathered frontier words one block of _gather_expand holds.
 _EXPAND_BLOCK_BYTES = 8 << 20
 _WORD = np.dtype("<u8")  # bit j of word w is vertex 64 * w + j
 
 
-def _all_sources_bfs(adj: np.ndarray, dense: bool) -> np.ndarray:
+def _all_sources_bfs(adj: np.ndarray, csr) -> np.ndarray:
     """All-pairs hop distances of a symmetric bool adjacency (np.inf across
-    components) from one BFS out of every vertex at once.
+    components) from one BFS out of every vertex at once.  `csr` is the
+    same adjacency as a scipy CSR matrix.
 
     Frontiers are packed bitsets: bit s of row u is set when u lies on the
     current level of the BFS from s.  Distances are symmetric, so row s is
-    also the frontier of source s, and one level is frontier @ adjacency,
-    masked by the pairs not yet reached.  `dense` picks how that product
-    is formed: an OR of the neighbours' frontier rows (False, see
-    _gather_expand), or a float32 matrix product blocked by source rows
-    (True, see _blas_expand).
+    also the frontier of source s, and one level is frontier @ adjacency
+    (the OR of the neighbours' frontier rows, see _gather_expand), masked by
+    the pairs not yet reached.  Level 1 is the packed adjacency itself.
 
     Each level's pairs are ORed into the bit planes of the level number,
     so the distances are unpacked once per bit plane, not once per level.
@@ -183,19 +201,18 @@ def _all_sources_bfs(adj: np.ndarray, dense: bool) -> np.ndarray:
         return np.zeros((0, 0))
     words = -(-v // 64)
     vertex = np.arange(v)
-    front = np.zeros((v, words), dtype=_WORD)
-    front[vertex, vertex >> 6] = np.left_shift(1, (vertex & 63).astype(_WORD))
-    unreached = ~front
+    unreached = np.zeros((v, words), dtype=_WORD)
+    unreached[vertex, vertex >> 6] = np.left_shift(1, (vertex & 63).astype(_WORD))
+    unreached = ~unreached
     if v % 64:
         unreached[:, -1] &= _WORD.type((1 << v % 64) - 1)
-    expand = _blas_expand(adj) if dense else _gather_expand(adj)
+    front = np.zeros_like(unreached)
+    front.view(np.uint8)[:, :-(-v // 8)] = np.packbits(adj, axis=1,
+                                                       bitorder="little")
+    expand = None
     planes = []
     level = 0
-    while unreached.any():
-        front = expand(front)
-        front &= unreached
-        if not front.any():
-            break
+    while front.any():
         unreached ^= front
         level += 1
         if level.bit_length() > len(planes):
@@ -203,6 +220,12 @@ def _all_sources_bfs(adj: np.ndarray, dense: bool) -> np.ndarray:
         for bit, plane in enumerate(planes):
             if level >> bit & 1:
                 plane |= front
+        if not unreached.any():
+            break
+        if expand is None:  # built on first use: no table when diameter <= 1
+            expand = _gather_expand(csr)
+        front = expand(front)
+        front &= unreached
     hops = np.zeros((v, v), dtype=np.min_scalar_type(level))
     for bit, plane in enumerate(planes):
         hops |= np.left_shift(_unpack(plane, v), bit, dtype=hops.dtype)
@@ -218,7 +241,7 @@ def _unpack(rows: np.ndarray, v: int) -> np.ndarray:
                          bitorder="little")
 
 
-def _gather_expand(adj: np.ndarray):
+def _gather_expand(csr):
     """Expand step ORing together the frontier rows of each vertex's
     neighbours.
 
@@ -229,9 +252,7 @@ def _gather_expand(adj: np.ndarray):
     unchanged, so one block reduces as a rows x degree x words array.
     Vertices without neighbours get no block and stay 0.
     """
-    v = adj.shape[0]
-    row_bytes = 8 * -(-v // 64)
-    csr = csr_matrix(adj)
+    row_bytes = 8 * -(-csr.shape[0] // 64)
     degree = np.diff(csr.indptr)
     order = np.argsort(-degree, kind="stable")
     order = order[degree[order] > 0]
@@ -251,24 +272,6 @@ def _gather_expand(adj: np.ndarray):
         out = np.zeros_like(front)
         for rows, table in blocks:
             out[rows] = np.bitwise_or.reduce(front[table], axis=1)
-        return out
-    return expand
-
-
-def _blas_expand(adj: np.ndarray):
-    """Expand step as a float32 product of the unpacked frontier with the
-    adjacency, over blocks of source rows of about _EXPAND_BLOCK_BYTES."""
-    a = adj.astype(np.float32)
-    v = adj.shape[0]
-    rows = max(_EXPAND_BLOCK_BYTES // (4 * v), 1)
-
-    def expand(front):
-        out = np.zeros_like(front)
-        out_bytes = out.view(np.uint8)
-        for r in range(0, v, rows):
-            hits = _unpack(front[r:r + rows], v).astype(np.float32) @ a
-            packed = np.packbits(hits > 0, axis=1, bitorder="little")
-            out_bytes[r:r + rows, :packed.shape[1]] = packed
         return out
     return expand
 
@@ -422,21 +425,13 @@ def two_coloring(g: Graph):
     """A proper 2-coloring as a read-only int array, or None if any
     component has an odd cycle; cached on the graph.
 
-    One multi-source scipy shortest-path search (Dijkstra on unit weights)
-    from the smallest vertex of every component, isolated vertices
-    included, gives each vertex its depth; the colour is the depth parity,
-    so every root gets colour 0.  The coloring is proper iff no edge joins
-    equal colours.  The search reads the symmetric adjacency as a directed
-    float64 CSR whose stored ones are the weights (no transpose, no copy,
-    no second weight array), built after the labelling so the two CSRs
-    never coexist.
+    The colour is the parity of the depth below the smallest vertex of the
+    component (_root_depths), so every root gets colour 0.  The coloring
+    is proper iff no edge joins equal colours.
     """
     if "coloring" not in g._cache:
-        _, roots = np.unique(_component_labelling(g)[1], return_index=True)
         adj = csr_matrix(g.adjacency, dtype=np.float64)
-        depth = csgraph.dijkstra(adj, directed=True, indices=roots,
-                                 min_only=True)
-        color = (depth % 2).astype(np.int8)
+        color = (_root_depths(g, adj) % 2).astype(np.int8)
         color.flags.writeable = False
         odd = (np.repeat(color, np.diff(adj.indptr)) == color[adj.indices]).any()
         g._cache["coloring"] = None if odd else color

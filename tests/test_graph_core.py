@@ -15,6 +15,7 @@ from uct import (DisconnectedGraph, Graph, GraphTooLarge,
                  connected_components, diameter, hamming_graph, is_bipartite,
                  is_complete_bipartite, iso_check, labeled_equal, max_clique,
                  triameter, triametral_triple)
+from uct import graph_core
 from uct.graph_core import _all_sources_bfs, two_coloring
 from uct.graphio import (from_json_envelope, read_edge_list, to_dot,
                          to_edge_list, to_json_envelope)
@@ -154,34 +155,60 @@ def test_diameter():
 def apsp_cases(draw):
     """Symmetric adjacencies on 0-200 vertices (so V crosses multiples of
     64) at any density, split into up to four blocks with no edge between
-    them, with a share of the vertices isolated."""
+    them, with a share of the vertices isolated.  Some draws thread a path
+    through every block first, for diameters up to V - 1."""
     v = draw(st.integers(min_value=0, max_value=200))
     density = draw(st.floats(min_value=0, max_value=1))
     blocks = draw(st.integers(min_value=1, max_value=4))
     isolated = draw(st.floats(min_value=0, max_value=0.3))
+    chained = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     block = rng.integers(0, blocks, v)
     kept = rng.random(v) >= isolated
     adj = np.triu(rng.random((v, v)) < density, 1)
+    if chained:
+        adj[:] = np.triu(rng.random((v, v)) < density / 50, 1)
+        walk = rng.permutation(v)
+        adj[walk[:-1], walk[1:]] = True
+        adj = np.triu(adj | adj.T, 1)
     adj &= (block[:, None] == block) & kept[:, None] & kept
     return adj | adj.T
 
 
 @settings(max_examples=80, deadline=None)
 @given(apsp_cases())
-def test_both_expand_steps_match_scipy(adj):
+def test_all_sources_bfs_matches_scipy(adj):
     v = len(adj)
     expected = (csgraph.shortest_path(csr_matrix(adj), directed=False,
                                       unweighted=True) if v else np.zeros((0, 0)))
     label = csgraph.connected_components(csr_matrix(adj), directed=False)[1]
-    apart = label[:, None] != label
-    for dense in (False, True):
-        d = _all_sources_bfs(adj, dense)
-        assert d.dtype == np.float64
-        assert np.array_equal(d, expected)
-        assert np.array_equal(np.isinf(d), apart)
+    d = _all_sources_bfs(adj, csr_matrix(adj))
+    assert d.dtype == np.float64
+    assert np.array_equal(d, expected)
+    assert np.array_equal(np.isinf(d), label[:, None] != label)
     d = all_pairs_distances(Graph(adj))
     assert np.array_equal(d, expected) and not d.flags.writeable
+
+
+@pytest.mark.parametrize("make, n, levels", [
+    (path_graph, 1000, False), (cycle_graph, 300, False),
+    (path_graph, 60, True), (cycle_graph, 120, True)])
+def test_long_diameters_go_to_per_source_search(monkeypatch, make, n, levels):
+    """Twice the root's eccentricity bounds the level count; past
+    3 * V / ceil(V / 64) levels the graph gets one scipy search per source
+    and the level BFS is not entered."""
+    g = make(n)
+    expected = csgraph.shortest_path(csr_matrix(g.adjacency), directed=False,
+                                     unweighted=True)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _all_sources_bfs(*args)
+    monkeypatch.setattr(graph_core, "_all_sources_bfs", counted)
+    d = all_pairs_distances(g)
+    assert np.array_equal(d, expected) and not d.flags.writeable
+    assert bool(calls) == levels
 
 
 # -- triameter ----------------------------------------------------------------

@@ -16,7 +16,8 @@ TRI_SPECS = ["tri:2,2,1", "tri:3,2,1", "tri:4,2,1", "tri:2,3,1", "tri:3,3,1",
              "tri:2,2,2", "tri:2,5,1", "tri:2,3,2", "tri:2,2,3", "tri:2,7,1"]
 ZN_SPECS = ["zn:2", "zn:12", "zn:30", "zn:64", "zn:9", "zn:45", "zn:13",
             "zn:97"]
-# 4096 vertices of degree 1728: the generic side runs the dense BLAS step.
+# 4096 vertices of degree 1728: the generic side gathers 1728 frontier rows
+# per vertex and level.
 LARGE_SPECS = ["tri:3,2,2"]
 
 
