@@ -6,7 +6,12 @@ be tested as labeled-graph equality instead of isomorphism search.
 Tuples are encoded base-q with the first coordinate least significant,
 matching the matrix entry encoding in tri_ring.  Ring graphs are Cayley
 graphs of (R, +) and are built from that definition: a unit mask over the
-elements, read at the table of differences x - y.
+elements, read at the table of differences x - y.  The Hamming graph
+H(n, q) and its antipodal graph A(H(n, q)) are the Cartesian and direct
+powers of K_q, so both are built as Kronecker products of I_q and
+J_q - I_q, never by a pass over all pairs per coordinate.
+diagonal_quotient keeps its own field-subtraction rule, so comparing it
+with antipodal_hamming_direct compares two independent constructions.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ class VertexLabeling:
 
 
 def _digit_labels(digits: np.ndarray) -> list:
-    return [",".join(str(int(d)) for d in row) for row in digits]
+    return [",".join(map(str, row)) for row in digits.tolist()]
 
 
 def unitary_cayley(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
@@ -65,32 +70,54 @@ def unitary_cayley(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
 
 def hamming_graph(length: int, q: int, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     """Tuples of the given length over 0..q-1; adjacent iff they differ in
-    exactly one coordinate."""
-    if length < 1 or q < 2:
-        raise ValueError("need length >= 1 and alphabet size >= 2")
-    v = q ** length
-    if v > cap:
-        raise GraphTooLarge(f"q**length = {v} exceeds the cap of {cap}")
-    t = tuple_codes(length, q)
-    differ = np.zeros((v, v), dtype=np.int16)
-    for i in range(length):
-        differ += t[:, i][:, None] != t[None, :, i]
-    return Graph(differ == 1, labels=_digit_labels(t), cap=cap)
+    exactly one coordinate.
+
+    The Cartesian power of K_q, built as the Kronecker recursion
+    A_1 = J_q - I_q, A_n = I_q (x) A_{n-1} + (J_q - I_q) (x) I: each step
+    adds the most significant coordinate, copying A_{n-1} into the q
+    diagonal blocks and setting the diagonals of the off-diagonal blocks
+    (row a * size + i meets column b * size + i for every b != a).
+    """
+    v = _tuple_count(length, q, cap, "length")
+    adj = np.zeros((v, v), dtype=bool)
+    adj[:q, :q] = ~np.eye(q, dtype=bool)
+    size = q  # adj[:size, :size] holds A_k, starting from A_1 = K_q
+    while size < v:
+        for a in range(1, q):
+            block = slice(a * size, (a + 1) * size)
+            adj[block, block] = adj[:size, :size]
+        rows = np.arange(q * size)
+        for shift in range(size, q * size, size):
+            adj[rows, (rows + shift) % (q * size)] = True
+        size *= q
+    return Graph(adj, labels=_digit_labels(tuple_codes(length, q)), cap=cap)
 
 
 def antipodal_hamming_direct(n: int, q: int, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     """Tuples adjacent iff they differ in every coordinate; equals the
-    antipodal graph of hamming_graph(n, q) vertex for vertex."""
-    if n < 1 or q < 2:
-        raise ValueError("need n >= 1 and alphabet size >= 2")
-    v = q ** n
+    antipodal graph of hamming_graph(n, q) vertex for vertex.
+
+    The direct power of K_q, so its adjacency is the Kronecker power
+    (J_q - I_q)^(x)n.
+    """
+    _tuple_count(n, q, cap, "n")
+    k = ~np.eye(q, dtype=bool)
+    adj = k
+    for _ in range(n - 1):
+        adj = np.kron(k, adj)
+    return Graph(adj, labels=_digit_labels(tuple_codes(n, q)), cap=cap)
+
+
+def _tuple_count(length: int, q: int, cap: int, name: str) -> int:
+    """q**length, the vertex count of a graph on the length-tuples over
+    0..q-1, after checking the arguments and the cap; `name` is the
+    caller's name for the length in the error messages."""
+    if length < 1 or q < 2:
+        raise ValueError(f"need {name} >= 1 and alphabet size >= 2")
+    v = q ** length
     if v > cap:
-        raise GraphTooLarge(f"q**n = {v} exceeds the cap of {cap}")
-    t = tuple_codes(n, q)
-    adj = np.ones((v, v), dtype=bool)
-    for i in range(n):
-        adj &= t[:, i][:, None] != t[None, :, i]
-    return Graph(adj, labels=_digit_labels(t), cap=cap)
+        raise GraphTooLarge(f"q**{name} = {v} exceeds the cap of {cap}")
+    return v
 
 
 def complete_graph(m: int, cap: int = DEFAULT_VERTEX_CAP) -> Graph:

@@ -1,5 +1,9 @@
 """Immutable dense simple graphs and exact invariant algorithms.
 
+Every Graph checks on construction that its adjacency is symmetric, one
+256 x 256 tile pair at a time (see _is_symmetric), which reads the matrix
+at memory speed where a full transpose would stride through it.
+
 Components and the two-coloring come from scipy.sparse.csgraph traversals.
 All-pairs distances come from one level-synchronous BFS out of every vertex
 at once over packed bitset frontiers, each level ORing the frontier rows of
@@ -46,7 +50,7 @@ class Graph:
             raise GraphTooLarge(f"{v} vertices exceed the cap of {cap}")
         if v and np.diagonal(adj).any():
             raise ValueError("loops are not allowed")
-        if not np.array_equal(adj, adj.T):
+        if not _is_symmetric(adj):
             raise ValueError("adjacency must be symmetric")
         adj.flags.writeable = False
         self._adj = adj
@@ -59,7 +63,10 @@ class Graph:
 
     @classmethod
     def from_edges(cls, vertex_count, edges, labels=None, cap=DEFAULT_VERTEX_CAP):
-        ends = np.array(list(edges) or np.zeros((0, 2), dtype=int))
+        """Graph on vertex_count vertices with the given (u, v) edges: any
+        iterable of pairs, or an E x 2 integer array (used without a copy)."""
+        ends = (edges if isinstance(edges, np.ndarray)
+                else np.array(list(edges) or np.zeros((0, 2), dtype=int)))
         if ends.ndim != 2 or ends.shape[1] != 2 or ends.dtype.kind not in "iu":
             raise ValueError("edges must be pairs of integer vertex indices")
         if ((ends < 0) | (ends >= vertex_count)).any():
@@ -87,9 +94,9 @@ class Graph:
         return int(self._adj.sum()) // 2
 
     def edges(self):
-        """Iterate edges as (u, v) with u < v."""
-        for u, v in np.argwhere(np.triu(self._adj)):
-            yield int(u), int(v)
+        """Iterate edges as (u, v) with u < v, in row-major order."""
+        us, vs = np.nonzero(np.triu(self._adj))
+        yield from zip(us.tolist(), vs.tolist())
 
     def neighbor_masks(self):
         """Adjacency rows as python-int bitsets (bit v set <=> edge to v)."""
@@ -107,6 +114,20 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(V={self.vertex_count}, E={self.edge_count()})"
+
+
+# Side of the square tiles _is_symmetric compares: a 256 x 256 bool tile and
+# its mirror (64 KB each) stay in cache while one is read transposed.
+_SYMMETRY_TILE = 256
+
+
+def _is_symmetric(adj: np.ndarray) -> bool:
+    """adj == adj.T, compared one tile pair at a time: every tile on or
+    above the diagonal against the transpose of its mirror tile, so every
+    pair is compared without a strided pass over the whole matrix."""
+    v, t = adj.shape[0], _SYMMETRY_TILE
+    return all(np.array_equal(adj[i:i + t, j:j + t], adj[j:j + t, i:i + t].T)
+               for i in range(0, v, t) for j in range(i, v, t))
 
 
 def labeled_equal(g: Graph, h: Graph) -> bool:
@@ -303,15 +324,18 @@ def translation_distances(g: Graph, diff) -> np.ndarray:
     return g._cache["dist"]
 
 
-def _connected_distances(g: Graph, op: str) -> np.ndarray:
+def _connected_distances(g: Graph, op: str):
+    """(all-pairs distances, diameter) of a connected graph; the diameter
+    is 0 when g has no vertices."""
     d = all_pairs_distances(g)
-    if d.size and np.isinf(d.max()):  # one reduction, no V x V temporary
+    diam = d.max() if d.size else 0.0  # one reduction, no V x V temporary
+    if np.isinf(diam):
         raise DisconnectedGraph(f"{op} is undefined for disconnected graphs")
-    return d
+    return d, int(diam)
 
 
 def diameter(g: Graph) -> int:
-    return int(_connected_distances(g, "diameter").max())
+    return _connected_distances(g, "diameter")[1]
 
 
 def triametral_triple(g: Graph):
@@ -321,11 +345,10 @@ def triametral_triple(g: Graph):
     that cannot beat the current best are skipped, and the search stops
     as soon as the 3*diam upper bound is attained.
     """
-    d = _connected_distances(g, "triameter")
+    d, diam = _connected_distances(g, "triameter")
     v = g.vertex_count
     if v < 3:
         raise ValueError("triameter needs at least 3 vertices")
-    diam = int(d.max())
     bound = 3 * diam
     best = -1
     best_triple = None
@@ -464,8 +487,7 @@ def is_complete_bipartite(g: Graph):
 
 def antipodal(g: Graph) -> Graph:
     """Same vertices; edge uv iff d(u, v) equals the diameter of g."""
-    d = _connected_distances(g, "antipodal graph")
-    diam = d.max() if g.vertex_count else 0
+    d, diam = _connected_distances(g, "antipodal graph")
     adj = d == diam
     np.fill_diagonal(adj, False)  # diam 0 would otherwise put loops
     return Graph(adj, labels=g.labels, cap=max(g.vertex_count, 1))

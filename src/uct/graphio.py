@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from .graph_core import Graph
 
 
@@ -46,16 +48,20 @@ def dump_json(g: Graph) -> str:
 
 def read_edge_list(text: str, vertex_count=None) -> Graph:
     """Rebuild a graph from edge-list text; vertex count defaults to
-    1 + the largest mentioned vertex."""
-    edges = []
-    top = -1
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        u, v = (int(x) for x in line.split())
-        edges.append((u, v))
-        top = max(top, u, v)
+    1 + the largest mentioned vertex.
+
+    Blank lines and lines starting with '#' are skipped; every other line
+    must hold exactly two integers, else ValueError.  The integers are
+    parsed in one numpy conversion.
+    """
+    lines = [line for line in text.splitlines()
+             if (s := line.lstrip()) and s[0] != "#"]
+    if any(len(line.split()) != 2 for line in lines):
+        raise ValueError("each edge-list line must hold two vertex indices")
+    try:
+        ends = np.array(" ".join(lines).split(), dtype=np.int64).reshape(-1, 2)
+    except OverflowError as exc:
+        raise ValueError(f"vertex index out of range: {exc}") from None
     if vertex_count is None:
-        vertex_count = top + 1
-    return Graph.from_edges(vertex_count, edges)
+        vertex_count = int(ends.max()) + 1 if ends.size else 0
+    return Graph.from_edges(vertex_count, ends)

@@ -11,7 +11,8 @@ from uct import (Graph, GraphTooLarge, RingSpec, RingTooLarge, VertexLabeling,
                  complete_graph, connected_components, diagonal_quotient,
                  diameter, hamming_graph, is_complete_bipartite, iso_check,
                  labeled_equal, semistrong_product, unitary_cayley)
-from uct.tri_ring import decode, diagonal_of, enumerate_ring, is_unit, mat_sub
+from uct.tri_ring import (decode, diagonal_of, enumerate_ring, is_unit, mat_sub,
+                          tuple_codes)
 
 
 def vertex_tuples(length, base, count):
@@ -153,6 +154,29 @@ def test_antipodal_direct_equals_generic(n, q):
     generic = antipodal(hamming_graph(n, q))
     assert labeled_equal(direct, generic)
     assert direct.labels == generic.labels
+
+
+# Every (n, q) with q**n <= 1024, plus the two 4096-vertex cases the
+# benchmark's library workload builds.
+COORDINATE_CASES = [(n, q) for n in range(1, 11) for q in range(2, 1025)
+                    if q ** n <= 1024] + [(12, 2), (6, 4)]
+
+
+@pytest.mark.parametrize("n", sorted({n for n, _ in COORDINATE_CASES}))
+def test_kronecker_builders_match_the_coordinate_rule(n):
+    """H(n, q) is 'differ in exactly one coordinate' and A(H(n, q)) is
+    'differ in every coordinate', counted here from the digit tuples; the
+    labels are the digit tuples in encoding order."""
+    for q in (q for length, q in COORDINATE_CASES if length == n):
+        t = tuple_codes(n, q)
+        differ = np.zeros((q ** n, q ** n), dtype=np.int8)
+        for i in range(n):
+            differ += t[:, i][:, None] != t[None, :, i]
+        labels = tuple(",".join(map(str, row)) for row in t.tolist())
+        h, a = hamming_graph(n, q), antipodal_hamming_direct(n, q)
+        assert np.array_equal(h.adjacency, differ == 1), q
+        assert np.array_equal(a.adjacency, differ == n), q
+        assert h.labels == labels and a.labels == labels
 
 
 def test_hamming_too_large():

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from scipy.sparse import csgraph, csr_matrix
 
 from uct import (DisconnectedGraph, Graph, GraphTooLarge,
-                 GraphTooLargeForOracle, all_pairs_distances, antipodal,
-                 clique_number, complete_bipartite, complete_graph,
+                 GraphTooLargeForOracle, RingSpec, all_pairs_distances,
+                 antipodal, clique_number, complete_bipartite, complete_graph,
                  connected_components, diameter, hamming_graph, is_bipartite,
                  is_complete_bipartite, iso_check, labeled_equal, max_clique,
-                 triameter, triametral_triple)
+                 triameter, triametral_triple, unitary_cayley)
 from uct import graph_core
 from uct.graph_core import _all_sources_bfs, two_coloring
 from uct.graphio import (from_json_envelope, read_edge_list, to_dot,
@@ -87,6 +87,39 @@ def test_graph_rejects_bad_adjacency():
         Graph(np.zeros((5, 5), dtype=bool), cap=4)
     with pytest.raises(ValueError):
         Graph(np.zeros((2, 2), dtype=bool), labels=["a"])
+
+
+@st.composite
+def square_bool_matrices(draw):
+    """Random bool matrices around the 256-wide symmetry tiles: symmetric,
+    symmetric with one entry flipped, or unconstrained."""
+    v = draw(st.sampled_from([0, 1, 2, 255, 256, 257, 600])
+             | st.integers(min_value=0, max_value=40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.random((v, v)) < draw(st.sampled_from([0.0, 0.01, 0.5]))
+    kind = draw(st.sampled_from(["symmetric", "flipped", "free"]))
+    if kind != "free":
+        a |= a.T
+    if kind == "flipped" and v:
+        a[draw(st.integers(0, v - 1)), draw(st.integers(0, v - 1))] ^= True
+    return a
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_bool_matrices())
+def test_tiled_symmetry_check_matches_full_transpose(a):
+    assert graph_core._is_symmetric(a) == np.array_equal(a, a.T)
+
+
+# One flipped off-diagonal entry of a symmetric 600-vertex graph (tiles
+# start at 0, 256 and 512): in a corner tile, in a tile on the diagonal,
+# and in the last, partial tile.
+@pytest.mark.parametrize("u, w", [(599, 0), (0, 599), (300, 301), (598, 599)])
+def test_one_asymmetric_entry_is_rejected(u, w):
+    adj = np.array(cycle_graph(600).adjacency)
+    adj[u, w] ^= True
+    with pytest.raises(ValueError, match="symmetric"):
+        Graph(adj)
 
 
 def test_graph_is_immutable():
@@ -446,6 +479,56 @@ def test_edge_list_roundtrip():
     assert labeled_equal(back, g)
     iso = read_edge_list(text, vertex_count=7)
     assert iso.vertex_count == 7
+
+
+def _old_edge_list(g):
+    """The edge-list export as first written, one numpy row at a time."""
+    return "".join(f"{u} {v}\n" for u, v in
+                   ((int(u), int(v)) for u, v in np.argwhere(np.triu(g.adjacency))))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: cycle_graph(7),
+    lambda: unitary_cayley(RingSpec.parse("tri:2,3,2")),
+    lambda: Graph.from_edges(9, [(1, 4), (4, 7), (2, 8)]),
+], ids=["cycle", "tri:2,3,2", "isolated-vertices"])
+def test_edge_list_export_bytes_are_unchanged(make):
+    g = make()
+    text = to_edge_list(g)
+    assert text == _old_edge_list(g)
+    assert labeled_equal(read_edge_list(text, g.vertex_count), g)
+
+
+def test_edge_list_import_skips_blank_and_comment_lines():
+    text = "# a path\n\n0 1\n   \n  # indented comment\n1\t2\n#3 4\n"
+    g = read_edge_list(text)
+    assert g.vertex_count == 3
+    assert list(g.edges()) == [(0, 1), (1, 2)]
+
+
+# "0\n1 2 3\n" holds four tokens: two pairs if they were read as one stream.
+@pytest.mark.parametrize("text", ["0\n", "0 1\n2\n", "0 1 2\n", "0 1\n1 2 3\n",
+                                  "0\n1 2 3\n", "0 1 2\n3\n", "0 x\n",
+                                  "0 1.5\n", "0 99999999999999999999\n"])
+def test_edge_list_rejects_lines_without_two_integers(text):
+    with pytest.raises(ValueError):
+        read_edge_list(text)
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "# only a comment\n"])
+def test_empty_edge_list_has_no_vertices(text):
+    g = read_edge_list(text)
+    assert g.vertex_count == 0 and g.edge_count() == 0
+
+
+def test_from_edges_takes_an_integer_array():
+    ends = np.array([[0, 1], [1, 2]], dtype=np.int64)
+    assert labeled_equal(Graph.from_edges(3, ends), path_graph(3))
+    assert Graph.from_edges(2, np.zeros((0, 2), dtype=np.int64)).edge_count() == 0
+    with pytest.raises(ValueError, match="integer"):
+        Graph.from_edges(3, np.array([[0, 1.0]]))
+    with pytest.raises(ValueError, match="pairs"):
+        Graph.from_edges(3, np.array([0, 1]))
 
 
 def test_dot_export():

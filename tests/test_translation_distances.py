@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from uct import (Graph, NotTranslationInvariant, RingSpec, all_pairs_distances,
                  translation_distances, unitary_cayley)
-from uct.tri_ring import difference_codes
+from uct.tri_ring import difference_codes, tuple_codes
 
 # Every triangular spec of at most 1024 vertices that the test suite or
 # the benchmark's verify workload runs, q = 2 (disconnected) ones included.
@@ -67,5 +67,31 @@ def circulants(draw):
 def test_random_circulant_matches_generic(case):
     m, connection = case
     diff = difference_codes(RingSpec.integers_mod(m))
+    fast = translation_distances(Graph(connection[diff]), diff)
+    assert np.array_equal(fast, all_pairs_distances(Graph(connection[diff])))
+
+
+@st.composite
+def cayley_graphs_of_zq_power(draw):
+    """(difference table, connection mask) of a random Cayley graph of
+    Z_q^n: the group elements are the digit tuples of tuple_codes, x - y is
+    their digit-wise difference mod q, and the connection set is closed
+    under negation and misses 0."""
+    q = draw(st.integers(min_value=2, max_value=7))
+    n = draw(st.sampled_from([n for n in range(1, 7) if q ** n <= 64]))
+    t = tuple_codes(n, q).astype(np.int64)
+    weights = q ** np.arange(n)
+    diff = ((t[:, None, :] - t[None, :, :]) % q) @ weights
+    negative = ((-t) % q) @ weights
+    mask = np.zeros(q ** n, dtype=bool)
+    for s in draw(st.sets(st.integers(min_value=1, max_value=q ** n - 1))):
+        mask[s] = mask[negative[s]] = True
+    return diff, mask
+
+
+@settings(max_examples=60, deadline=None)
+@given(cayley_graphs_of_zq_power())
+def test_random_cayley_graph_of_zq_power_matches_generic(case):
+    diff, connection = case
     fast = translation_distances(Graph(connection[diff]), diff)
     assert np.array_equal(fast, all_pairs_distances(Graph(connection[diff])))
