@@ -4,13 +4,15 @@ Every Graph checks on construction that its adjacency is symmetric, one
 256 x 256 tile pair at a time (see _is_symmetric), which reads the matrix
 at memory speed where a full transpose would stride through it.
 
-Components and the two-coloring come from scipy.sparse.csgraph traversals.
-All-pairs distances come from one level-synchronous BFS out of every vertex
-at once over packed bitset frontiers, each level ORing the frontier rows of
-every vertex's neighbours; graphs that may have too many levels for that
-(a diameter in the hundreds) get one scipy search per source instead.
-Distances are returned as a float matrix with
-np.inf marking pairs in different components.  Graphs whose adjacency
+Components, the two-coloring and the per-source searches come from
+scipy.sparse.csgraph traversals, all over one float64 CSR of the adjacency
+that each graph builds once and caches (see _csr).  All-pairs distances
+come from one level-synchronous BFS out of every vertex at once over
+packed bitset frontiers, each level ORing the frontier rows of every
+vertex's neighbours; graphs that may have too many levels for that (a
+diameter in the hundreds) get one scipy search per source instead.
+Distances are returned as a float matrix with np.inf marking pairs in
+different components.  Graphs whose adjacency
 depends only on the difference of the endpoints in an additive group
 (Cayley graphs) get their distances from a single BFS out of vertex 0,
 since then d(x, y) = d(x - y, 0).  Diameter, triameter and antipodal graphs
@@ -36,8 +38,8 @@ class Graph:
     """Simple undirected graph over a dense boolean adjacency matrix.
 
     Immutable after construction: the adjacency array is read-only and
-    expensive derived data (distances, bitset rows, components, the
-    two-coloring) is cached on first use.  Labels are optional opaque
+    expensive derived data (the sparse adjacency, distances, bitset rows,
+    components, the two-coloring) is cached on first use.  Labels are optional opaque
     strings kept for export.
     """
 
@@ -147,23 +149,56 @@ def connected_components(g: Graph) -> list:
     return comps
 
 
-def _component_labelling(g: Graph, adj=None):
-    """scipy's (count, label per vertex) component labelling, cached.
-    `adj` is g's adjacency as a CSR, when the caller has one."""
+# Dense adjacency entries _csr reads per row block: a 4 MB bool block,
+# whose nonzero positions take at most 32 MB as int64.
+_CSR_BLOCK_ENTRIES = 1 << 22
+
+
+def _csr(g: Graph):
+    """g's adjacency as a scipy CSR matrix with float64 ones, built once and
+    cached on the graph; every csgraph traversal here reads this one matrix.
+
+    float64 is the weight type csgraph works in, so it reads the matrix
+    without a copy, and as directed since the adjacency is symmetric (no
+    transpose).  The dense rows are read in blocks of _CSR_BLOCK_ENTRIES:
+    indptr comes from the row sums and the column indices from each
+    block's flat nonzero positions, with no array of all (row, col) pairs.
+    """
+    if "csr" not in g._cache:
+        adj = g.adjacency
+        v = adj.shape[0]
+        counts = np.count_nonzero(adj, axis=1)
+        nnz = int(counts.sum())
+        index = np.int32 if nnz <= np.iinfo(np.int32).max else np.int64
+        indptr = np.zeros(v + 1, dtype=index)
+        np.cumsum(counts, out=indptr[1:])
+        indices = np.empty(nnz, dtype=index)
+        rows = max(_CSR_BLOCK_ENTRIES // max(v, 1), 1)
+        for start in range(0, v, rows):
+            stop = min(start + rows, v)
+            flat = np.flatnonzero(adj[start:stop])
+            indices[indptr[start]:indptr[stop]] = np.remainder(flat, v, out=flat)
+        g._cache["csr"] = csr_matrix((np.ones(nnz), indices, indptr),
+                                     shape=(v, v))
+    return g._cache["csr"]
+
+
+def _component_labelling(g: Graph):
+    """scipy's (count, label per vertex) component labelling, cached.  The
+    strong components of the symmetric adjacency are its components."""
     if "components" not in g._cache:
         g._cache["components"] = csgraph.connected_components(
-            csr_matrix(g.adjacency) if adj is None else adj, directed=False)
+            _csr(g), directed=True, connection="strong")
     return g._cache["components"]
 
 
-def _root_depths(g: Graph, adj) -> np.ndarray:
+def _root_depths(g: Graph) -> np.ndarray:
     """Hop distance of every vertex from the smallest vertex of its
     component, isolated vertices included, from one multi-source scipy
-    search (Dijkstra on unit weights).  `adj` is g's adjacency as a CSR;
-    a float64 one is read without a copy, and as directed since it is
-    symmetric (no transpose, no second weight array)."""
-    _, roots = np.unique(_component_labelling(g, adj)[1], return_index=True)
-    return csgraph.dijkstra(adj, directed=True, indices=roots, min_only=True)
+    search (Dijkstra on the unit weights of _csr)."""
+    _, roots = np.unique(_component_labelling(g)[1], return_index=True)
+    return csgraph.dijkstra(_csr(g), directed=True, indices=roots,
+                            min_only=True)
 
 
 def all_pairs_distances(g: Graph) -> np.ndarray:
@@ -176,13 +211,12 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
     """
     if "dist" not in g._cache:
         v = g.vertex_count
-        adj = csr_matrix(g.adjacency)
         # d(x, y) <= d(x, root) + d(root, y) <= 2 * the root's eccentricity
-        levels = 2 * int(_root_depths(g, adj).max()) if v else 0
+        levels = 2 * int(_root_depths(g).max()) if v else 0
         if levels * -(-v // 64) <= _LEVEL_WORDS_PER_VERTEX * v:
-            d = _all_sources_bfs(g.adjacency, adj)
+            d = _all_sources_bfs(g.adjacency, _csr(g))
         else:
-            d = csgraph.shortest_path(adj, method="D", directed=False,
+            d = csgraph.shortest_path(_csr(g), method="D", directed=True,
                                       unweighted=True)
         d.flags.writeable = False
         g._cache["dist"] = d
@@ -316,7 +350,7 @@ def translation_distances(g: Graph, diff) -> np.ndarray:
         raise NotTranslationInvariant(
             "adjacency is not invariant under the given translations")
     if "dist" not in g._cache:
-        d0 = csgraph.shortest_path(csr_matrix(adj), method="D", directed=False,
+        d0 = csgraph.shortest_path(_csr(g), method="D", directed=True,
                                    unweighted=True, indices=0)
         d = d0[diff]
         d.flags.writeable = False
@@ -450,11 +484,11 @@ def two_coloring(g: Graph):
 
     The colour is the parity of the depth below the smallest vertex of the
     component (_root_depths), so every root gets colour 0.  The coloring
-    is proper iff no edge joins equal colours.
+    is proper iff no edge of _csr joins equal colours.
     """
     if "coloring" not in g._cache:
-        adj = csr_matrix(g.adjacency, dtype=np.float64)
-        color = (_root_depths(g, adj) % 2).astype(np.int8)
+        adj = _csr(g)
+        color = (_root_depths(g) % 2).astype(np.int8)
         color.flags.writeable = False
         odd = (np.repeat(color, np.diff(adj.indptr)) == color[adj.indices]).any()
         g._cache["coloring"] = None if odd else color

@@ -2,8 +2,11 @@
 polynomial arithmetic written here (no shared code with the package)."""
 
 import itertools
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uct import (FieldTable, FieldTooLarge, NotPrime, ZeroInverse, field_add,
                  field_inv, field_mul, field_sub, make_field)
@@ -133,6 +136,33 @@ def test_field_axioms_exhaustive(p, k):
                 assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
                 assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
     for a in range(1, q):
+        assert f.mul(a, f.inv(a)) == 1
+
+
+# (p, k) for every field order q = p^k <= 64.
+ALL_Q_UP_TO_64 = [(p, k) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37,
+                                   41, 43, 47, 53, 59, 61)
+                  for k in range(1, 7) if p ** k <= 64]
+
+
+@lru_cache(maxsize=None)
+def cached_field(p, k):
+    return make_field(p, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ALL_Q_UP_TO_64), st.data())
+def test_field_axioms_sampled_up_to_64(pk, data):
+    """The axioms on drawn triples of every field the field cap allows."""
+    f = cached_field(*pk)
+    a, b, c = data.draw(st.tuples(*[st.integers(0, f.q - 1)] * 3))
+    assert f.add(a, 0) == a and f.mul(a, 1) == a
+    assert f.add(a, f.neg(a)) == 0
+    assert f.add(a, b) == f.add(b, a) and f.mul(a, b) == f.mul(b, a)
+    assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
+    assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
+    assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+    if a:
         assert f.mul(a, f.inv(a)) == 1
 
 

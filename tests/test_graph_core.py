@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csgraph, csr_matrix
 
@@ -14,11 +14,13 @@ from uct import (DisconnectedGraph, Graph, GraphTooLarge,
                  antipodal, clique_number, complete_bipartite, complete_graph,
                  connected_components, diameter, hamming_graph, is_bipartite,
                  is_complete_bipartite, iso_check, labeled_equal, max_clique,
-                 triameter, triametral_triple, unitary_cayley)
+                 translation_distances, triameter, triametral_triple,
+                 unitary_cayley)
 from uct import graph_core
 from uct.graph_core import _all_sources_bfs, two_coloring
 from uct.graphio import (from_json_envelope, read_edge_list, to_dot,
                          to_edge_list, to_json_envelope)
+from uct.tri_ring import difference_codes
 
 
 def path_graph(n):
@@ -369,6 +371,80 @@ def test_two_coloring_matches_brute_force(g):
     if color is not None:
         assert all(color[u] != color[v] for u, v in edges)
         assert all(color[comp[0]] == 0 for comp in connected_components(g))
+
+
+# -- the cached sparse form ------------------------------------------------
+
+def canonical_labels(label):
+    """Component labels renumbered in order of first appearance."""
+    _, first, inverse = np.unique(label, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse]
+
+
+def check_sparse_form(adj):
+    g = Graph(adj)
+    csr = graph_core._csr(g)
+    expected = csr_matrix(adj)
+    assert csr.shape == adj.shape
+    assert np.array_equal(csr.indptr, expected.indptr)
+    assert np.array_equal(csr.indices, expected.indices)
+    assert csr.data.dtype == np.float64 and (csr.data == 1).all()
+    count, label = graph_core._component_labelling(g)
+    want_count, want_label = csgraph.connected_components(expected,
+                                                          directed=False)
+    assert count == want_count
+    assert np.array_equal(canonical_labels(label), canonical_labels(want_label))
+
+
+@settings(max_examples=80, deadline=None)
+@given(apsp_cases(), st.integers(min_value=1, max_value=2000))
+@example(np.zeros((0, 0), dtype=bool), 1)
+@example(np.zeros((1, 1), dtype=bool), 1)
+@example(np.zeros((70, 70), dtype=bool), 100)
+def test_sparse_form_matches_scipy(adj, block_entries):
+    """Read in row blocks of any size, _csr has scipy's own CSR structure
+    with float64 ones, and the strong components over it are scipy's
+    undirected components up to renumbering."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_core, "_CSR_BLOCK_ENTRIES", block_entries)
+        check_sparse_form(adj)
+
+
+def test_sparse_form_spans_several_default_blocks():
+    v = 3000
+    assert v > 2 * (graph_core._CSR_BLOCK_ENTRIES // v)  # at least 3 blocks
+    rng = np.random.default_rng(5)
+    adj = np.triu(rng.random((v, v)) < 0.002, 1)
+    adj[:, :40] = adj[:40] = False  # isolated vertices
+    check_sparse_form(adj | adj.T)
+
+
+def test_one_sparse_form_per_graph(monkeypatch):
+    """Components, the two-coloring and both all-pairs paths (level BFS,
+    per-source search), and translation_distances on a ring graph, all read
+    one cached CSR per graph."""
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return csr_matrix(*args, **kwargs)
+    monkeypatch.setattr(graph_core, "csr_matrix", counted)
+    for g in (random_connected_graph(60, 0.05, random.Random(3)),
+              path_graph(1000)):
+        builds.clear()
+        connected_components(g)
+        assert is_bipartite(g) == (two_coloring(g) is not None)
+        all_pairs_distances(g)
+        is_complete_bipartite(g)
+        assert len(builds) == 1
+        assert graph_core._csr(g) is graph_core._csr(g)
+    spec = RingSpec.parse("tri:2,3,1")
+    g = unitary_cayley(spec)
+    builds.clear()
+    translation_distances(g, difference_codes(spec))
+    connected_components(g)
+    two_coloring(g)
+    assert len(builds) == 1
 
 
 # -- antipodal ----------------------------------------------------------------

@@ -1,17 +1,20 @@
 """Triangular matrix ring arithmetic, canonical encoding, and RingSpec."""
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uct import (DimensionMismatch, FieldTooLarge, RingSpec, RingTooLarge,
                  TriMatrix, constructors, decode, diagonal_of, encode,
                  enumerate_ring, from_parts, is_unit, make_field, mat_det,
                  mat_sub, strict_upper_of)
-from uct.tri_ring import (diagonal_slots, difference_codes, entry_digit_matrix,
-                          strict_upper_slots, tuple_codes, unit_mask,
-                          upper_positions)
+from uct.tri_ring import (DEFAULT_VERTEX_CAP, diagonal_slots, difference_codes,
+                          entry_digit_matrix, strict_upper_slots, tuple_codes,
+                          unit_mask, upper_positions)
 
 
 def tri(field, n, entries):
@@ -39,6 +42,30 @@ def test_encode_decode_bijection(spec):
         assert encode(a) == code
         seen.add(a.entries)
     assert len(seen) == spec.order
+
+
+# Every triangular spec inside the default vertex cap (p = 41 and above
+# already exceed it at n = 2).
+CAPPED_TRI_SPECS = [RingSpec.triangular(n, p, k)
+                    for n in range(2, 6)
+                    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+                    for k in range(1, 7)
+                    if p ** k <= 64
+                    and p ** (k * n * (n + 1) // 2) <= DEFAULT_VERTEX_CAP]
+
+
+@lru_cache(maxsize=None)
+def cached_digits(spec):
+    return entry_digit_matrix(spec)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(CAPPED_TRI_SPECS), st.data())
+def test_encode_decode_round_trip_inside_the_cap(spec, data):
+    code = data.draw(st.integers(min_value=0, max_value=spec.order - 1))
+    a = decode(spec.field(), spec.n, code)
+    assert encode(a) == code
+    assert a.entries == tuple(int(x) for x in cached_digits(spec)[code])
 
 
 def test_mat_sub_examples():
