@@ -11,12 +11,15 @@ come from one level-synchronous BFS out of every vertex at once over
 packed bitset frontiers, each level ORing the frontier rows of every
 vertex's neighbours; graphs that may have too many levels for that (a
 diameter in the hundreds) get one scipy search per source instead.
-Distances are returned as a float matrix with np.inf marking pairs in
-different components.  Graphs whose adjacency
-depends only on the difference of the endpoints in an additive group
-(Cayley graphs) get their distances from a single BFS out of vertex 0,
-since then d(x, y) = d(x - y, 0).  Diameter, triameter and antipodal graphs
-are only defined for connected graphs and raise DisconnectedGraph otherwise.
+Distances are returned as hop counts in the smallest unsigned dtype that
+holds the largest finite distance plus one (uint8 up to a diameter of
+254), with that dtype's maximum marking pairs in different components;
+widen them before adding two, since a sum can overflow the dtype.  Graphs
+whose adjacency depends only on the difference of the endpoints in an
+additive group (Cayley graphs) get their distances from a single BFS out
+of vertex 0, since then d(x, y) = d(x - y, 0).  Diameter, triameter and
+antipodal graphs are only defined for connected graphs and raise
+DisconnectedGraph otherwise.
 """
 
 from __future__ import annotations
@@ -202,12 +205,18 @@ def _root_depths(g: Graph) -> np.ndarray:
 
 
 def all_pairs_distances(g: Graph) -> np.ndarray:
-    """Hop distances between every pair; np.inf across components.
+    """Hop distances between every pair, as a read-only matrix cached on
+    the graph.
+
+    The dtype is the smallest unsigned one holding the largest finite
+    distance plus one (uint8 for any diameter up to 254), and its maximum,
+    np.iinfo(d.dtype).max, marks pairs in different components.  Widen
+    before adding distances: a sum of two can overflow the dtype.
 
     One level-synchronous BFS from all sources at once (see
     _all_sources_bfs), unless the graph may have more levels than that
     pays for (see _LEVEL_WORDS_PER_VERTEX); then one scipy search per
-    source.  The result is a read-only float64 matrix, cached on the graph.
+    source (see _per_source_distances).
     """
     if "dist" not in g._cache:
         v = g.vertex_count
@@ -216,8 +225,7 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
         if levels * -(-v // 64) <= _LEVEL_WORDS_PER_VERTEX * v:
             d = _all_sources_bfs(g.adjacency, _csr(g))
         else:
-            d = csgraph.shortest_path(_csr(g), method="D", directed=True,
-                                      unweighted=True)
+            d = _per_source_distances(_csr(g), levels)
         d.flags.writeable = False
         g._cache["dist"] = d
     return g._cache["dist"]
@@ -234,13 +242,64 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
 _LEVEL_WORDS_PER_VERTEX = 3
 # Bytes of gathered frontier words one block of _gather_expand holds.
 _EXPAND_BLOCK_BYTES = 8 << 20
+# Bytes of float64 scipy distance rows one block of _per_source_distances
+# holds.
+_SEARCH_BLOCK_BYTES = 8 << 20
 _WORD = np.dtype("<u8")  # bit j of word w is vertex 64 * w + j
 
 
+def _hop_dtype(longest: int) -> np.dtype:
+    """The smallest unsigned dtype holding every hop count up to `longest`
+    and, above them, its own maximum: the mark of pairs in different
+    components."""
+    return np.min_scalar_type(longest + 1)
+
+
+def _unreachable(d: np.ndarray) -> int:
+    """The entry of a distance matrix of all_pairs_distances or
+    translation_distances that marks pairs in different components."""
+    return int(np.iinfo(d.dtype).max)
+
+
+def largest_finite_distance(d: np.ndarray) -> int:
+    """The largest distance between two vertices of one component in a
+    distance matrix of all_pairs_distances or translation_distances (0
+    when it has no entries)."""
+    top = int(d.max()) if d.size else 0
+    if top == _unreachable(d):
+        top = int(d.max(where=d != top, initial=0))
+    return top
+
+
+def _per_source_distances(csr, levels: int) -> np.ndarray:
+    """All-pairs hop distances from one scipy search per source, `levels`
+    bounding every finite distance.
+
+    The float64 rows scipy returns are converted a block of
+    _SEARCH_BLOCK_BYTES at a time into hop counts of the dtype `levels`
+    needs, and narrowed once the largest distance is known: truncating a
+    wider unsigned dtype turns its all-ones mark into the narrower one's.
+    """
+    v = csr.shape[0]
+    hops = np.empty((v, v), dtype=_hop_dtype(levels))
+    mark = _unreachable(hops)
+    rows = max(_SEARCH_BLOCK_BYTES // (8 * v), 1)
+    longest = 0
+    for start in range(0, v, rows):
+        stop = min(start + rows, v)
+        block = csgraph.shortest_path(csr, method="D", directed=True,
+                                      unweighted=True,
+                                      indices=np.arange(start, stop))
+        reached = np.isfinite(block)
+        longest = max(longest, int(block.max(where=reached, initial=0)))
+        hops[start:stop] = np.where(reached, block, mark)
+    return hops.astype(_hop_dtype(longest), copy=False)
+
+
 def _all_sources_bfs(adj: np.ndarray, csr) -> np.ndarray:
-    """All-pairs hop distances of a symmetric bool adjacency (np.inf across
-    components) from one BFS out of every vertex at once.  `csr` is the
-    same adjacency as a scipy CSR matrix.
+    """All-pairs hop distances of a symmetric bool adjacency, in the format
+    of all_pairs_distances, from one BFS out of every vertex at once.
+    `csr` is the same adjacency as a scipy CSR matrix.
 
     Frontiers are packed bitsets: bit s of row u is set when u lies on the
     current level of the BFS from s.  Distances are symmetric, so row s is
@@ -253,7 +312,7 @@ def _all_sources_bfs(adj: np.ndarray, csr) -> np.ndarray:
     """
     v = adj.shape[0]
     if v == 0:
-        return np.zeros((0, 0))
+        return np.zeros((0, 0), dtype=_hop_dtype(0))
     words = -(-v // 64)
     vertex = np.arange(v)
     unreached = np.zeros((v, words), dtype=_WORD)
@@ -281,13 +340,12 @@ def _all_sources_bfs(adj: np.ndarray, csr) -> np.ndarray:
             expand = _gather_expand(csr)
         front = expand(front)
         front &= unreached
-    hops = np.zeros((v, v), dtype=np.min_scalar_type(level))
+    hops = np.zeros((v, v), dtype=_hop_dtype(level))
     for bit, plane in enumerate(planes):
         hops |= np.left_shift(_unpack(plane, v), bit, dtype=hops.dtype)
-    d = hops.astype(np.float64)
     if unreached.any():
-        d[_unpack(unreached, v).view(bool)] = np.inf
-    return d
+        hops[_unpack(unreached, v).view(bool)] = _unreachable(hops)
+    return hops
 
 
 def _unpack(rows: np.ndarray, v: int) -> np.ndarray:
@@ -338,7 +396,11 @@ def translation_distances(g: Graph, diff) -> np.ndarray:
     tri_ring.difference_codes).  Every pair is checked to satisfy
     adj[x, y] == adj[x - y, 0] first, so translation is an automorphism and
     d(x, y) = d(x - y, 0); NotTranslationInvariant is raised otherwise.  The
-    result fills the same cache slot as all_pairs_distances.
+    result has the format of all_pairs_distances (hop counts in the
+    smallest unsigned dtype with room for a mark above them; widen before
+    adding) and fills the same cache slot.  The distances from 0 are
+    narrowed before the gather, so the gathered table takes one byte per
+    pair up to a diameter of 254.
     """
     adj = g.adjacency
     diff = np.asarray(diff)
@@ -352,7 +414,9 @@ def translation_distances(g: Graph, diff) -> np.ndarray:
     if "dist" not in g._cache:
         d0 = csgraph.shortest_path(_csr(g), method="D", directed=True,
                                    unweighted=True, indices=0)
-        d = d0[diff]
+        reached = np.isfinite(d0)
+        dtype = _hop_dtype(int(d0[reached].max()))
+        d = np.where(reached, d0, np.iinfo(dtype).max).astype(dtype)[diff]
         d.flags.writeable = False
         g._cache["dist"] = d
     return g._cache["dist"]
@@ -362,10 +426,10 @@ def _connected_distances(g: Graph, op: str):
     """(all-pairs distances, diameter) of a connected graph; the diameter
     is 0 when g has no vertices."""
     d = all_pairs_distances(g)
-    diam = d.max() if d.size else 0.0  # one reduction, no V x V temporary
-    if np.isinf(diam):
+    diam = int(d.max()) if d.size else 0  # one reduction, no V x V temporary
+    if diam == _unreachable(d):
         raise DisconnectedGraph(f"{op} is undefined for disconnected graphs")
-    return d, int(diam)
+    return d, diam
 
 
 def diameter(g: Graph) -> int:
@@ -387,7 +451,7 @@ def triametral_triple(g: Graph):
     best = -1
     best_triple = None
     for a in range(v - 2):
-        da = d[a]
+        da = d[a].astype(np.intp)  # sums of three hop counts overflow d.dtype
         for b in range(a + 1, v - 1):
             dab = da[b]
             if dab + 2 * diam <= best:

@@ -26,7 +26,8 @@ from .errors import UctError, WrongField
 from .finite_field import is_prime
 from .graph_core import (ISO_ORACLE_CAP, connected_components, is_bipartite,
                          is_complete_bipartite, iso_check, labeled_equal,
-                         max_clique, translation_distances, triametral_triple)
+                         largest_finite_distance, max_clique,
+                         translation_distances, triametral_triple)
 from .tri_ring import (DEFAULT_VERTEX_CAP, RingSpec, diagonal_slots,
                        difference_codes, encode, entry_digit_matrix,
                        enumerate_ring, from_parts, is_unit, strict_upper_slots,
@@ -83,7 +84,9 @@ class RingInstance:
 
     @cached_property
     def dist(self) -> np.ndarray:
-        """All-pairs distances, from one BFS out of vertex 0."""
+        """All-pairs distances, from one BFS out of vertex 0: read-only hop
+        counts in the format of graph_core.all_pairs_distances (uint8 up
+        to a diameter of 254); widen before adding them."""
         return translation_distances(self.graph,
                                      difference_codes(self.spec, self.cap))
 
@@ -215,8 +218,7 @@ def check_connectivity_and_diameter(ring: RingInstance):
     (diagonal avoiding both, zero off-diagonal) adjacent to both."""
     spec, g = ring.spec, ring.graph
     comps = connected_components(g)
-    dist = ring.dist
-    diam = int(dist[np.isfinite(dist)].max())
+    diam = largest_finite_distance(ring.dist)
 
     certificate = {}
     adj = g.adjacency
@@ -258,7 +260,8 @@ def check_triameter(ring: RingInstance):
     d1 = _diagonal_matrix_encoding(spec, [a] * spec.n)
     d2 = _diagonal_matrix_encoding(spec, [a] + [b] * (spec.n - 1))
     d3 = _diagonal_matrix_encoding(spec, [a] + [c] * (spec.n - 1))
-    witness_sum = int(dist[d1, d2] + dist[d1, d3] + dist[d2, d3])
+    witness_sum = sum(int(dist[x, y])
+                      for x, y in ((d1, d2), (d1, d3), (d2, d3)))
 
     expected = {"triameter": 6, "diagonal_witness_sum": 6}
     computed = {"triameter": value, "diagonal_witness_sum": witness_sum}

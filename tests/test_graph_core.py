@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,9 +18,11 @@ from uct import (DisconnectedGraph, Graph, GraphTooLarge,
                  translation_distances, triameter, triametral_triple,
                  unitary_cayley)
 from uct import graph_core
-from uct.graph_core import _all_sources_bfs, two_coloring
+from uct.graph_core import (_all_sources_bfs, largest_finite_distance,
+                            two_coloring)
 from uct.graphio import (from_json_envelope, read_edge_list, to_dot,
                          to_edge_list, to_json_envelope)
+from uct.theorem_checker import RingInstance
 from uct.tri_ring import difference_codes
 
 
@@ -29,6 +32,31 @@ def path_graph(n):
 
 def cycle_graph(n):
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def spider_graph(legs, length):
+    """A centre vertex 0 with `legs` paths of `length` vertices hanging off
+    it; leg i holds the vertices i * length + 1 ... (i + 1) * length."""
+    edges = []
+    for leg in range(legs):
+        first = leg * length + 1
+        edges.append((0, first))
+        edges += [(u, u + 1) for u in range(first, first + length - 1)]
+    return Graph.from_edges(legs * length + 1, edges)
+
+
+def hop_dtype(longest):
+    """The smallest unsigned dtype with room for `longest` and a mark above
+    it: the dtype of every distance matrix whose largest finite entry is
+    `longest`."""
+    return next(t for t in (np.uint8, np.uint16, np.uint32)
+                if np.iinfo(t).max > longest)
+
+
+def as_scipy(d):
+    """A hop-count matrix in scipy's form: float64, np.inf across
+    components."""
+    return np.where(d == np.iinfo(d.dtype).max, np.inf, d)
 
 
 def random_graph(n, p, rng):
@@ -171,11 +199,12 @@ def test_distance_matrix_invariants_on_random_graphs():
         d = all_pairs_distances(g)
         assert (np.diagonal(d) == 0).all()
         assert (d == d.T).all()
-        finite = np.isfinite(d)
+        finite = d != np.iinfo(d.dtype).max
+        wide = d.astype(np.int64)  # a sum of hop counts may overflow d.dtype
         n = g.vertex_count
         for u, v, w in itertools.combinations(range(n), 3):
             if finite[u, v] and finite[v, w]:
-                assert d[u, w] <= d[u, v] + d[v, w]
+                assert wide[u, w] <= wide[u, v] + wide[v, w]
 
 
 def test_diameter():
@@ -217,12 +246,14 @@ def test_all_sources_bfs_matches_scipy(adj):
     expected = (csgraph.shortest_path(csr_matrix(adj), directed=False,
                                       unweighted=True) if v else np.zeros((0, 0)))
     label = csgraph.connected_components(csr_matrix(adj), directed=False)[1]
-    d = _all_sources_bfs(adj, csr_matrix(adj))
-    assert d.dtype == np.float64
-    assert np.array_equal(d, expected)
-    assert np.array_equal(np.isinf(d), label[:, None] != label)
-    d = all_pairs_distances(Graph(adj))
-    assert np.array_equal(d, expected) and not d.flags.writeable
+    longest = int(expected.max(where=np.isfinite(expected), initial=0))
+    for d in (_all_sources_bfs(adj, csr_matrix(adj)),
+              all_pairs_distances(Graph(adj))):
+        assert d.dtype == hop_dtype(longest)
+        assert np.array_equal(as_scipy(d), expected)
+        assert np.array_equal(d == np.iinfo(d.dtype).max,
+                              label[:, None] != label)
+    assert not d.flags.writeable
 
 
 @pytest.mark.parametrize("make, n, levels", [
@@ -243,7 +274,72 @@ def test_long_diameters_go_to_per_source_search(monkeypatch, make, n, levels):
     monkeypatch.setattr(graph_core, "_all_sources_bfs", counted)
     d = all_pairs_distances(g)
     assert np.array_equal(d, expected) and not d.flags.writeable
+    assert d.dtype == hop_dtype(int(expected.max()))
     assert bool(calls) == levels
+
+
+@pytest.mark.parametrize("g, level_bfs, diam, triam, triple, antipodes", [
+    (spider_graph(3, 75), True, 150, 450, (75, 150, 225), 3),
+    (path_graph(200), False, 199, 398, (0, 1, 199), 1)])
+def test_sums_of_one_byte_distances_do_not_overflow(monkeypatch, g, level_bfs,
+                                                    diam, triam, triple,
+                                                    antipodes):
+    """Diameters between 128 and 254 come back as uint8 on both routes, and
+    the triameter (up to three diameters) and the antipodal graph are still
+    exact: every sum is taken after widening."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _all_sources_bfs(*args)
+    monkeypatch.setattr(graph_core, "_all_sources_bfs", counted)
+    d = all_pairs_distances(g)
+    assert bool(calls) == level_bfs
+    assert d.dtype == np.uint8
+    assert diameter(g) == diam
+    assert triametral_triple(g) == (triam, triple)
+    assert antipodal(g).edge_count() == antipodes
+
+
+@pytest.mark.parametrize("n, dtype", [
+    (255, np.uint8), (256, np.uint16), (300, np.uint16)])
+def test_other_components_are_marked_with_the_dtype_maximum(n, dtype):
+    """P_n plus an isolated vertex: the longest distance n - 1 and the mark
+    above it must both fit, so n - 1 = 255 already needs uint16, whose
+    maximum 65535 marks the pairs in different components."""
+    g = Graph.from_edges(n + 1, [(i, i + 1) for i in range(n - 1)])
+    d = all_pairs_distances(g)
+    mark = np.iinfo(dtype).max
+    assert d.dtype == dtype
+    assert d[0, n - 1] == n - 1 and d[0, n] == d[n, 5] == mark
+    assert largest_finite_distance(d) == n - 1
+    for invariant in (diameter, triameter, antipodal):
+        with pytest.raises(DisconnectedGraph):
+            invariant(g)
+
+
+def test_distances_take_one_byte_per_pair():
+    d = all_pairs_distances(hamming_graph(12, 2))
+    assert d.dtype == np.uint8 and d.nbytes == 4096 * 4096
+    ring = RingInstance(RingSpec.parse("tri:2,3,2"))
+    v = ring.graph.vertex_count
+    assert ring.dist.dtype == np.uint8 and ring.dist.nbytes == v * v
+
+
+def test_per_source_route_holds_no_float_matrix():
+    """scipy's float64 rows are converted block by block: the search never
+    holds a V x V float64 matrix (8 bytes per pair)."""
+    v = 3000
+    g = path_graph(v)
+    graph_core._root_depths(g)  # the CSR and the component labelling
+    tracemalloc.start()
+    try:
+        d = all_pairs_distances(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.dtype == np.uint16 and d[0, v - 1] == v - 1
+    assert peak < 8 * v * v
 
 
 # -- triameter ----------------------------------------------------------------

@@ -26,8 +26,24 @@ def test_matches_generic_distances(text):
     spec = RingSpec.parse(text)
     fast = translation_distances(unitary_cayley(spec), difference_codes(spec))
     generic = all_pairs_distances(unitary_cayley(spec))
+    assert fast.dtype == generic.dtype == np.uint8
     assert np.array_equal(fast, generic)
     assert not fast.flags.writeable
+
+
+@pytest.mark.parametrize("m, step, dtype", [(600, 2, np.uint8),
+                                            (512, 1, np.uint16)])
+def test_long_cycles_match_generic(m, step, dtype):
+    """Z_m with connection set {step, -step}: two cycles C_300 (diameter
+    150, the uint8 maximum marking the pairs between them), or C_512,
+    whose diameter 256 needs uint16."""
+    diff = difference_codes(RingSpec.integers_mod(m))
+    connection = np.zeros(m, dtype=bool)
+    connection[[step, -step]] = True
+    fast = translation_distances(Graph(connection[diff]), diff)
+    generic = all_pairs_distances(Graph(connection[diff]))
+    assert fast.dtype == generic.dtype == dtype
+    assert np.array_equal(fast, generic)
 
 
 def test_fills_the_all_pairs_cache():
