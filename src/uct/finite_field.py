@@ -7,9 +7,10 @@ significant digit first:
     e = sum_i c_i * p**i   <->   c_0 + c_1*x + ... + c_{k-1}*x**(k-1)
 
 so index 0 is the additive identity and index 1 the multiplicative
-identity.  All arithmetic is precomputed into q x q tables at
-construction time; a FieldTable never mutates afterwards and is safe to
-share between threads.
+identity.  Addition and subtraction act digit by digit mod p, so
+(GF(p^k), +) is Z_p^k read base p (tri_ring.difference_codes relies on
+it).  All arithmetic is precomputed into q x q tables; a FieldTable never
+mutates and is safe to share between threads.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatch, FieldTooLarge, RingTooLarge
 from .finite_field import (DEFAULT_FIELD_CAP, FieldTable, base_digits,
@@ -232,24 +233,23 @@ def entry_digit_matrix(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> np.ndar
 
 
 def difference_codes(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> np.ndarray:
-    """order x order int32 table: entry [x, y] is the encoding of x - y.
+    """order x order table of the encodings of x - y, in the smallest
+    unsigned dtype (uint8 up to 256 elements, uint16 up to 2**16).
 
-    Triangular rings subtract entry by entry through the field's
-    sub_table; Z_n uses (x - y) mod n.
+    (R, +) is Z_m, or Z_p**D for T_n(GF(p^k)) (D = k*n(n+1)/2 base-p digits,
+    added digit-wise), so the table is the Kronecker sum of one cyclic table
+    C[i, j] = (i - j) mod m per digit, each new digit the most significant.
     """
     _check_order(spec, cap)
-    if spec.kind == "zn":
-        idx = np.arange(spec.order, dtype=np.int32)
-        codes = idx[:, None] - idx[None, :]
-        codes %= np.int32(spec.modulus)  # in place: one V x V array, not two
-        return codes
-    sub = spec.field().sub_table
-    digits = entry_digit_matrix(spec, cap)
-    codes = np.zeros((spec.order, spec.order), dtype=np.int32)
-    for t in reversed(range(digits.shape[1])):
-        col = digits[:, t]
-        codes *= spec.q
-        codes += sub[col[:, None], col[None, :]]
+    m, count = ((spec.modulus, 1) if spec.kind == "zn"
+                else (spec.p, spec.k * spec.n * (spec.n + 1) // 2))
+    ramp = (np.arange(1 - m, m) % m).astype(np.min_scalar_type(spec.order - 1))
+    cyclic = sliding_window_view(ramp, m)[:, ::-1]  # [i, j] = ramp[i - j + m - 1]
+    codes = np.ascontiguousarray(cyclic)
+    for _ in range(count - 1):
+        size = len(codes)
+        codes = (cyclic[:, None, :, None] * size
+                 + codes[None, :, None, :]).reshape(m * size, m * size)
     return codes
 
 

@@ -150,6 +150,19 @@ def cached_field(p, k):
     return make_field(p, k)
 
 
+@pytest.mark.parametrize("p,k", ALL_Q_UP_TO_64)
+def test_addition_is_digitwise_mod_p(p, k):
+    """The encoding contract tri_ring.difference_codes rests on: add and
+    subtract act on the base-p digits of the indices one by one, mod p."""
+    f = cached_field(p, k)
+    for a in range(f.q):
+        da = oracle_digits(a, p, k)
+        for b in range(f.q):
+            db = oracle_digits(b, p, k)
+            assert f.add_table[a, b] == oracle_int([(x + y) % p for x, y in zip(da, db)], p)
+            assert f.sub_table[a, b] == oracle_int([(x - y) % p for x, y in zip(da, db)], p)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(ALL_Q_UP_TO_64), st.data())
 def test_field_axioms_sampled_up_to_64(pk, data):

@@ -66,6 +66,8 @@ def test_rejects_a_malformed_difference_table():
         translation_distances(g, difference_codes(RingSpec.integers_mod(5)))
     with pytest.raises(ValueError):
         translation_distances(g, -difference_codes(RingSpec.integers_mod(6)))
+    with pytest.raises(ValueError):  # the table is unsigned: negate in a signed dtype
+        translation_distances(g, -difference_codes(RingSpec.integers_mod(6)).astype(np.int16))
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """Triangular matrix ring arithmetic, canonical encoding, and RingSpec."""
 
 import math
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -190,16 +191,61 @@ def test_entry_digit_matrix_matches_decode():
 def test_difference_codes_match_mat_sub(text):
     spec = RingSpec.parse(text)
     diff = difference_codes(spec)
-    assert diff.dtype == np.int32 and diff.shape == (spec.order, spec.order)
+    assert diff.dtype == np.min_scalar_type(spec.order - 1)
+    assert diff.shape == (spec.order, spec.order)
     elems = enumerate_ring(spec)
     for x, a in enumerate(elems):
         assert [int(c) for c in diff[x]] == [encode(mat_sub(a, b)) for b in elems]
 
 
+def entrywise_difference_codes(spec):
+    """Reference rule: subtract entry by entry through the field's
+    sub_table, reading the entry digits base q."""
+    sub = spec.field().sub_table
+    digits = entry_digit_matrix(spec)
+    codes = np.zeros((spec.order, spec.order), dtype=np.int32)
+    for t in reversed(range(digits.shape[1])):
+        col = digits[:, t]
+        codes *= spec.q
+        codes += sub[col[:, None], col[None, :]]
+    return codes
+
+
+# Every tri spec of at most 4096 vertices that the tests or the benchmark
+# run, and one with k = 4.
+@pytest.mark.parametrize("text", ["tri:2,2,1", "tri:3,2,1", "tri:4,2,1",
+                                  "tri:2,3,1", "tri:3,3,1", "tri:2,5,1",
+                                  "tri:2,7,1", "tri:2,2,2", "tri:2,3,2",
+                                  "tri:2,2,3", "tri:3,2,2", "tri:2,2,4"])
+def test_difference_codes_match_entrywise_sub_table(text):
+    spec = RingSpec.parse(text)
+    diff = difference_codes(spec)
+    want = entrywise_difference_codes(spec).astype(np.min_scalar_type(spec.order - 1))
+    assert diff.dtype == want.dtype and diff.tobytes() == want.tobytes()
+
+
 def test_difference_codes_zn():
-    diff = difference_codes(RingSpec.integers_mod(12))
-    for x in range(12):
-        assert [int(c) for c in diff[x]] == [(x - y) % 12 for y in range(12)]
+    for m, dtype in [(12, np.uint8), (256, np.uint8), (257, np.uint16),
+                     (4093, np.uint16)]:
+        diff = difference_codes(RingSpec.integers_mod(m))
+        idx = np.arange(m, dtype=np.int64)
+        assert diff.dtype == dtype
+        assert np.array_equal(diff, np.subtract.outer(idx, idx) % m)
+
+
+def test_difference_codes_peak_memory():
+    # The Kronecker sum holds the last table and the one before it (a
+    # quarter of its size for p = 2); an int16 or int32 V x V temporary
+    # would break the bound.
+    spec = RingSpec.parse("tri:3,2,2")
+    tracemalloc.start()
+    try:
+        diff = difference_codes(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert diff.nbytes == 2 * spec.order ** 2
+    assert peak < 1.5 * diff.nbytes
 
 
 def test_ring_spec_parse_roundtrip():
