@@ -4,9 +4,8 @@ Every Graph checks on construction that its adjacency is symmetric, one
 256 x 256 tile pair at a time (see _is_symmetric), which reads the matrix
 at memory speed where a full transpose would stride through it.
 
-Components, the two-coloring and the per-source searches come from
-scipy.sparse.csgraph traversals, all over one float64 CSR of the adjacency
-that each graph builds once and caches (see _csr).  All-pairs distances
+Components, root depths and the two-coloring come from one BFS per
+component over the dense rows (see _bfs_forest).  All-pairs distances
 come from one level-synchronous BFS out of every vertex at once over
 packed bitset frontiers, each level ORing the frontier rows of every
 vertex's neighbours; graphs that may have too many levels for that (a
@@ -41,9 +40,9 @@ class Graph:
     """Simple undirected graph over a dense boolean adjacency matrix.
 
     Immutable after construction: the adjacency array is read-only and
-    expensive derived data (the sparse adjacency, distances, bitset rows,
-    components, the two-coloring) is cached on first use.  Labels are optional opaque
-    strings kept for export.
+    expensive derived data (the BFS forest behind components and the
+    two-coloring, distances, bitset rows) is cached on first use.  Labels
+    are optional opaque strings kept for export.
     """
 
     def __init__(self, adjacency, labels=None, cap: int = DEFAULT_VERTEX_CAP):
@@ -144,64 +143,50 @@ def labeled_equal(g: Graph, h: Graph) -> bool:
 def connected_components(g: Graph) -> list:
     """Vertex partition; components ordered by their smallest vertex index.
     The labelling is cached on the graph; every call returns fresh lists."""
-    n, label = _component_labelling(g)
-    comps = [[] for _ in range(n)]
-    for v, c in enumerate(label):
-        comps[c].append(int(v))
-    comps.sort(key=lambda c: c[0])
+    count, label, _, _ = _bfs_forest(g)
+    comps = [[] for _ in range(count)]
+    for v, c in enumerate(label.tolist()):
+        comps[c].append(v)
     return comps
 
 
-# Dense adjacency entries _csr reads per row block: a 4 MB bool block,
-# whose nonzero positions take at most 32 MB as int64.
-_CSR_BLOCK_ENTRIES = 1 << 22
+_BFS_ROWS = 256  # dense rows per OR in _bfs_forest: 16 MB at the 2^16 cap
 
 
-def _csr(g: Graph):
-    """g's adjacency as a scipy CSR matrix with float64 ones, built once and
-    cached on the graph; every csgraph traversal here reads this one matrix.
+def _bfs_forest(g: Graph):
+    """(count, label, depth, odd) of one BFS per component, cached on g.
 
-    float64 is the weight type csgraph works in, so it reads the matrix
-    without a copy, and as directed since the adjacency is symmetric (no
-    transpose).  The dense rows are read in blocks of _CSR_BLOCK_ENTRIES:
-    indptr comes from the row sums and the column indices from each
-    block's flat nonzero positions, with no array of all (row, col) pairs.
+    Each BFS starts at its component's smallest vertex, so labels rise with
+    that vertex and depth is the hop distance from it; a vertex without
+    neighbours gets depth 0 and no BFS.  A level is the OR of the frontier's
+    dense rows, _BFS_ROWS at a time, masked by the unvisited vertices.  That
+    OR also shows any edge inside the frontier: `odd` says some level has
+    one, which holds iff some component has an odd cycle.
     """
-    if "csr" not in g._cache:
+    if "forest" not in g._cache:
         adj = g.adjacency
         v = adj.shape[0]
-        counts = np.count_nonzero(adj, axis=1)
-        nnz = int(counts.sum())
-        index = np.int32 if nnz <= np.iinfo(np.int32).max else np.int64
-        indptr = np.zeros(v + 1, dtype=index)
-        np.cumsum(counts, out=indptr[1:])
-        indices = np.empty(nnz, dtype=index)
-        rows = max(_CSR_BLOCK_ENTRIES // max(v, 1), 1)
-        for start in range(0, v, rows):
-            stop = min(start + rows, v)
-            flat = np.flatnonzero(adj[start:stop])
-            indices[indptr[start]:indptr[stop]] = np.remainder(flat, v, out=flat)
-        g._cache["csr"] = csr_matrix((np.ones(nnz), indices, indptr),
-                                     shape=(v, v))
-    return g._cache["csr"]
-
-
-def _component_labelling(g: Graph):
-    """scipy's (count, label per vertex) component labelling, cached.  The
-    strong components of the symmetric adjacency are its components."""
-    if "components" not in g._cache:
-        g._cache["components"] = csgraph.connected_components(
-            _csr(g), directed=True, connection="strong")
-    return g._cache["components"]
-
-
-def _root_depths(g: Graph) -> np.ndarray:
-    """Hop distance of every vertex from the smallest vertex of its
-    component, isolated vertices included, from one multi-source scipy
-    search (Dijkstra on the unit weights of _csr)."""
-    _, roots = np.unique(_component_labelling(g)[1], return_index=True)
-    return csgraph.dijkstra(_csr(g), directed=True, indices=roots,
-                            min_only=True)
+        root = np.arange(v)
+        depth = np.zeros(v, dtype=np.intp)
+        todo = adj.any(axis=1)  # vertices with a neighbour, not yet reached
+        odd = False
+        for top in range(v):
+            if not todo[top]:
+                continue
+            todo[top] = False
+            front, level = np.array([top]), 0
+            while front.size:
+                hit = np.zeros(v, dtype=bool)
+                for i in range(0, front.size, _BFS_ROWS):
+                    hit |= adj[front[i:i + _BFS_ROWS]].any(axis=0)
+                odd = odd or bool(hit[front].any())
+                front = np.flatnonzero(hit & todo)
+                level += 1
+                todo[front] = False
+                root[front], depth[front] = top, level
+        tops, label = np.unique(root, return_inverse=True)
+        g._cache["forest"] = (len(tops), label, depth, odd)
+    return g._cache["forest"]
 
 
 def all_pairs_distances(g: Graph) -> np.ndarray:
@@ -221,11 +206,11 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
     if "dist" not in g._cache:
         v = g.vertex_count
         # d(x, y) <= d(x, root) + d(root, y) <= 2 * the root's eccentricity
-        levels = 2 * int(_root_depths(g).max()) if v else 0
+        levels = 2 * int(_bfs_forest(g)[2].max()) if v else 0
         if levels * -(-v // 64) <= _LEVEL_WORDS_PER_VERTEX * v:
-            d = _all_sources_bfs(g.adjacency, _csr(g))
+            d = _all_sources_bfs(g.adjacency)
         else:
-            d = _per_source_distances(_csr(g), levels)
+            d = _per_source_distances(g.adjacency, levels)
         d.flags.writeable = False
         g._cache["dist"] = d
     return g._cache["dist"]
@@ -271,16 +256,19 @@ def largest_finite_distance(d: np.ndarray) -> int:
     return top
 
 
-def _per_source_distances(csr, levels: int) -> np.ndarray:
+def _per_source_distances(adj: np.ndarray, levels: int) -> np.ndarray:
     """All-pairs hop distances from one scipy search per source, `levels`
     bounding every finite distance.
 
-    The float64 rows scipy returns are converted a block of
-    _SEARCH_BLOCK_BYTES at a time into hop counts of the dtype `levels`
-    needs, and narrowed once the largest distance is known: truncating a
-    wider unsigned dtype turns its all-ones mark into the narrower one's.
+    scipy reads the neighbour lists as a directed float64 CSR (the adjacency
+    is symmetric).  Its float64 rows are turned into hop counts of the dtype
+    `levels` needs a block of _SEARCH_BLOCK_BYTES at a time, and narrowed
+    once the largest distance is known: truncating a wider unsigned dtype
+    turns its all-ones mark into the narrower one's.
     """
-    v = csr.shape[0]
+    v = adj.shape[0]
+    indptr, indices = _neighbours(adj)
+    csr = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(v, v))
     hops = np.empty((v, v), dtype=_hop_dtype(levels))
     mark = _unreachable(hops)
     rows = max(_SEARCH_BLOCK_BYTES // (8 * v), 1)
@@ -296,10 +284,9 @@ def _per_source_distances(csr, levels: int) -> np.ndarray:
     return hops.astype(_hop_dtype(longest), copy=False)
 
 
-def _all_sources_bfs(adj: np.ndarray, csr) -> np.ndarray:
+def _all_sources_bfs(adj: np.ndarray) -> np.ndarray:
     """All-pairs hop distances of a symmetric bool adjacency, in the format
     of all_pairs_distances, from one BFS out of every vertex at once.
-    `csr` is the same adjacency as a scipy CSR matrix.
 
     Frontiers are packed bitsets: bit s of row u is set when u lies on the
     current level of the BFS from s.  Distances are symmetric, so row s is
@@ -337,7 +324,7 @@ def _all_sources_bfs(adj: np.ndarray, csr) -> np.ndarray:
         if not unreached.any():
             break
         if expand is None:  # built on first use: no table when diameter <= 1
-            expand = _gather_expand(csr)
+            expand = _gather_expand(*_neighbours(adj))
         front = expand(front)
         front &= unreached
     hops = np.zeros((v, v), dtype=_hop_dtype(level))
@@ -354,9 +341,33 @@ def _unpack(rows: np.ndarray, v: int) -> np.ndarray:
                          bitorder="little")
 
 
-def _gather_expand(csr):
+# Dense adjacency entries _neighbours reads per row block: a 4 MB bool
+# block, whose nonzero positions take at most 32 MB as int64.
+_NEIGHBOUR_BLOCK_ENTRIES = 1 << 22
+
+
+def _neighbours(adj: np.ndarray):
+    """(indptr, indices): the sorted neighbour lists of a bool adjacency in
+    CSR layout, with no data array.  The rows are read in blocks of
+    _NEIGHBOUR_BLOCK_ENTRIES, with no array of all (row, col) pairs."""
+    v = adj.shape[0]
+    counts = np.count_nonzero(adj, axis=1)
+    nnz = int(counts.sum())
+    index = np.int32 if nnz <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(v + 1, dtype=index)
+    np.cumsum(counts, out=indptr[1:])
+    indices = np.empty(nnz, dtype=index)
+    rows = max(_NEIGHBOUR_BLOCK_ENTRIES // max(v, 1), 1)
+    for start in range(0, v, rows):
+        stop = min(start + rows, v)
+        flat = np.flatnonzero(adj[start:stop])
+        indices[indptr[start]:indptr[stop]] = np.remainder(flat, v, out=flat)
+    return indptr, indices
+
+
+def _gather_expand(indptr, indices):
     """Expand step ORing together the frontier rows of each vertex's
-    neighbours.
+    neighbours, given as the neighbour lists of _neighbours.
 
     Vertices go in blocks of falling degree, each at most
     _EXPAND_BLOCK_BYTES of gathered words and no vertex under half the
@@ -365,8 +376,8 @@ def _gather_expand(csr):
     unchanged, so one block reduces as a rows x degree x words array.
     Vertices without neighbours get no block and stay 0.
     """
-    row_bytes = 8 * -(-csr.shape[0] // 64)
-    degree = np.diff(csr.indptr)
+    row_bytes = 8 * -(-(len(indptr) - 1) // 64)
+    degree = np.diff(indptr)
     order = np.argsort(-degree, kind="stable")
     order = order[degree[order] > 0]
     blocks = []  # (vertices, rows x top-degree neighbour table)
@@ -378,7 +389,7 @@ def _gather_expand(csr):
         stop = start + int(np.count_nonzero(2 * falling >= top))
         rows = order[start:stop]
         slot = np.minimum(np.arange(top), degree[rows][:, None] - 1)
-        blocks.append((rows, csr.indices[csr.indptr[rows][:, None] + slot]))
+        blocks.append((rows, indices[indptr[rows][:, None] + slot]))
         start = stop
 
     def expand(front):
@@ -412,11 +423,10 @@ def translation_distances(g: Graph, diff) -> np.ndarray:
         raise NotTranslationInvariant(
             "adjacency is not invariant under the given translations")
     if "dist" not in g._cache:
-        d0 = csgraph.shortest_path(_csr(g), method="D", directed=True,
-                                   unweighted=True, indices=0)
-        reached = np.isfinite(d0)
-        dtype = _hop_dtype(int(d0[reached].max()))
-        d = np.where(reached, d0, np.iinfo(dtype).max).astype(dtype)[diff]
+        _, label, depth, _ = _bfs_forest(g)
+        reached = label == 0  # vertex 0 roots the first component's BFS
+        dtype = _hop_dtype(int(depth.max(where=reached, initial=0)))
+        d = np.where(reached, depth, np.iinfo(dtype).max).astype(dtype)[diff]
         d.flags.writeable = False
         g._cache["dist"] = d
     return g._cache["dist"]
@@ -547,14 +557,13 @@ def two_coloring(g: Graph):
     component has an odd cycle; cached on the graph.
 
     The colour is the parity of the depth below the smallest vertex of the
-    component (_root_depths), so every root gets colour 0.  The coloring
-    is proper iff no edge of _csr joins equal colours.
+    component (see _bfs_forest), so every root gets colour 0.  The coloring
+    is proper iff no edge joins two vertices of one BFS level.
     """
     if "coloring" not in g._cache:
-        adj = _csr(g)
-        color = (_root_depths(g) % 2).astype(np.int8)
+        _, _, depth, odd = _bfs_forest(g)
+        color = (depth % 2).astype(np.int8)
         color.flags.writeable = False
-        odd = (np.repeat(color, np.diff(adj.indptr)) == color[adj.indices]).any()
         g._cache["coloring"] = None if odd else color
     return g._cache["coloring"]
 
@@ -569,7 +578,7 @@ def is_complete_bipartite(g: Graph):
     Only defined for connected graphs.  The 2-coloring fixes the unique
     candidate bipartition; every cross pair must then be an edge.
     """
-    if _component_labelling(g)[0] != 1:
+    if _bfs_forest(g)[0] != 1:
         raise DisconnectedGraph("complete-bipartite test needs a connected graph")
     color = two_coloring(g)
     if color is None:

@@ -247,7 +247,7 @@ def test_all_sources_bfs_matches_scipy(adj):
                                       unweighted=True) if v else np.zeros((0, 0)))
     label = csgraph.connected_components(csr_matrix(adj), directed=False)[1]
     longest = int(expected.max(where=np.isfinite(expected), initial=0))
-    for d in (_all_sources_bfs(adj, csr_matrix(adj)),
+    for d in (_all_sources_bfs(adj),
               all_pairs_distances(Graph(adj))):
         assert d.dtype == hop_dtype(longest)
         assert np.array_equal(as_scipy(d), expected)
@@ -331,7 +331,7 @@ def test_per_source_route_holds_no_float_matrix():
     holds a V x V float64 matrix (8 bytes per pair)."""
     v = 3000
     g = path_graph(v)
-    graph_core._root_depths(g)  # the CSR and the component labelling
+    graph_core._bfs_forest(g)  # the forest behind the level bound
     tracemalloc.start()
     try:
         d = all_pairs_distances(g)
@@ -469,7 +469,7 @@ def test_two_coloring_matches_brute_force(g):
         assert all(color[comp[0]] == 0 for comp in connected_components(g))
 
 
-# -- the cached sparse form ------------------------------------------------
+# -- the cached BFS forest and the neighbour lists --------------------------
 
 def canonical_labels(label):
     """Component labels renumbered in order of first appearance."""
@@ -477,19 +477,65 @@ def canonical_labels(label):
     return np.argsort(np.argsort(first))[inverse]
 
 
-def check_sparse_form(adj):
-    g = Graph(adj)
-    csr = graph_core._csr(g)
-    expected = csr_matrix(adj)
-    assert csr.shape == adj.shape
-    assert np.array_equal(csr.indptr, expected.indptr)
-    assert np.array_equal(csr.indices, expected.indices)
-    assert csr.data.dtype == np.float64 and (csr.data == 1).all()
-    count, label = graph_core._component_labelling(g)
-    want_count, want_label = csgraph.connected_components(expected,
+def two_colourable(adj):
+    """Whether every component 2-colours, by propagating colours vertex by
+    vertex along a stack."""
+    color = [-1] * len(adj)
+    for start in range(len(adj)):
+        if color[start] >= 0:
+            continue
+        color[start], stack = 0, [start]
+        while stack:
+            u = stack.pop()
+            for w in np.flatnonzero(adj[u]).tolist():
+                if color[w] == color[u]:
+                    return False
+                if color[w] < 0:
+                    color[w] = 1 - color[u]
+                    stack.append(w)
+    return True
+
+
+def check_forest(adj):
+    count, label, depth, odd = graph_core._bfs_forest(Graph(adj))
+    want_count, want_label = csgraph.connected_components(csr_matrix(adj),
                                                           directed=False)
     assert count == want_count
-    assert np.array_equal(canonical_labels(label), canonical_labels(want_label))
+    assert np.array_equal(label, canonical_labels(want_label))
+    _, roots = np.unique(want_label, return_index=True)
+    assert np.array_equal(depth, csgraph.dijkstra(csr_matrix(adj),
+                                                  directed=False, indices=roots,
+                                                  min_only=True))
+    assert odd == (not two_colourable(adj))
+    return depth
+
+
+@settings(max_examples=80, deadline=None)
+@given(apsp_cases())
+@example(np.zeros((0, 0), dtype=bool))
+@example(np.zeros((1, 1), dtype=bool))
+@example(np.zeros((70, 70), dtype=bool))
+def test_bfs_forest_matches_scipy(adj):
+    """The forest's components are scipy's up to renumbering, labelled in
+    the order of their smallest vertices; its depths are scipy's distances
+    from those vertices, and `odd` says that some component has no proper
+    2-colouring."""
+    check_forest(adj)
+
+
+def test_bfs_forest_spans_several_row_blocks():
+    """Frontiers wider than _BFS_ROWS are read in several row blocks, at
+    the default block size and at 1-3 rows per block."""
+    v = 3000
+    rng = np.random.default_rng(5)
+    adj = np.triu(rng.random((v, v)) < 0.002, 1)
+    adj[:, :40] = adj[:40] = False  # isolated vertices
+    adj |= adj.T
+    for rows in (graph_core._BFS_ROWS, 1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_core, "_BFS_ROWS", rows)
+            depth = check_forest(adj)
+        assert np.bincount(depth).max() > 2 * rows  # at least 3 blocks
 
 
 @settings(max_examples=80, deadline=None)
@@ -497,50 +543,53 @@ def check_sparse_form(adj):
 @example(np.zeros((0, 0), dtype=bool), 1)
 @example(np.zeros((1, 1), dtype=bool), 1)
 @example(np.zeros((70, 70), dtype=bool), 100)
-def test_sparse_form_matches_scipy(adj, block_entries):
-    """Read in row blocks of any size, _csr has scipy's own CSR structure
-    with float64 ones, and the strong components over it are scipy's
-    undirected components up to renumbering."""
+def test_neighbour_lists_match_scipy(adj, block_entries):
+    """Read in row blocks of any size, the neighbour lists have scipy's own
+    CSR structure."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graph_core, "_CSR_BLOCK_ENTRIES", block_entries)
-        check_sparse_form(adj)
+        mp.setattr(graph_core, "_NEIGHBOUR_BLOCK_ENTRIES", block_entries)
+        indptr, indices = graph_core._neighbours(adj)
+    expected = csr_matrix(adj)
+    assert np.array_equal(indptr, expected.indptr)
+    assert np.array_equal(indices, expected.indices)
 
 
-def test_sparse_form_spans_several_default_blocks():
-    v = 3000
-    assert v > 2 * (graph_core._CSR_BLOCK_ENTRIES // v)  # at least 3 blocks
-    rng = np.random.default_rng(5)
-    adj = np.triu(rng.random((v, v)) < 0.002, 1)
-    adj[:, :40] = adj[:40] = False  # isolated vertices
-    check_sparse_form(adj | adj.T)
+def test_dense_traversals_build_no_sparse_form(monkeypatch):
+    """Components, the two-coloring, the complete-bipartite test and the
+    Cayley BFS from 0 read the dense rows only.  all_pairs_distances builds
+    the neighbour lists once on either route, and only the per-source
+    route wraps them in a scipy matrix."""
+    lists, matrices = [], []
+    neighbours = graph_core._neighbours
 
+    def counted_lists(adj):
+        lists.append(adj)
+        return neighbours(adj)
 
-def test_one_sparse_form_per_graph(monkeypatch):
-    """Components, the two-coloring and both all-pairs paths (level BFS,
-    per-source search), and translation_distances on a ring graph, all read
-    one cached CSR per graph."""
-    builds = []
-
-    def counted(*args, **kwargs):
-        builds.append(args)
+    def counted_matrix(*args, **kwargs):
+        matrices.append(args)
         return csr_matrix(*args, **kwargs)
-    monkeypatch.setattr(graph_core, "csr_matrix", counted)
-    for g in (random_connected_graph(60, 0.05, random.Random(3)),
-              path_graph(1000)):
-        builds.clear()
+    monkeypatch.setattr(graph_core, "_neighbours", counted_lists)
+    monkeypatch.setattr(graph_core, "csr_matrix", counted_matrix)
+    for g, per_source in ((random_connected_graph(60, 0.05, random.Random(3)),
+                           False), (path_graph(1000), True)):
+        lists.clear()
+        matrices.clear()
         connected_components(g)
         assert is_bipartite(g) == (two_coloring(g) is not None)
-        all_pairs_distances(g)
         is_complete_bipartite(g)
-        assert len(builds) == 1
-        assert graph_core._csr(g) is graph_core._csr(g)
+        assert not lists and not matrices
+        all_pairs_distances(g)
+        assert len(lists) == 1 and len(matrices) == per_source
     spec = RingSpec.parse("tri:2,3,1")
     g = unitary_cayley(spec)
-    builds.clear()
+    lists.clear()
+    matrices.clear()
     translation_distances(g, difference_codes(spec))
     connected_components(g)
     two_coloring(g)
-    assert len(builds) == 1
+    is_complete_bipartite(g)
+    assert not lists and not matrices
 
 
 # -- antipodal ----------------------------------------------------------------
