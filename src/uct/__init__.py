@@ -19,7 +19,8 @@ from .finite_field import (DEFAULT_FIELD_CAP, FieldTable, field_add,
 from .tri_ring import (DEFAULT_VERTEX_CAP, HARD_VERTEX_CAP, RingSpec,
                        TriMatrix, decode, diagonal_of, encode, enumerate_ring,
                        from_parts, is_unit, mat_det, mat_sub, strict_upper_of)
-from .graph_core import (Graph, all_pairs_distances, antipodal, clique_number,
+from .graph_core import (Graph, all_pairs_distances, antipodal,
+                         cayley_triametral_triple, clique_number,
                          connected_components, diameter, is_bipartite,
                          is_complete_bipartite, iso_check, labeled_equal,
                          max_clique, translation_distances, triameter,

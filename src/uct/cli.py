@@ -21,12 +21,13 @@ import sys
 from .errors import (FieldTooLarge, GraphTooLarge, GraphTooLargeForOracle,
                      RingTooLarge, UctError, WrongField)
 from .finite_field import make_field
-from .graph_core import clique_number, connected_components, triameter
+from .graph_core import cayley_triametral_triple, clique_number, connected_components
 from .graphio import dump_json, to_dot, to_edge_list
 from .constructors import unitary_cayley
 from .theorem_checker import (CHECKS, RingInstance, checks_for, report_json,
                               run_check, run_suite)
-from .tri_ring import DEFAULT_VERTEX_CAP, HARD_VERTEX_CAP, RingSpec
+from .tri_ring import (DEFAULT_VERTEX_CAP, HARD_VERTEX_CAP, RingSpec,
+                       difference_codes)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -160,8 +161,9 @@ def cmd_invariants(args) -> int:
     comps = connected_components(g)
     connected = len(comps) == 1
     if connected:
-        diam = int(ring.dist.max())
-        triam = (triameter(g) if g.vertex_count >= 3
+        diam = int(ring.d0.max())
+        triam = (cayley_triametral_triple(ring.d0, difference_codes(ring.spec, cap))[0]
+                 if g.vertex_count >= 3
                  else "undefined: fewer than 3 vertices")
     else:
         diam = triam = "undefined: disconnected"

@@ -37,6 +37,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def power_exceeds(base: int, exponent: int, bound: int) -> bool:
+    """base**exponent > bound, for base >= 2 (False for smaller bases),
+    without forming a power above base**bit_length(bound), which already
+    exceeds the bound."""
+    return base > 1 and base ** min(exponent, bound.bit_length()) > bound
+
+
 def base_digits(value: int, base: int, width: int) -> list[int]:
     """Base-`base` digits of `value`, least significant first, padded to `width`."""
     out = []
@@ -158,13 +165,13 @@ def make_field(p: int, k: int, cap: int = DEFAULT_FIELD_CAP) -> FieldTable:
     Deterministic: two calls with equal (p, k) yield identical moduli and
     tables.  For k = 1 the modulus is x and the field is Z_p itself.
     """
+    if power_exceeds(p, k, cap):  # first: trial division is slow for a large p
+        raise FieldTooLarge(f"p**k = {p}**{k} exceeds field cap {cap}")
     if not is_prime(p):
         raise NotPrime(f"p={p} is not prime")
     if k < 1:
         raise ValueError(f"extension degree must be >= 1, got {k}")
     q = p ** k
-    if q > cap:
-        raise FieldTooLarge(f"p**k = {q} exceeds field cap {cap}")
 
     modulus = smallest_irreducible_modulus(p, k)
 

@@ -15,10 +15,13 @@ holds the largest finite distance plus one (uint8 up to a diameter of
 254), with that dtype's maximum marking pairs in different components;
 widen them before adding two, since a sum can overflow the dtype.  Graphs
 whose adjacency depends only on the difference of the endpoints in an
-additive group (Cayley graphs) get their distances from a single BFS out
-of vertex 0, since then d(x, y) = d(x - y, 0).  Diameter, triameter and
-antipodal graphs are only defined for connected graphs and raise
-DisconnectedGraph otherwise.
+additive group (Cayley graphs) get theirs as one length-V vector d0 from
+the BFS out of vertex 0 plus the group's difference table: d(x, y) =
+d0[x - y] (see translation_distances), so no V x V distance table is
+made, and their triameter is searched over the triples through vertex 0
+(see cayley_triametral_triple).  Diameter, triameter and antipodal graphs
+are only defined for connected graphs and raise DisconnectedGraph
+otherwise.
 """
 
 from __future__ import annotations
@@ -241,15 +244,17 @@ def _hop_dtype(longest: int) -> np.dtype:
 
 
 def _unreachable(d: np.ndarray) -> int:
-    """The entry of a distance matrix of all_pairs_distances or
+    """The entry of distances from all_pairs_distances or
     translation_distances that marks pairs in different components."""
     return int(np.iinfo(d.dtype).max)
 
 
 def largest_finite_distance(d: np.ndarray) -> int:
     """The largest distance between two vertices of one component in a
-    distance matrix of all_pairs_distances or translation_distances (0
-    when it has no entries)."""
+    distance matrix of all_pairs_distances, or in the distances d0 from
+    vertex 0 of translation_distances (0 when there are no entries).  The
+    components of a Cayley graph are translates of one another, so for d0
+    that is the largest over every component as well."""
     top = int(d.max()) if d.size else 0
     if top == _unreachable(d):
         top = int(d.max(where=d != top, initial=0))
@@ -295,7 +300,8 @@ def _all_sources_bfs(adj: np.ndarray) -> np.ndarray:
     the pairs not yet reached.  Level 1 is the packed adjacency itself.
 
     Each level's pairs are ORed into the bit planes of the level number,
-    so the distances are unpacked once per bit plane, not once per level.
+    so the distances are unpacked once per bit plane, not once per level,
+    and in row blocks of _NEIGHBOUR_BLOCK_ENTRIES entries.
     """
     v = adj.shape[0]
     if v == 0:
@@ -328,10 +334,16 @@ def _all_sources_bfs(adj: np.ndarray) -> np.ndarray:
         front = expand(front)
         front &= unreached
     hops = np.zeros((v, v), dtype=_hop_dtype(level))
-    for bit, plane in enumerate(planes):
-        hops |= np.left_shift(_unpack(plane, v), bit, dtype=hops.dtype)
-    if unreached.any():
-        hops[_unpack(unreached, v).view(bool)] = _unreachable(hops)
+    split = unreached.any()  # some pairs lie in different components
+    rows = max(_NEIGHBOUR_BLOCK_ENTRIES // v, 1)
+    for start in range(0, v, rows):
+        stop = start + rows
+        block = hops[start:stop]
+        for bit, plane in enumerate(planes):
+            block |= np.left_shift(_unpack(plane[start:stop], v), bit,
+                                   dtype=hops.dtype)
+        if split:
+            block[_unpack(unreached[start:stop], v).view(bool)] = _unreachable(hops)
     return hops
 
 
@@ -401,49 +413,48 @@ def _gather_expand(indptr, indices):
 
 
 def translation_distances(g: Graph, diff) -> np.ndarray:
-    """All-pairs hop distances of a Cayley graph from one BFS out of vertex 0.
+    """Hop distances from vertex 0 of a Cayley graph: a read-only length-V
+    vector d0 with d(x, y) = d0[diff[x, y]].
 
     `diff[x, y]` is the vertex index of x - y in the underlying group (see
     tri_ring.difference_codes).  Every pair is checked to satisfy
     adj[x, y] == adj[x - y, 0] first, so translation is an automorphism and
-    d(x, y) = d(x - y, 0); NotTranslationInvariant is raised otherwise.  The
-    result has the format of all_pairs_distances (hop counts in the
-    smallest unsigned dtype with room for a mark above them; widen before
-    adding) and fills the same cache slot.  The distances from 0 are
-    narrowed before the gather, so the gathered table takes one byte per
-    pair up to a diameter of 254.
+    d(x, y) = d(x - y, 0); NotTranslationInvariant is raised otherwise.  d0
+    has the format of all_pairs_distances (hop counts in the smallest
+    unsigned dtype with room for a mark above them, on the vertices outside
+    0's component; widen before adding) and is not cached on g.
     """
     adj = g.adjacency
     diff = np.asarray(diff)
-    if diff.shape != adj.shape or g.vertex_count == 0:
+    v = g.vertex_count
+    if diff.shape != adj.shape or v == 0:
         raise ValueError("difference table must be V x V with V >= 1")
-    if diff.min() < 0 or diff.max() >= g.vertex_count:
+    if diff.min() < 0 or diff.max() >= v:
         raise ValueError("difference table entries must be vertex indices")
-    if not np.array_equal(adj[:, 0][diff], adj):
+    # Row 0 stands for column 0 (g is symmetric); rows go in blocks.
+    rows = max(_NEIGHBOUR_BLOCK_ENTRIES // v, 1)
+    if not all(np.array_equal(adj[0][diff[i:i + rows]], adj[i:i + rows])
+               for i in range(0, v, rows)):
         raise NotTranslationInvariant(
             "adjacency is not invariant under the given translations")
-    if "dist" not in g._cache:
-        _, label, depth, _ = _bfs_forest(g)
-        reached = label == 0  # vertex 0 roots the first component's BFS
-        dtype = _hop_dtype(int(depth.max(where=reached, initial=0)))
-        d = np.where(reached, depth, np.iinfo(dtype).max).astype(dtype)[diff]
-        d.flags.writeable = False
-        g._cache["dist"] = d
-    return g._cache["dist"]
+    _, label, depth, _ = _bfs_forest(g)
+    reached = label == 0  # vertex 0 roots the first component's BFS
+    dtype = _hop_dtype(int(depth.max(where=reached, initial=0)))
+    d0 = np.where(reached, depth, np.iinfo(dtype).max).astype(dtype)
+    d0.flags.writeable = False
+    return d0
 
 
-def _connected_distances(g: Graph, op: str):
-    """(all-pairs distances, diameter) of a connected graph; the diameter
-    is 0 when g has no vertices."""
-    d = all_pairs_distances(g)
+def _connected_diameter(d: np.ndarray, op: str) -> int:
+    """The largest of the distances d of a connected graph (0 if d is empty)."""
     diam = int(d.max()) if d.size else 0  # one reduction, no V x V temporary
     if diam == _unreachable(d):
         raise DisconnectedGraph(f"{op} is undefined for disconnected graphs")
-    return d, diam
+    return diam
 
 
 def diameter(g: Graph) -> int:
-    return _connected_distances(g, "diameter")[1]
+    return _connected_diameter(all_pairs_distances(g), "diameter")
 
 
 def triametral_triple(g: Graph):
@@ -453,20 +464,33 @@ def triametral_triple(g: Graph):
     that cannot beat the current best are skipped, and the search stops
     as soon as the 3*diam upper bound is attained.
     """
-    d, diam = _connected_distances(g, "triameter")
-    v = g.vertex_count
-    if v < 3:
+    d = all_pairs_distances(g)
+    return _triametral_search(d, lambda x, s: d[x, s:], len(d) - 2)
+
+
+def cayley_triametral_triple(d0: np.ndarray, diff):
+    """triametral_triple of a Cayley graph (see translation_distances) over
+    the triples (0, b, c) only: translation carries the lexicographically
+    first triametral triple onto one through 0."""
+    return _triametral_search(d0, lambda x, s: d0[diff[x, s:]], 1)
+
+
+def _triametral_search(d: np.ndarray, row, firsts: int):
+    """triametral_triple over the triples (a, b, c) with a < firsts; row(x, s)
+    holds d(x, y) for y >= s, and the largest entry of d is the diameter."""
+    diam = _connected_diameter(d, "triameter")
+    if len(d) < 3:
         raise ValueError("triameter needs at least 3 vertices")
     bound = 3 * diam
     best = -1
     best_triple = None
-    for a in range(v - 2):
-        da = d[a].astype(np.intp)  # sums of three hop counts overflow d.dtype
-        for b in range(a + 1, v - 1):
+    for a in range(firsts):
+        da = row(a, 0).astype(np.intp)  # sums of three hop counts overflow d.dtype
+        for b in range(a + 1, len(d) - 1):
             dab = da[b]
             if dab + 2 * diam <= best:
                 continue
-            tail = da[b + 1:] + d[b, b + 1:]
+            tail = da[b + 1:] + row(b, b + 1)
             top = tail.max()
             val = int(dab + top)
             if val > best:
@@ -594,8 +618,8 @@ def is_complete_bipartite(g: Graph):
 
 def antipodal(g: Graph) -> Graph:
     """Same vertices; edge uv iff d(u, v) equals the diameter of g."""
-    d, diam = _connected_distances(g, "antipodal graph")
-    adj = d == diam
+    d = all_pairs_distances(g)
+    adj = d == _connected_diameter(d, "antipodal graph")
     np.fill_diagonal(adj, False)  # diam 0 would otherwise put loops
     return Graph(adj, labels=g.labels, cap=max(g.vertex_count, 1))
 

@@ -51,17 +51,18 @@ def read_edge_list(text: str, vertex_count=None) -> Graph:
     1 + the largest mentioned vertex.
 
     Blank lines and lines starting with '#' are skipped; every other line
-    must hold exactly two integers, else ValueError.  The integers are
-    parsed in one numpy conversion.
+    must hold exactly two integers, else ValueError.  np.loadtxt parses the
+    kept lines and checks their column count in one pass.
     """
     lines = [line for line in text.splitlines()
              if (s := line.lstrip()) and s[0] != "#"]
-    if any(len(line.split()) != 2 for line in lines):
-        raise ValueError("each edge-list line must hold two vertex indices")
     try:
-        ends = np.array(" ".join(lines).split(), dtype=np.int64).reshape(-1, 2)
-    except OverflowError as exc:
-        raise ValueError(f"vertex index out of range: {exc}") from None
+        ends = (np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2)
+                if lines else np.zeros((0, 2), dtype=np.int64))
+    except ValueError as exc:
+        raise ValueError(f"each edge-list line must hold two integers: {exc}") from None
+    if ends.shape[1] != 2:
+        raise ValueError("each edge-list line must hold two vertex indices")
     if vertex_count is None:
         vertex_count = int(ends.max()) + 1 if ends.size else 0
     return Graph.from_edges(vertex_count, ends)

@@ -24,10 +24,10 @@ from .constructors import (VertexLabeling, antipodal_hamming_direct,
                            semistrong_product, unitary_cayley)
 from .errors import UctError, WrongField
 from .finite_field import is_prime
-from .graph_core import (ISO_ORACLE_CAP, connected_components, is_bipartite,
-                         is_complete_bipartite, iso_check, labeled_equal,
-                         largest_finite_distance, max_clique,
-                         translation_distances, triametral_triple)
+from .graph_core import (ISO_ORACLE_CAP, cayley_triametral_triple,
+                         connected_components, is_bipartite, is_complete_bipartite,
+                         iso_check, labeled_equal, largest_finite_distance,
+                         max_clique, translation_distances)
 from .tri_ring import (DEFAULT_VERTEX_CAP, RingSpec, diagonal_slots,
                        difference_codes, encode, entry_digit_matrix,
                        enumerate_ring, from_parts, is_unit, strict_upper_slots,
@@ -63,7 +63,9 @@ class Verdict:
 class RingInstance:
     """One spec's unitary Cayley graph and the data derived from it, each
     built on first use and shared by the spec's checks.  An int spec is
-    the modulus of Z_n."""
+    the modulus of Z_n.  Its distances are the length-V vector d0 from
+    vertex 0; a caller that reads d(x, y) = d0[diff[x, y]] builds its own
+    difference table diff with tri_ring.difference_codes."""
 
     def __init__(self, spec, cap: int = DEFAULT_VERTEX_CAP):
         self.spec = RingSpec.integers_mod(spec) if isinstance(spec, int) else spec
@@ -83,10 +85,10 @@ class RingInstance:
         return self.digits[:, list(diagonal_slots(self.spec.n))]
 
     @cached_property
-    def dist(self) -> np.ndarray:
-        """All-pairs distances, from one BFS out of vertex 0: read-only hop
-        counts in the format of graph_core.all_pairs_distances (uint8 up
-        to a diameter of 254); widen before adding them."""
+    def d0(self) -> np.ndarray:
+        """Hop distances from vertex 0, read-only: d(x, y) = d0[diff[x, y]]
+        for the difference table diff (see graph_core.translation_distances,
+        uint8 up to a diameter of 254); widen before adding them."""
         return translation_distances(self.graph,
                                      difference_codes(self.spec, self.cap))
 
@@ -218,7 +220,7 @@ def check_connectivity_and_diameter(ring: RingInstance):
     (diagonal avoiding both, zero off-diagonal) adjacent to both."""
     spec, g = ring.spec, ring.graph
     comps = connected_components(g)
-    diam = largest_finite_distance(ring.dist)
+    diam = largest_finite_distance(ring.d0)
 
     certificate = {}
     adj = g.adjacency
@@ -252,24 +254,23 @@ def check_triameter(ring: RingInstance):
     """q > 2: the triameter is exactly 6.  Also verifies the diagonal-matrix
     witness triple diag(a,a,...), diag(a,b,...), diag(a,c,...) attains
     2+2+2."""
-    spec = ring.spec
-    dist = ring.dist  # fills the graph's distance cache triametral_triple reads
-    value, triple = triametral_triple(ring.graph)
+    spec, d0 = ring.spec, ring.d0
+    diff = difference_codes(spec, ring.cap)
+    value, triple = cayley_triametral_triple(d0, diff)
 
     a, b, c = 0, 1, 2
     d1 = _diagonal_matrix_encoding(spec, [a] * spec.n)
     d2 = _diagonal_matrix_encoding(spec, [a] + [b] * (spec.n - 1))
     d3 = _diagonal_matrix_encoding(spec, [a] + [c] * (spec.n - 1))
-    witness_sum = sum(int(dist[x, y])
+    witness_sum = sum(int(d0[diff[x, y]])
                       for x, y in ((d1, d2), (d1, d3), (d2, d3)))
 
     expected = {"triameter": 6, "diagonal_witness_sum": 6}
     computed = {"triameter": value, "diagonal_witness_sum": witness_sum}
     certificate = {
         "triametral_triple": list(triple),
-        "pairwise": [int(dist[triple[0], triple[1]]),
-                     int(dist[triple[0], triple[2]]),
-                     int(dist[triple[1], triple[2]])],
+        "pairwise": [int(d0[diff[triple[i], triple[j]]])
+                     for i, j in ((0, 1), (0, 2), (1, 2))],
         "diagonal_witness": [d1, d2, d3],
     }
     return expected, computed, certificate

@@ -21,7 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatch, FieldTooLarge, RingTooLarge
 from .finite_field import (DEFAULT_FIELD_CAP, FieldTable, base_digits,
-                           digits_to_int, is_prime, make_field)
+                           digits_to_int, is_prime, make_field, power_exceeds)
 
 DEFAULT_VERTEX_CAP = 1 << 16
 HARD_VERTEX_CAP = 1 << 20
@@ -130,14 +130,17 @@ class RingSpec:
         if self.kind == "tri":
             if self.n < 2:
                 raise ValueError("matrix dimension must be >= 2")
+            if power_exceeds(self.p, self.k, DEFAULT_FIELD_CAP):
+                raise FieldTooLarge(f"p**k = {self.p}**{self.k} exceeds field "
+                                    f"cap {DEFAULT_FIELD_CAP}")
             if not is_prime(self.p):
                 raise ValueError(f"p={self.p} is not prime")
             if self.k < 1:
                 raise ValueError("extension degree must be >= 1")
-            # Capping the exponent keeps p**k small; 2**bit_length(cap) > cap.
-            if self.p ** min(self.k, DEFAULT_FIELD_CAP.bit_length()) > DEFAULT_FIELD_CAP:
-                raise FieldTooLarge(f"p**k = {self.p}**{self.k} exceeds field "
-                                    f"cap {DEFAULT_FIELD_CAP}")
+            exponent = self.k * self.n * (self.n + 1) // 2
+            if power_exceeds(self.p, exponent, 1 << 64):
+                raise RingTooLarge(f"ring {self} has {self.p}**{exponent} "
+                                   "elements, more than 2**64")
         elif self.kind == "zn":
             if self.modulus < 2:
                 raise ValueError("modulus must be >= 2")

@@ -84,6 +84,21 @@ def test_invariants_connected(capsys):
                                "triameter": 6, "clique": 3}
 
 
+def test_invariants_read_no_all_pairs_distances(capsys, monkeypatch):
+    """The diameter and triameter of a q > 2 ring come from d0 and the
+    difference table, never from the generic all-pairs search."""
+    import uct.graph_core as graph_core
+
+    def refuse(g):
+        raise AssertionError("all_pairs_distances called")
+    monkeypatch.setattr(graph_core, "all_pairs_distances", refuse)
+    code, out, _ = run_cli(capsys, "invariants", "--ring", "tri", "--n", "3",
+                           "--p", "3", "--k", "1")
+    assert code == 0
+    assert json.loads(out) == {"degree": 216, "components": 1, "diameter": 2,
+                               "triameter": 6, "clique": 3}
+
+
 def test_invariants_disconnected(capsys):
     code, out, _ = run_cli(capsys, "invariants", "--ring", "tri", "--n", "3",
                            "--p", "2", "--k", "1")
@@ -274,6 +289,28 @@ def test_verify_field_over_cap_exits_3():
     assert proc.stdout == ""
     assert proc.stderr.splitlines() == [proc.stderr.strip()]
     assert proc.stderr.startswith("error:") and "field cap" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["field", "info", "--p", "1000000000000000003"],
+    ["verify", "--spec", "tri:2,1000000000000000003,1"],
+    ["field", "info", "--p", "2", "--k", "1000000000"],
+    ["verify", "--spec", "tri:3000,2,1"],
+    ["build", "--ring", "tri", "--n", "3000", "--p", "2"],
+    ["verify", "--spec", "tri:100000,2,1"],
+])
+def test_huge_sizes_exit_3_without_arithmetic_on_them(argv):
+    """Caps are checked before primality tests and before any power is
+    formed: a huge prime p, p**k or ring order is one error line at once,
+    not a trial division, a power with a billion digits or its printing."""
+    src = os.path.dirname(os.path.dirname(uct.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "uct", *argv], env=env,
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [proc.stderr.strip()]
+    assert proc.stderr.startswith("error:")
 
 
 def test_out_of_memory_exits_3():

@@ -323,7 +323,7 @@ def test_distances_take_one_byte_per_pair():
     assert d.dtype == np.uint8 and d.nbytes == 4096 * 4096
     ring = RingInstance(RingSpec.parse("tri:2,3,2"))
     v = ring.graph.vertex_count
-    assert ring.dist.dtype == np.uint8 and ring.dist.nbytes == v * v
+    assert ring.d0.dtype == np.uint8 and ring.d0.shape == (v,)
 
 
 def test_per_source_route_holds_no_float_matrix():
@@ -340,6 +340,21 @@ def test_per_source_route_holds_no_float_matrix():
         tracemalloc.stop()
     assert d.dtype == np.uint16 and d[0, v - 1] == v - 1
     assert peak < 8 * v * v
+
+
+def test_level_route_unpacks_its_bit_planes_in_row_blocks():
+    """H(12, 2): a 16.8 MB uint8 result whose four bit planes are unpacked
+    a row block at a time, not as whole 4096 x 4096 arrays (63 MB peak)."""
+    g = hamming_graph(12, 2)
+    graph_core._bfs_forest(g)  # the forest behind the level bound
+    tracemalloc.start()
+    try:
+        d = all_pairs_distances(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.dtype == np.uint8 and d.max() == 12
+    assert peak < 40_000_000
 
 
 # -- triameter ----------------------------------------------------------------

@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+import uct.graph_core as graph_core
 import uct.theorem_checker as tc
 from uct import (RingSpec, WrongField, all_pairs_distances,
                  antipodal_hamming_direct, check_clique,
@@ -288,8 +289,21 @@ def test_suite_builds_each_graph_and_difference_table_once(monkeypatch):
                         counting("tables", tc.difference_codes))
     verdicts = run_suite([T23, T22], threads=1)
     assert all(v.passed for v in verdicts)
+    # T23 builds two tables: one for RingInstance.d0 and one for the rows
+    # of the triameter search; the q = 2 checks read no distances.
     assert built == {"graphs": ["tri:2,3,1", "tri:2,2,1"],
-                     "tables": ["tri:2,3,1"]}
+                     "tables": ["tri:2,3,1", "tri:2,3,1"]}
+
+
+def test_suite_reads_no_all_pairs_distances(monkeypatch):
+    """Ring distances are d0 plus the difference table: a q > 2 spec never
+    enters the generic all-pairs search, whatever the check order."""
+    def refuse(g):
+        raise AssertionError("all_pairs_distances called")
+    monkeypatch.setattr(graph_core, "all_pairs_distances", refuse)
+    verdicts = run_suite([T23], threads=1)
+    assert len(verdicts) == 7 and all(v.passed for v in verdicts)
+    assert check_triameter(T23).passed
 
 
 def test_prop1_checks_the_graph_the_other_checks_use(monkeypatch):

@@ -1,13 +1,15 @@
-"""The Cayley fast path (one BFS from 0 plus a translation check) against
-the generic all-pairs BFS it replaces for ring graphs."""
+"""The Cayley fast path (one BFS from 0 plus a translation check, and the
+triameter through vertex 0) against the generic all-pairs BFS and
+triameter search it replaces for ring graphs."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uct import (Graph, NotTranslationInvariant, RingSpec, all_pairs_distances,
-                 translation_distances, unitary_cayley)
+from uct import (DisconnectedGraph, Graph, NotTranslationInvariant, RingSpec,
+                 all_pairs_distances, cayley_triametral_triple,
+                 translation_distances, triametral_triple, unitary_cayley)
 from uct.tri_ring import difference_codes, tuple_codes
 
 # Every triangular spec of at most 1024 vertices that the test suite or
@@ -21,14 +23,25 @@ ZN_SPECS = ["zn:2", "zn:12", "zn:30", "zn:64", "zn:9", "zn:45", "zn:13",
 LARGE_SPECS = ["tri:3,2,2"]
 
 
+def assert_matches_generic(adj, diff, dtype=None):
+    """translation_distances' d0 against the generic distances of a fresh
+    graph: d0[diff] is every pair, d0 is row 0, dtype and all, and the
+    generic distance cache is left to all_pairs_distances."""
+    g = Graph(adj)
+    d0 = translation_distances(g, diff)
+    assert "dist" not in g._cache
+    generic = all_pairs_distances(Graph(adj))
+    assert d0.shape == (len(adj),) and not d0.flags.writeable
+    assert d0.dtype == generic.dtype == (dtype or generic.dtype)
+    assert np.array_equal(d0, generic[0])
+    assert np.array_equal(d0[diff], generic)
+
+
 @pytest.mark.parametrize("text", TRI_SPECS + ZN_SPECS + LARGE_SPECS)
 def test_matches_generic_distances(text):
     spec = RingSpec.parse(text)
-    fast = translation_distances(unitary_cayley(spec), difference_codes(spec))
-    generic = all_pairs_distances(unitary_cayley(spec))
-    assert fast.dtype == generic.dtype == np.uint8
-    assert np.array_equal(fast, generic)
-    assert not fast.flags.writeable
+    assert_matches_generic(unitary_cayley(spec).adjacency,
+                           difference_codes(spec), np.uint8)
 
 
 @pytest.mark.parametrize("m, step, dtype", [(600, 2, np.uint8),
@@ -40,16 +53,7 @@ def test_long_cycles_match_generic(m, step, dtype):
     diff = difference_codes(RingSpec.integers_mod(m))
     connection = np.zeros(m, dtype=bool)
     connection[[step, -step]] = True
-    fast = translation_distances(Graph(connection[diff]), diff)
-    generic = all_pairs_distances(Graph(connection[diff]))
-    assert fast.dtype == generic.dtype == dtype
-    assert np.array_equal(fast, generic)
-
-
-def test_fills_the_all_pairs_cache():
-    spec = RingSpec.parse("tri:2,3,1")
-    g = unitary_cayley(spec)
-    assert translation_distances(g, difference_codes(spec)) is all_pairs_distances(g)
+    assert_matches_generic(connection[diff], diff, dtype)
 
 
 def test_circulant_with_one_edge_removed_raises():
@@ -85,8 +89,7 @@ def circulants(draw):
 def test_random_circulant_matches_generic(case):
     m, connection = case
     diff = difference_codes(RingSpec.integers_mod(m))
-    fast = translation_distances(Graph(connection[diff]), diff)
-    assert np.array_equal(fast, all_pairs_distances(Graph(connection[diff])))
+    assert_matches_generic(connection[diff], diff)
 
 
 @st.composite
@@ -111,5 +114,28 @@ def cayley_graphs_of_zq_power(draw):
 @given(cayley_graphs_of_zq_power())
 def test_random_cayley_graph_of_zq_power_matches_generic(case):
     diff, connection = case
-    fast = translation_distances(Graph(connection[diff]), diff)
-    assert np.array_equal(fast, all_pairs_distances(Graph(connection[diff])))
+    assert_matches_generic(connection[diff], diff)
+
+
+def triameter_outcome(search, *args):
+    """search(*args), or the type of the error it raises."""
+    try:
+        return search(*args)
+    except (DisconnectedGraph, ValueError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    circulants().map(lambda case: (difference_codes(
+        RingSpec.integers_mod(case[0])), case[1])),
+    cayley_graphs_of_zq_power()))
+def test_triameter_through_vertex_0_matches_generic(case):
+    """The scan of the triples (0, b, c) gives the generic search's value
+    and lexicographically first triple, on graphs that stop at the 3 * diam
+    bound and on graphs that scan every triple through 0; both raise alike
+    on disconnected graphs and graphs of fewer than 3 vertices."""
+    diff, connection = case
+    d0 = translation_distances(Graph(connection[diff]), diff)
+    assert (triameter_outcome(cayley_triametral_triple, d0, diff)
+            == triameter_outcome(triametral_triple, Graph(connection[diff])))

@@ -13,6 +13,7 @@ from uct import (DimensionMismatch, FieldTooLarge, RingSpec, RingTooLarge,
                  TriMatrix, constructors, decode, diagonal_of, encode,
                  enumerate_ring, from_parts, is_unit, make_field, mat_det,
                  mat_sub, strict_upper_of)
+from uct.finite_field import power_exceeds
 from uct.tri_ring import (DEFAULT_VERTEX_CAP, diagonal_slots, difference_codes,
                           entry_digit_matrix, strict_upper_slots, tuple_codes,
                           unit_mask, upper_positions)
@@ -278,6 +279,19 @@ def test_ring_spec_validation():
             RingSpec.triangular(2, p, k)
     with pytest.raises(FieldTooLarge):
         RingSpec.parse("tri:2,67,1")
+
+
+def test_ring_order_is_bounded_before_it_is_formed():
+    """T_10(GF(2)) has 2**55 elements, T_11(GF(2)) 2**66: RingTooLarge
+    above 2**64, decided from p and the exponent, even for a dimension
+    whose order would have billions of digits."""
+    assert RingSpec.triangular(10, 2, 1).order == 2 ** 55
+    assert RingSpec.triangular(4, 2, 6).order == 2 ** 60
+    for n, p, k in [(11, 2, 1), (5, 2, 6), (100000, 2, 1)]:
+        with pytest.raises(RingTooLarge, match=rf"{p}\*\*{k * n * (n + 1) // 2} "):
+            RingSpec.triangular(n, p, k)
+    assert power_exceeds(2, 65, 1 << 64) and not power_exceeds(2, 64, 1 << 64)
+    assert not power_exceeds(-100, 2, 64) and not power_exceeds(1, 10 ** 9, 64)
 
 
 def test_tri_matrix_validation():
