@@ -26,8 +26,7 @@ from .graphio import dump_json, to_dot, to_edge_list
 from .constructors import unitary_cayley
 from .theorem_checker import (CHECKS, RingInstance, checks_for, report_json,
                               run_check, run_suite)
-from .tri_ring import (DEFAULT_VERTEX_CAP, HARD_VERTEX_CAP, RingSpec,
-                       difference_codes)
+from .tri_ring import DEFAULT_VERTEX_CAP, HARD_VERTEX_CAP, RingSpec
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -140,7 +139,7 @@ def cmd_build(args) -> int:
     cap = _resolve_cap(args)
     spec = _ring_spec(args)
     g = unitary_cayley(spec, cap)
-    print(f"{g.vertex_count} vertices, {g.edge_count()} edges")
+    print(f"{g.vertex_count} vertices, {g.edge_count()} edges", file=sys.stderr)
     if args.format == "edges":
         text = to_edge_list(g)
     elif args.format == "dot":
@@ -162,7 +161,7 @@ def cmd_invariants(args) -> int:
     connected = len(comps) == 1
     if connected:
         diam = int(ring.d0.max())
-        triam = (cayley_triametral_triple(ring.d0, difference_codes(ring.spec, cap))[0]
+        triam = (cayley_triametral_triple(ring.d0, ring.minus)[0]
                  if g.vertex_count >= 3
                  else "undefined: fewer than 3 vertices")
     else:

@@ -6,10 +6,10 @@ be tested as labeled-graph equality instead of isomorphism search.
 Tuples are encoded base-q with the first coordinate least significant,
 matching the matrix entry encoding in tri_ring.  Ring graphs are Cayley
 graphs of (R, +) and are built from that definition: a unit mask over the
-elements, read at the table of differences x - y.  The Hamming graph
-H(n, q) and its antipodal graph A(H(n, q)) are the Cartesian and direct
-powers of K_q, so both are built as Kronecker products of I_q and
-J_q - I_q, never by a pass over all pairs per coordinate.
+elements, read at the differences x - y a row block at a time.  H(n, q)
+and its antipodal graph A(H(n, q)) are the Cartesian and direct powers of
+K_q, so both are built as Kronecker products of I_q and J_q - I_q, never
+by a pass over all pairs per coordinate.
 diagonal_quotient keeps its own field-subtraction rule, so comparing it
 with antipodal_hamming_direct compares two independent constructions.
 """
@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GraphTooLarge
-from .graph_core import Graph
-from .tri_ring import (DEFAULT_VERTEX_CAP, RingSpec, difference_codes,
+from .graph_core import Graph, row_blocks
+from .tri_ring import (DEFAULT_VERTEX_CAP, RingSpec, difference_rows,
                        entry_digit_matrix, tuple_codes, unit_mask)
 
 
@@ -56,13 +56,15 @@ def unitary_cayley(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     """The unitary Cayley graph of the ring: vertices in canonical encoding
     order, edge xy iff x - y is a unit.
 
-    Adjacency is tri_ring.unit_mask read at tri_ring.difference_codes, so
-    the unit rule (gcd for Z_n, a nonzero determinant for triangular rings)
-    is evaluated once per element, not once per pair.  check_prop1
-    compares the triangular graphs with the all-diagonal-entries-differ
-    rule on every pair.
+    Adjacency is tri_ring.unit_mask read at tri_ring.difference_rows: the
+    unit rule (gcd for Z_n, a nonzero determinant for T_n) is evaluated once
+    per element, not once per pair.  check_prop1 compares the triangular
+    graphs with the all-diagonal-entries-differ rule on every pair.
     """
-    adj = unit_mask(spec, cap)[difference_codes(spec, cap)]
+    mask = unit_mask(spec, cap)
+    adj = np.empty((len(mask), len(mask)), dtype=bool)
+    for rows in row_blocks(len(mask)):
+        adj[rows] = mask[difference_rows(spec, rows, cap)]
     labels = (range(spec.modulus) if spec.kind == "zn"
               else _digit_labels(entry_digit_matrix(spec, cap)))
     return Graph(adj, labels=labels, cap=cap)
@@ -171,10 +173,10 @@ def diagonal_quotient(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     v = q ** spec.n
     if v > cap:
         raise GraphTooLarge(f"q**n = {v} exceeds the cap of {cap}")
-    f = spec.field()
+    nonzero = spec.field().sub_table != 0
     t = tuple_codes(spec.n, q)
     adj = np.ones((v, v), dtype=bool)
-    for i in range(spec.n):
-        col = t[:, i]
-        adj &= f.sub_table[col[:, None], col[None, :]] != 0
+    for rows in row_blocks(v):
+        for col in t.T:
+            adj[rows] &= nonzero[col[rows, None], col]
     return Graph(adj, labels=_digit_labels(t), cap=cap)

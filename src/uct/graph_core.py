@@ -16,12 +16,11 @@ holds the largest finite distance plus one (uint8 up to a diameter of
 widen them before adding two, since a sum can overflow the dtype.  Graphs
 whose adjacency depends only on the difference of the endpoints in an
 additive group (Cayley graphs) get theirs as one length-V vector d0 from
-the BFS out of vertex 0 plus the group's difference table: d(x, y) =
-d0[x - y] (see translation_distances), so no V x V distance table is
-made, and their triameter is searched over the triples through vertex 0
-(see cayley_triametral_triple).  Diameter, triameter and antipodal graphs
-are only defined for connected graphs and raise DisconnectedGraph
-otherwise.
+the BFS out of vertex 0: d(x, y) = d0[x - y] (see translation_distances),
+and their triameter is searched over the triples through vertex 0 (see
+cayley_triametral_triple).  Passes over V x V pairs hold one row block at
+a time (see row_blocks).  Diameter, triameter and antipodal graphs are
+only defined for connected graphs and raise DisconnectedGraph otherwise.
 """
 
 from __future__ import annotations
@@ -301,11 +300,9 @@ def _all_sources_bfs(adj: np.ndarray) -> np.ndarray:
 
     Each level's pairs are ORed into the bit planes of the level number,
     so the distances are unpacked once per bit plane, not once per level,
-    and in row blocks of _NEIGHBOUR_BLOCK_ENTRIES entries.
+    one row block at a time (see row_blocks).
     """
     v = adj.shape[0]
-    if v == 0:
-        return np.zeros((0, 0), dtype=_hop_dtype(0))
     words = -(-v // 64)
     vertex = np.arange(v)
     unreached = np.zeros((v, words), dtype=_WORD)
@@ -335,15 +332,12 @@ def _all_sources_bfs(adj: np.ndarray) -> np.ndarray:
         front &= unreached
     hops = np.zeros((v, v), dtype=_hop_dtype(level))
     split = unreached.any()  # some pairs lie in different components
-    rows = max(_NEIGHBOUR_BLOCK_ENTRIES // v, 1)
-    for start in range(0, v, rows):
-        stop = start + rows
-        block = hops[start:stop]
+    for rows in row_blocks(v):
+        block = hops[rows]
         for bit, plane in enumerate(planes):
-            block |= np.left_shift(_unpack(plane[start:stop], v), bit,
-                                   dtype=hops.dtype)
+            block |= np.left_shift(_unpack(plane[rows], v), bit, dtype=hops.dtype)
         if split:
-            block[_unpack(unreached[start:stop], v).view(bool)] = _unreachable(hops)
+            block[_unpack(unreached[rows], v).view(bool)] = _unreachable(hops)
     return hops
 
 
@@ -353,15 +347,22 @@ def _unpack(rows: np.ndarray, v: int) -> np.ndarray:
                          bitorder="little")
 
 
-# Dense adjacency entries _neighbours reads per row block: a 4 MB bool
-# block, whose nonzero positions take at most 32 MB as int64.
-_NEIGHBOUR_BLOCK_ENTRIES = 1 << 22
+# Entries of a V-column array per row block: 4 MB of bool, 8 MB of uint16
+# difference codes or at most 32 MB of int64 nonzero positions.
+_ROW_BLOCK_ENTRIES = 1 << 22
+
+
+def row_blocks(v: int) -> list:
+    """Slices of rows covering 0..v-1, each at least one row and at most
+    _ROW_BLOCK_ENTRIES entries of a v-column array."""
+    step = max(_ROW_BLOCK_ENTRIES // max(v, 1), 1)
+    return [slice(i, min(i + step, v)) for i in range(0, v, step)]
 
 
 def _neighbours(adj: np.ndarray):
     """(indptr, indices): the sorted neighbour lists of a bool adjacency in
-    CSR layout, with no data array.  The rows are read in blocks of
-    _NEIGHBOUR_BLOCK_ENTRIES, with no array of all (row, col) pairs."""
+    CSR layout, with no data array.  The rows are read one row block at a
+    time, with no array of all (row, col) pairs."""
     v = adj.shape[0]
     counts = np.count_nonzero(adj, axis=1)
     nnz = int(counts.sum())
@@ -369,11 +370,9 @@ def _neighbours(adj: np.ndarray):
     indptr = np.zeros(v + 1, dtype=index)
     np.cumsum(counts, out=indptr[1:])
     indices = np.empty(nnz, dtype=index)
-    rows = max(_NEIGHBOUR_BLOCK_ENTRIES // max(v, 1), 1)
-    for start in range(0, v, rows):
-        stop = min(start + rows, v)
-        flat = np.flatnonzero(adj[start:stop])
-        indices[indptr[start]:indptr[stop]] = np.remainder(flat, v, out=flat)
+    for rows in row_blocks(v):
+        flat = np.flatnonzero(adj[rows])
+        indices[indptr[rows.start]:indptr[rows.stop]] = np.remainder(flat, v, out=flat)
     return indptr, indices
 
 
@@ -412,31 +411,30 @@ def _gather_expand(indptr, indices):
     return expand
 
 
-def translation_distances(g: Graph, diff) -> np.ndarray:
+def translation_distances(g: Graph, minus) -> np.ndarray:
     """Hop distances from vertex 0 of a Cayley graph: a read-only length-V
-    vector d0 with d(x, y) = d0[diff[x, y]].
+    vector d0 with d(x, y) = d0[x - y].
 
-    `diff[x, y]` is the vertex index of x - y in the underlying group (see
-    tri_ring.difference_codes).  Every pair is checked to satisfy
-    adj[x, y] == adj[x - y, 0] first, so translation is an automorphism and
-    d(x, y) = d(x - y, 0); NotTranslationInvariant is raised otherwise.  d0
-    has the format of all_pairs_distances (hop counts in the smallest
-    unsigned dtype with room for a mark above them, on the vertices outside
-    0's component; widen before adding) and is not cached on g.
+    minus(rows) gives the vertex index of x - y in the underlying group for
+    x in a slice of rows and every y (see tri_ring.difference_rows).  Every
+    pair is checked to satisfy adj[x, y] == adj[x - y, 0] first, a row
+    block at a time, so d(x, y) = d(x - y, 0); NotTranslationInvariant is
+    raised otherwise.  d0 has the format of all_pairs_distances (hop counts
+    in the smallest unsigned dtype with room for a mark above them, on the
+    vertices outside 0's component; widen before adding).
     """
     adj = g.adjacency
-    diff = np.asarray(diff)
     v = g.vertex_count
-    if diff.shape != adj.shape or v == 0:
-        raise ValueError("difference table must be V x V with V >= 1")
-    if diff.min() < 0 or diff.max() >= v:
-        raise ValueError("difference table entries must be vertex indices")
-    # Row 0 stands for column 0 (g is symmetric); rows go in blocks.
-    rows = max(_NEIGHBOUR_BLOCK_ENTRIES // v, 1)
-    if not all(np.array_equal(adj[0][diff[i:i + rows]], adj[i:i + rows])
-               for i in range(0, v, rows)):
-        raise NotTranslationInvariant(
-            "adjacency is not invariant under the given translations")
+    if v == 0:
+        raise ValueError("translation distances need V >= 1")
+    for rows in row_blocks(v):
+        codes = np.asarray(minus(rows))
+        if codes.shape != adj[rows].shape or codes.min() < 0 or codes.max() >= v:
+            raise ValueError("minus(rows) must give V vertex indices per row")
+        # Row 0 stands for column 0 (g is symmetric).
+        if not np.array_equal(adj[0][codes], adj[rows]):
+            raise NotTranslationInvariant(
+                "adjacency is not invariant under the given translations")
     _, label, depth, _ = _bfs_forest(g)
     reached = label == 0  # vertex 0 roots the first component's BFS
     dtype = _hop_dtype(int(depth.max(where=reached, initial=0)))
@@ -468,11 +466,12 @@ def triametral_triple(g: Graph):
     return _triametral_search(d, lambda x, s: d[x, s:], len(d) - 2)
 
 
-def cayley_triametral_triple(d0: np.ndarray, diff):
+def cayley_triametral_triple(d0: np.ndarray, minus):
     """triametral_triple of a Cayley graph (see translation_distances) over
     the triples (0, b, c) only: translation carries the lexicographically
-    first triametral triple onto one through 0."""
-    return _triametral_search(d0, lambda x, s: d0[diff[x, s:]], 1)
+    first triametral triple onto one through 0, and minus (see
+    translation_distances) forms only the rows the search reads."""
+    return _triametral_search(d0, lambda x, s: d0[minus(slice(x, x + 1))[0, s:]], 1)
 
 
 def _triametral_search(d: np.ndarray, row, firsts: int):

@@ -22,7 +22,8 @@ def to_dot(g: Graph, name: str = "G") -> str:
     lines = [f"graph {name} {{"]
     if g.labels is not None:
         for v, label in enumerate(g.labels):
-            lines.append(f'  {v} [label="{label}"];')
+            quoted = label.replace("\\", "\\\\").replace('"', '\\"')
+            lines.append(f'  {v} [label="{quoted}"];')
     for u, v in g.edges():
         lines.append(f"  {u} -- {v};")
     lines.append("}")

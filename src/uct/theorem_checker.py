@@ -15,7 +15,7 @@ import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -27,9 +27,9 @@ from .finite_field import is_prime
 from .graph_core import (ISO_ORACLE_CAP, cayley_triametral_triple,
                          connected_components, is_bipartite, is_complete_bipartite,
                          iso_check, labeled_equal, largest_finite_distance,
-                         max_clique, translation_distances)
+                         max_clique, row_blocks, translation_distances)
 from .tri_ring import (DEFAULT_VERTEX_CAP, RingSpec, diagonal_slots,
-                       difference_codes, encode, entry_digit_matrix,
+                       difference_rows, encode, entry_digit_matrix,
                        enumerate_ring, from_parts, is_unit, strict_upper_slots,
                        unit_mask)
 
@@ -63,13 +63,13 @@ class Verdict:
 class RingInstance:
     """One spec's unitary Cayley graph and the data derived from it, each
     built on first use and shared by the spec's checks.  An int spec is
-    the modulus of Z_n.  Its distances are the length-V vector d0 from
-    vertex 0; a caller that reads d(x, y) = d0[diff[x, y]] builds its own
-    difference table diff with tri_ring.difference_codes."""
+    the modulus of Z_n.  minus(rows) is tri_ring.difference_rows of the
+    ring, and its distances are d(x, y) = d0[x - y]."""
 
     def __init__(self, spec, cap: int = DEFAULT_VERTEX_CAP):
         self.spec = RingSpec.integers_mod(spec) if isinstance(spec, int) else spec
         self.cap = cap
+        self.minus = partial(difference_rows, self.spec, cap=cap)
 
     @cached_property
     def graph(self):
@@ -86,11 +86,10 @@ class RingInstance:
 
     @cached_property
     def d0(self) -> np.ndarray:
-        """Hop distances from vertex 0, read-only: d(x, y) = d0[diff[x, y]]
-        for the difference table diff (see graph_core.translation_distances,
-        uint8 up to a diameter of 254); widen before adding them."""
-        return translation_distances(self.graph,
-                                     difference_codes(self.spec, self.cap))
+        """Hop distances from vertex 0, read-only: d(x, y) = d0[x - y]
+        (see graph_core.translation_distances, uint8 up to a diameter of
+        254); widen before adding them."""
+        return translation_distances(self.graph, self.minus)
 
 
 CHECKS = {}
@@ -163,10 +162,12 @@ def check_prop1(ring: RingInstance):
     """Adjacency criterion: the graph, built by the unit-difference rule,
     has an edge exactly where all diagonal entries differ, on every pair."""
     adj = ring.graph.adjacency
-    differs_everywhere = np.ones(adj.shape, dtype=bool)
-    for col in ring.diagonal.T:
-        differs_everywhere &= col[:, None] != col[None, :]
-    agree = bool(np.array_equal(adj, differs_everywhere))
+    agree = True
+    for rows in row_blocks(len(adj)):
+        differs_everywhere = np.ones_like(adj[rows])
+        for col in ring.diagonal.T:
+            differs_everywhere &= col[rows, None] != col
+        agree &= np.array_equal(adj[rows], differs_everywhere)
     pairs = ring.spec.order * (ring.spec.order - 1) // 2
     return {"rules_agree": True}, {"rules_agree": agree}, {"pairs_checked": pairs}
 
@@ -255,21 +256,20 @@ def check_triameter(ring: RingInstance):
     witness triple diag(a,a,...), diag(a,b,...), diag(a,c,...) attains
     2+2+2."""
     spec, d0 = ring.spec, ring.d0
-    diff = difference_codes(spec, ring.cap)
-    value, triple = cayley_triametral_triple(d0, diff)
+    value, triple = cayley_triametral_triple(d0, ring.minus)
 
     a, b, c = 0, 1, 2
     d1 = _diagonal_matrix_encoding(spec, [a] * spec.n)
     d2 = _diagonal_matrix_encoding(spec, [a] + [b] * (spec.n - 1))
     d3 = _diagonal_matrix_encoding(spec, [a] + [c] * (spec.n - 1))
-    witness_sum = sum(int(d0[diff[x, y]])
+    witness_sum = sum(int(d0[ring.minus([x])[0, y]])
                       for x, y in ((d1, d2), (d1, d3), (d2, d3)))
 
     expected = {"triameter": 6, "diagonal_witness_sum": 6}
     computed = {"triameter": value, "diagonal_witness_sum": witness_sum}
     certificate = {
         "triametral_triple": list(triple),
-        "pairwise": [int(d0[diff[triple[i], triple[j]]])
+        "pairwise": [int(d0[ring.minus([triple[i]])[0, triple[j]]])
                      for i, j in ((0, 1), (0, 2), (1, 2))],
         "diagonal_witness": [d1, d2, d3],
     }
@@ -322,8 +322,9 @@ def check_theorem3(ring: RingInstance, seed: int):
     perm = np.array(phi.encodings)
     if len(phi) != product.vertex_count or perm.max() >= product.vertex_count:
         raise AssertionError("relabeling is not onto the product vertex set")
-    relabeled = product.adjacency[np.ix_(perm, perm)]
-    pairwise_equal = bool(np.array_equal(relabeled, g.adjacency))
+    pairwise_equal = all(np.array_equal(product.adjacency[perm[rows]].take(perm, axis=1),
+                                        g.adjacency[rows])
+                         for rows in row_blocks(g.vertex_count))
 
     degrees_equal = sorted(g.degrees()) == sorted(product.degrees())
     edges_equal = g.edge_count() == product.edge_count()

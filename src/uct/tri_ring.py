@@ -235,24 +235,27 @@ def entry_digit_matrix(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> np.ndar
     return tuple_codes(spec.n * (spec.n + 1) // 2, spec.q)
 
 
-def difference_codes(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> np.ndarray:
-    """order x order table of the encodings of x - y, in the smallest
-    unsigned dtype (uint8 up to 256 elements, uint16 up to 2**16).
+def difference_rows(spec: RingSpec, rows, cap: int = DEFAULT_VERTEX_CAP) -> np.ndarray:
+    """len(rows) x order array of the encodings of x - y, x in rows (a slice or
+    a sequence of encodings), in the smallest unsigned dtype (uint8 up to
+    256 elements, uint16 up to 2**16).
 
     (R, +) is Z_m, or Z_p**D for T_n(GF(p^k)) (D = k*n(n+1)/2 base-p digits,
-    added digit-wise), so the table is the Kronecker sum of one cyclic table
-    C[i, j] = (i - j) mod m per digit, each new digit the most significant.
+    added digit-wise), so row x is the Kronecker sum of one cyclic-table row
+    (x_j - y_j) mod m per digit x_j of x, each new digit the most significant.
     """
     _check_order(spec, cap)
+    x = np.asarray(range(spec.order)[rows] if isinstance(rows, slice) else rows, int)
+    if x.ndim != 1 or x.size and not 0 <= x.min() <= x.max() < spec.order:
+        raise ValueError(f"rows must be encodings 0..{spec.order - 1}")
     m, count = ((spec.modulus, 1) if spec.kind == "zn"
                 else (spec.p, spec.k * spec.n * (spec.n + 1) // 2))
-    ramp = (np.arange(1 - m, m) % m).astype(np.min_scalar_type(spec.order - 1))
-    cyclic = sliding_window_view(ramp, m)[:, ::-1]  # [i, j] = ramp[i - j + m - 1]
-    codes = np.ascontiguousarray(cyclic)
-    for _ in range(count - 1):
-        size = len(codes)
-        codes = (cyclic[:, None, :, None] * size
-                 + codes[None, :, None, :]).reshape(m * size, m * size)
+    ramp = (np.arange(m - 1, -m, -1) % m).astype(np.min_scalar_type(spec.order - 1))
+    cyclic = sliding_window_view(ramp, m)[::-1]  # [i, j] = ramp[m - 1 - i + j]
+    codes = cyclic[x % m]
+    for size in (m ** j for j in range(1, count)):  # the next digit's weight
+        codes = (cyclic[x // size % m][:, :, None] * size
+                 + codes[:, None, :]).reshape(len(x), m * size)
     return codes
 
 

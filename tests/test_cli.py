@@ -10,6 +10,7 @@ import pytest
 
 import uct
 from uct.cli import main
+from uct.graphio import from_json_envelope, read_edge_list
 
 
 def run_cli(capsys, *argv):
@@ -35,11 +36,11 @@ def test_field_info_table(capsys):
 
 def test_build_edges_counts(capsys, tmp_path):
     out_file = tmp_path / "g.edges"
-    code, out, _ = run_cli(capsys, "build", "--ring", "tri", "--n", "2",
+    code, _, err = run_cli(capsys, "build", "--ring", "tri", "--n", "2",
                            "--p", "3", "--k", "1", "--format", "edges",
                            "--out", str(out_file))
     assert code == 0
-    assert "27 vertices, 162 edges" in out
+    assert "27 vertices, 162 edges" in err
     lines = out_file.read_text().splitlines()
     assert len(lines) == 162
     u, v = lines[0].split()
@@ -47,11 +48,31 @@ def test_build_edges_counts(capsys, tmp_path):
 
 
 def test_build_dot_k5(capsys):
-    code, out, _ = run_cli(capsys, "build", "--ring", "zn", "--modulus", "5",
-                           "--format", "dot")
+    code, out, err = run_cli(capsys, "build", "--ring", "zn", "--modulus", "5",
+                             "--format", "dot")
     assert code == 0
-    assert "5 vertices, 10 edges" in out
+    assert "5 vertices, 10 edges" in err
     assert out.count(" -- ") == 10
+    assert out.startswith("graph G {") and out.endswith("}\n")
+
+
+@pytest.mark.parametrize("argv", [["--ring", "zn", "--modulus", "12"],
+                                  ["--ring", "tri", "--n", "2", "--p", "3"]])
+def test_build_stdout_round_trips(capsys, argv):
+    """Without --out, stdout holds the graph alone: the edge list reads back
+    through read_edge_list and the JSON through from_json_envelope, each
+    equal to unitary_cayley vertex for vertex."""
+    spec = (uct.RingSpec.integers_mod(12) if argv[1] == "zn"
+            else uct.RingSpec.triangular(2, 3))
+    g = uct.unitary_cayley(spec)
+    code, out, err = run_cli(capsys, "build", *argv, "--format", "edges")
+    assert code == 0
+    assert err == f"{g.vertex_count} vertices, {g.edge_count()} edges\n"
+    assert uct.labeled_equal(read_edge_list(out, g.vertex_count), g)
+    code, out, _ = run_cli(capsys, "build", *argv, "--format", "json")
+    assert code == 0
+    back = from_json_envelope(json.loads(out))
+    assert uct.labeled_equal(back, g) and back.labels == g.labels
 
 
 def test_build_json(capsys, tmp_path):

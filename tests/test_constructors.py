@@ -11,6 +11,7 @@ from uct import (Graph, GraphTooLarge, RingSpec, RingTooLarge, VertexLabeling,
                  complete_graph, connected_components, diagonal_quotient,
                  diameter, hamming_graph, is_complete_bipartite, iso_check,
                  labeled_equal, semistrong_product, unitary_cayley)
+from uct import graph_core
 from uct.tri_ring import (decode, diagonal_of, enumerate_ring, is_unit, mat_sub,
                           tuple_codes)
 
@@ -300,6 +301,21 @@ def test_quotient_some_pair_equals_every_pair(spec):
                  for x in classes[d1] for y in classes[d2]}
         assert len(cross) == 1  # some pair adjacent <=> every pair adjacent
         assert cross.pop() == bool(quotient.adjacency[diag_code[d1], diag_code[d2]])
+
+
+@pytest.mark.parametrize("entries", [1, 100])
+def test_row_blocked_builds_match_one_block(monkeypatch, entries):
+    """unitary_cayley and diagonal_quotient give the same graph whether the
+    rows go one at a time, a few at a time or all in one block."""
+    specs = [RingSpec.parse(text) for text in ("tri:2,3,1", "tri:3,2,1",
+                                               "tri:2,2,2", "zn:30")]
+    builds = [(unitary_cayley, s) for s in specs] + [(diagonal_quotient, s)
+                                                     for s in specs[:3]]
+    whole = [build(spec) for build, spec in builds]
+    monkeypatch.setattr(graph_core, "_ROW_BLOCK_ENTRIES", entries)
+    for g, (build, spec) in zip(whole, builds):
+        blocked = build(spec)
+        assert labeled_equal(blocked, g) and blocked.labels == g.labels
 
 
 def test_quotient_needs_triangular_spec():

@@ -152,7 +152,7 @@ def cached_field(p, k):
 
 @pytest.mark.parametrize("p,k", ALL_Q_UP_TO_64)
 def test_addition_is_digitwise_mod_p(p, k):
-    """The encoding contract tri_ring.difference_codes rests on: add and
+    """The encoding contract tri_ring.difference_rows rests on: add and
     subtract act on the base-p digits of the indices one by one, mod p."""
     f = cached_field(p, k)
     for a in range(f.q):

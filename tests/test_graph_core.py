@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -23,7 +24,7 @@ from uct.graph_core import (_all_sources_bfs, largest_finite_distance,
 from uct.graphio import (from_json_envelope, read_edge_list, to_dot,
                          to_edge_list, to_json_envelope)
 from uct.theorem_checker import RingInstance
-from uct.tri_ring import difference_codes
+from uct.tri_ring import difference_rows
 
 
 def path_graph(n):
@@ -562,7 +563,7 @@ def test_neighbour_lists_match_scipy(adj, block_entries):
     """Read in row blocks of any size, the neighbour lists have scipy's own
     CSR structure."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graph_core, "_NEIGHBOUR_BLOCK_ENTRIES", block_entries)
+        mp.setattr(graph_core, "_ROW_BLOCK_ENTRIES", block_entries)
         indptr, indices = graph_core._neighbours(adj)
     expected = csr_matrix(adj)
     assert np.array_equal(indptr, expected.indptr)
@@ -600,7 +601,7 @@ def test_dense_traversals_build_no_sparse_form(monkeypatch):
     g = unitary_cayley(spec)
     lists.clear()
     matrices.clear()
-    translation_distances(g, difference_codes(spec))
+    translation_distances(g, lambda rows: difference_rows(spec, rows))
     connected_components(g)
     two_coloring(g)
     is_complete_bipartite(g)
@@ -771,6 +772,19 @@ def test_dot_export():
     dot = to_dot(complete_graph(3))
     assert "graph G {" in dot
     assert "  0 -- 1;" in dot and "  1 -- 2;" in dot
+
+
+def test_dot_export_escapes_labels():
+    """Backslashes and double quotes in labels are escaped, so each label
+    stays one DOT string and reads back as itself."""
+    g = Graph(np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=bool),
+              labels=['a"b', 'c\\', '\\"'])
+    lines = to_dot(g).splitlines()
+    assert lines[1:4] == ['  0 [label="a\\"b"];', '  1 [label="c\\\\"];',
+                          '  2 [label="\\\\\\""];']
+    quoted = [re.fullmatch(r'  \d+ \[label="((?:[^"\\]|\\.)*)"\];', line)
+              for line in lines[1:4]]
+    assert [re.sub(r"\\(.)", r"\1", m.group(1)) for m in quoted] == list(g.labels)
 
 
 def test_json_envelope_roundtrip():

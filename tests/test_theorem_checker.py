@@ -4,10 +4,12 @@ suite orchestration, and offline re-verification of certificates."""
 import inspect
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import uct.constructors as constructors
 import uct.graph_core as graph_core
 import uct.theorem_checker as tc
 from uct import (RingSpec, WrongField, all_pairs_distances,
@@ -274,25 +276,31 @@ def _diag_of_label(label):
 
 # -- one instance per spec -----------------------------------------------------
 
-def test_suite_builds_each_graph_and_difference_table_once(monkeypatch):
-    built = {"graphs": [], "tables": []}
+def test_suite_builds_each_graph_once_and_difference_rows_by_block(monkeypatch):
+    """Each spec's graph is built once, and every x - y row the suite forms
+    comes one row block at a time: no difference_rows call asks for more
+    entries than _ROW_BLOCK_ENTRIES (3 rows of T23's 27 vertices here)."""
+    graphs, entries = [], []
 
-    def counting(key, real):
-        def wrapper(spec, cap):
-            built[key].append(str(spec))
-            return real(spec, cap)
-        return wrapper
+    def counting_graphs(spec, cap):
+        graphs.append(str(spec))
+        return real_graph(spec, cap)
 
-    monkeypatch.setattr(tc, "unitary_cayley",
-                        counting("graphs", tc.unitary_cayley))
-    monkeypatch.setattr(tc, "difference_codes",
-                        counting("tables", tc.difference_codes))
+    def counting_rows(spec, rows, cap):
+        diff = real_rows(spec, rows, cap)
+        entries.append(diff.size)
+        return diff
+
+    real_graph, real_rows = tc.unitary_cayley, tc.difference_rows
+    monkeypatch.setattr(graph_core, "_ROW_BLOCK_ENTRIES", 3 * 27)
+    monkeypatch.setattr(tc, "unitary_cayley", counting_graphs)
+    monkeypatch.setattr(tc, "difference_rows", counting_rows)
+    monkeypatch.setattr(constructors, "difference_rows", counting_rows)
     verdicts = run_suite([T23, T22], threads=1)
     assert all(v.passed for v in verdicts)
-    # T23 builds two tables: one for RingInstance.d0 and one for the rows
-    # of the triameter search; the q = 2 checks read no distances.
-    assert built == {"graphs": ["tri:2,3,1", "tri:2,2,1"],
-                     "tables": ["tri:2,3,1", "tri:2,3,1"]}
+    assert graphs == ["tri:2,3,1", "tri:2,2,1"]
+    # The builds of both graphs, T23's d0 and its triameter rows.
+    assert len(entries) > 2 * 27 // 3 and max(entries) <= 3 * 27
 
 
 def test_suite_reads_no_all_pairs_distances(monkeypatch):
@@ -333,3 +341,24 @@ def test_registry_declares_each_check_once():
     assert check_prop0(T23).seed is None
     with pytest.raises(TypeError):
         check_prop0(T23, seed=1)
+
+
+def test_ring_checks_hold_one_row_block_at_a_time(monkeypatch):
+    """With blocks of 16 rows and the graph, d0 and diagonal digits built,
+    prop1, connectivity and the triameter each hold less than a quarter of
+    a V x V bool array; theorem3 holds the product graph and its Graph copy
+    (2 V^2 bytes) but no relabelled V x V copy besides."""
+    monkeypatch.setattr(graph_core, "_ROW_BLOCK_ENTRIES", 1 << 16)
+    ring = tc.RingInstance(RingSpec.parse("tri:3,2,2"))
+    v = ring.graph.vertex_count
+    assert ring.d0.shape == (v,) and ring.diagonal.shape == (v, 3)
+    for name, bound in (("prop1", v * v / 4), ("connectivity", v * v / 4),
+                        ("triameter", v * v / 4), ("theorem3", 2.5 * v * v)):
+        tracemalloc.start()
+        try:
+            verdict = tc._measure(name, ring)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.passed, name
+        assert peak < bound, (name, peak / (v * v))

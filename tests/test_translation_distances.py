@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from uct import (DisconnectedGraph, Graph, NotTranslationInvariant, RingSpec,
                  all_pairs_distances, cayley_triametral_triple,
                  translation_distances, triametral_triple, unitary_cayley)
-from uct.tri_ring import difference_codes, tuple_codes
+from uct.tri_ring import difference_rows, tuple_codes
 
 # Every triangular spec of at most 1024 vertices that the test suite or
 # the benchmark's verify workload runs, q = 2 (disconnected) ones included.
@@ -23,12 +23,18 @@ ZN_SPECS = ["zn:2", "zn:12", "zn:30", "zn:64", "zn:9", "zn:45", "zn:13",
 LARGE_SPECS = ["tri:3,2,2"]
 
 
+def difference_table(spec):
+    """The whole V x V table of x - y, every row of difference_rows."""
+    return difference_rows(spec, range(spec.order))
+
+
 def assert_matches_generic(adj, diff, dtype=None):
-    """translation_distances' d0 against the generic distances of a fresh
-    graph: d0[diff] is every pair, d0 is row 0, dtype and all, and the
-    generic distance cache is left to all_pairs_distances."""
+    """translation_distances' d0, with the rows of minus read from the table
+    diff, against the generic distances of a fresh graph: d0[diff] is every
+    pair, d0 is row 0, dtype and all, and the generic distance cache is
+    left to all_pairs_distances."""
     g = Graph(adj)
-    d0 = translation_distances(g, diff)
+    d0 = translation_distances(g, diff.__getitem__)
     assert "dist" not in g._cache
     generic = all_pairs_distances(Graph(adj))
     assert d0.shape == (len(adj),) and not d0.flags.writeable
@@ -41,7 +47,7 @@ def assert_matches_generic(adj, diff, dtype=None):
 def test_matches_generic_distances(text):
     spec = RingSpec.parse(text)
     assert_matches_generic(unitary_cayley(spec).adjacency,
-                           difference_codes(spec), np.uint8)
+                           difference_table(spec), np.uint8)
 
 
 @pytest.mark.parametrize("m, step, dtype", [(600, 2, np.uint8),
@@ -50,7 +56,7 @@ def test_long_cycles_match_generic(m, step, dtype):
     """Z_m with connection set {step, -step}: two cycles C_300 (diameter
     150, the uint8 maximum marking the pairs between them), or C_512,
     whose diameter 256 needs uint16."""
-    diff = difference_codes(RingSpec.integers_mod(m))
+    diff = difference_table(RingSpec.integers_mod(m))
     connection = np.zeros(m, dtype=bool)
     connection[[step, -step]] = True
     assert_matches_generic(connection[diff], diff, dtype)
@@ -61,17 +67,27 @@ def test_circulant_with_one_edge_removed_raises():
     adj = np.array(unitary_cayley(spec).adjacency)
     adj[2, 3] = adj[3, 2] = False
     with pytest.raises(NotTranslationInvariant):
-        translation_distances(Graph(adj), difference_codes(spec))
+        translation_distances(Graph(adj), difference_table(spec).__getitem__)
 
 
 def test_rejects_a_malformed_difference_table():
+    """minus must give one row of V vertex indices per row asked for."""
     g = unitary_cayley(RingSpec.integers_mod(6))
+    diff = difference_table(RingSpec.integers_mod(6))
+    malformed = [
+        difference_table(RingSpec.integers_mod(5)).__getitem__,  # 5 x 5
+        lambda rows: diff[rows][:, :-1],  # a column short
+        lambda rows: diff[rows][:-1],  # a row short
+        lambda rows: diff[rows].ravel(),  # flat
+        (-diff).__getitem__,  # unsigned: entries wrap above V - 1
+        (-diff.astype(np.int16)).__getitem__,  # negative entries
+        (diff + 1).__getitem__,  # V itself
+    ]
+    for minus in malformed:
+        with pytest.raises(ValueError):
+            translation_distances(g, minus)
     with pytest.raises(ValueError):
-        translation_distances(g, difference_codes(RingSpec.integers_mod(5)))
-    with pytest.raises(ValueError):
-        translation_distances(g, -difference_codes(RingSpec.integers_mod(6)))
-    with pytest.raises(ValueError):  # the table is unsigned: negate in a signed dtype
-        translation_distances(g, -difference_codes(RingSpec.integers_mod(6)).astype(np.int16))
+        translation_distances(Graph(np.zeros((0, 0), dtype=bool)), diff.__getitem__)
 
 
 @st.composite
@@ -88,7 +104,7 @@ def circulants(draw):
 @given(circulants())
 def test_random_circulant_matches_generic(case):
     m, connection = case
-    diff = difference_codes(RingSpec.integers_mod(m))
+    diff = difference_table(RingSpec.integers_mod(m))
     assert_matches_generic(connection[diff], diff)
 
 
@@ -127,7 +143,7 @@ def triameter_outcome(search, *args):
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(
-    circulants().map(lambda case: (difference_codes(
+    circulants().map(lambda case: (difference_table(
         RingSpec.integers_mod(case[0])), case[1])),
     cayley_graphs_of_zq_power()))
 def test_triameter_through_vertex_0_matches_generic(case):
@@ -136,6 +152,6 @@ def test_triameter_through_vertex_0_matches_generic(case):
     bound and on graphs that scan every triple through 0; both raise alike
     on disconnected graphs and graphs of fewer than 3 vertices."""
     diff, connection = case
-    d0 = translation_distances(Graph(connection[diff]), diff)
-    assert (triameter_outcome(cayley_triametral_triple, d0, diff)
+    d0 = translation_distances(Graph(connection[diff]), diff.__getitem__)
+    assert (triameter_outcome(cayley_triametral_triple, d0, diff.__getitem__)
             == triameter_outcome(triametral_triple, Graph(connection[diff])))

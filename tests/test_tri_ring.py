@@ -1,6 +1,7 @@
 """Triangular matrix ring arithmetic, canonical encoding, and RingSpec."""
 
 import math
+import random
 import tracemalloc
 from functools import lru_cache
 
@@ -11,10 +12,10 @@ from hypothesis import strategies as st
 
 from uct import (DimensionMismatch, FieldTooLarge, RingSpec, RingTooLarge,
                  TriMatrix, constructors, decode, diagonal_of, encode,
-                 enumerate_ring, from_parts, is_unit, make_field, mat_det,
-                 mat_sub, strict_upper_of)
+                 enumerate_ring, from_parts, graph_core, is_unit, make_field,
+                 mat_det, mat_sub, strict_upper_of)
 from uct.finite_field import power_exceeds
-from uct.tri_ring import (DEFAULT_VERTEX_CAP, diagonal_slots, difference_codes,
+from uct.tri_ring import (DEFAULT_VERTEX_CAP, diagonal_slots, difference_rows,
                           entry_digit_matrix, strict_upper_slots, tuple_codes,
                           unit_mask, upper_positions)
 
@@ -188,15 +189,29 @@ def test_entry_digit_matrix_matches_decode():
         assert tuple(int(x) for x in digits[code]) == decode(f, 2, code).entries
 
 
-@pytest.mark.parametrize("text", ["tri:2,3,1", "tri:3,2,1", "tri:2,2,2"])
+# Every tri spec of at most 4096 vertices that the tests or the benchmark
+# run, and one with k = 4.
+ALL_TRI_SPECS = ["tri:2,2,1", "tri:3,2,1", "tri:4,2,1", "tri:2,3,1",
+                 "tri:3,3,1", "tri:2,5,1", "tri:2,7,1", "tri:2,2,2",
+                 "tri:2,3,2", "tri:2,2,3", "tri:3,2,2", "tri:2,2,4"]
+
+
+@pytest.mark.parametrize("text", ALL_TRI_SPECS)
 def test_difference_codes_match_mat_sub(text):
+    """difference_rows against mat_sub on the TriMatrix values, every
+    column: every row up to 256 elements, else the first, second, middle
+    and last rows and four more."""
     spec = RingSpec.parse(text)
-    diff = difference_codes(spec)
-    assert diff.dtype == np.min_scalar_type(spec.order - 1)
-    assert diff.shape == (spec.order, spec.order)
+    v = spec.order
+    rows = (range(v) if v <= 256 else
+            sorted({0, 1, v // 2, v - 1, *random.Random(v).sample(range(v), 4)}))
+    diff = difference_rows(spec, rows)
+    assert diff.dtype == np.min_scalar_type(v - 1)
+    assert diff.shape == (len(rows), v)
     elems = enumerate_ring(spec)
-    for x, a in enumerate(elems):
-        assert [int(c) for c in diff[x]] == [encode(mat_sub(a, b)) for b in elems]
+    for i, x in enumerate(rows):
+        assert [int(c) for c in diff[i]] == [encode(mat_sub(elems[x], b))
+                                             for b in elems]
 
 
 def entrywise_difference_codes(spec):
@@ -212,41 +227,63 @@ def entrywise_difference_codes(spec):
     return codes
 
 
-# Every tri spec of at most 4096 vertices that the tests or the benchmark
-# run, and one with k = 4.
-@pytest.mark.parametrize("text", ["tri:2,2,1", "tri:3,2,1", "tri:4,2,1",
-                                  "tri:2,3,1", "tri:3,3,1", "tri:2,5,1",
-                                  "tri:2,7,1", "tri:2,2,2", "tri:2,3,2",
-                                  "tri:2,2,3", "tri:3,2,2", "tri:2,2,4"])
+@pytest.mark.parametrize("text", ALL_TRI_SPECS)
 def test_difference_codes_match_entrywise_sub_table(text):
+    """Every row of difference_rows, asked for as np.arange(V) and as one
+    slice, against the entrywise reference."""
     spec = RingSpec.parse(text)
-    diff = difference_codes(spec)
     want = entrywise_difference_codes(spec).astype(np.min_scalar_type(spec.order - 1))
-    assert diff.dtype == want.dtype and diff.tobytes() == want.tobytes()
+    for rows in (np.arange(spec.order), slice(None)):
+        diff = difference_rows(spec, rows)
+        assert diff.dtype == want.dtype and diff.tobytes() == want.tobytes()
 
 
 def test_difference_codes_zn():
     for m, dtype in [(12, np.uint8), (256, np.uint8), (257, np.uint16),
                      (4093, np.uint16)]:
-        diff = difference_codes(RingSpec.integers_mod(m))
+        diff = difference_rows(RingSpec.integers_mod(m), np.arange(m))
         idx = np.arange(m, dtype=np.int64)
         assert diff.dtype == dtype
         assert np.array_equal(diff, np.subtract.outer(idx, idx) % m)
 
 
+@pytest.mark.parametrize("text", ["tri:3,2,1", "tri:2,3,2", "zn:30"])
+def test_difference_rows_in_any_order(text):
+    """Unsorted and repeated rows are rows of the whole table in the order
+    asked for; no rows give a 0 x V array."""
+    spec = RingSpec.parse(text)
+    v = spec.order
+    table = difference_rows(spec, range(v))
+    rows = [v - 1, 0, 3, 3, 1, v - 1, 2]
+    assert np.array_equal(difference_rows(spec, rows), table[rows])
+    assert np.array_equal(difference_rows(spec, np.array(rows[::-1])),
+                          table[rows[::-1]])
+    for empty in ([], np.array([], dtype=np.int64), slice(0, 0)):
+        diff = difference_rows(spec, empty)
+        assert diff.shape == (0, v) and diff.dtype == table.dtype
+
+
+@pytest.mark.parametrize("rows", [[-1], [0, 27], [27], np.array([[0, 1]])])
+def test_difference_rows_outside_the_ring_raise(rows):
+    with pytest.raises(ValueError):
+        difference_rows(RingSpec.parse("tri:2,3,1"), rows)
+
+
 def test_difference_codes_peak_memory():
-    # The Kronecker sum holds the last table and the one before it (a
-    # quarter of its size for p = 2); an int16 or int32 V x V temporary
-    # would break the bound.
+    """One row block of tri:3,2,2 holds the block and the block before its
+    last digit (half its size for p = 2); an int32 or int64 temporary of
+    the block's size would break the bound."""
     spec = RingSpec.parse("tri:3,2,2")
     tracemalloc.start()
     try:
-        diff = difference_codes(spec)
+        diff = difference_rows(spec, graph_core.row_blocks(spec.order)[1])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert diff.nbytes == 2 * spec.order ** 2
-    assert peak < 1.5 * diff.nbytes
+    rows = graph_core._ROW_BLOCK_ENTRIES // spec.order
+    assert diff.shape == (rows, spec.order) and rows < spec.order
+    assert diff.nbytes == 2 * rows * spec.order
+    assert peak < 1.6 * diff.nbytes
 
 
 def test_ring_spec_parse_roundtrip():
