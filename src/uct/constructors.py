@@ -2,7 +2,9 @@
 
 Vertex order is always the canonical encoding order of the underlying
 objects (ring elements, tuples, product pairs), so structural claims can
-be tested as labeled-graph equality instead of isomorphism search.
+be tested as labeled-graph equality instead of isomorphism search.  Ring
+graphs, the quotient and the product pass Graph.from_rows a rule for a
+block of rows, so they hold no adjacency array of their own.
 Tuples are encoded base-q with the first coordinate least significant,
 matching the matrix entry encoding in tri_ring.  Ring graphs are Cayley
 graphs of (R, +) and are built from that definition: a unit mask over the
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GraphTooLarge
-from .graph_core import Graph, row_blocks
+from .graph_core import Graph
 from .tri_ring import (DEFAULT_VERTEX_CAP, RingSpec, difference_rows,
                        entry_digit_matrix, tuple_codes, unit_mask)
 
@@ -62,12 +64,10 @@ def unitary_cayley(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     graphs with the all-diagonal-entries-differ rule on every pair.
     """
     mask = unit_mask(spec, cap)
-    adj = np.empty((len(mask), len(mask)), dtype=bool)
-    for rows in row_blocks(len(mask)):
-        adj[rows] = mask[difference_rows(spec, rows, cap)]
     labels = (range(spec.modulus) if spec.kind == "zn"
               else _digit_labels(entry_digit_matrix(spec, cap)))
-    return Graph(adj, labels=labels, cap=cap)
+    return Graph.from_rows(len(mask), lambda s: mask[difference_rows(spec, s, cap)],
+                           labels=labels, cap=cap)
 
 
 def hamming_graph(length: int, q: int, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
@@ -145,16 +145,17 @@ def complete_bipartite(a: int, b: int, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
 
 def semistrong_product(g: Graph, h: Graph, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     """(u1,v1) ~ (u2,v2) iff v1v2 is an edge of h and (u1u2 is an edge of g
-    or u1 = u2).  Vertex (u, v) sits at index u*|V(h)| + v."""
+    or u1 = u2).  Vertex (u, v) sits at index u*|V(h)| + v; its row is
+    (row u of g + I) (x) (row v of h); labels are made after the cap check."""
     v = g.vertex_count * h.vertex_count
-    if v > cap:
-        raise GraphTooLarge(f"product has {v} vertices, cap is {cap}")
-    left = g.adjacency | np.eye(g.vertex_count, dtype=bool)
-    adj = np.kron(left, h.adjacency)
-    labels = None
-    if g.labels is not None and h.labels is not None:
-        labels = [f"{gl}|{hl}" for gl in g.labels for hl in h.labels]
-    return Graph(adj, labels=labels, cap=cap)
+
+    def rows(s):
+        u, w = np.divmod(np.arange(s.start, s.stop), h.vertex_count)
+        left = g.adjacency[u] | (np.arange(g.vertex_count) == u[:, None])
+        return (left[:, :, None] & h.adjacency[w][:, None, :]).reshape(len(u), v)
+    labels = (None if g.labels is None or h.labels is None
+              else (f"{gl}|{hl}" for gl in g.labels for hl in h.labels))
+    return Graph.from_rows(v, rows, labels=labels, cap=cap)
 
 
 def diagonal_quotient(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
@@ -170,13 +171,8 @@ def diagonal_quotient(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     if spec.kind != "tri":
         raise ValueError("diagonal quotient is defined for triangular rings only")
     q = spec.q
-    v = q ** spec.n
-    if v > cap:
-        raise GraphTooLarge(f"q**n = {v} exceeds the cap of {cap}")
+    v = _tuple_count(spec.n, q, cap, "n")
     nonzero = spec.field().sub_table != 0
     t = tuple_codes(spec.n, q)
-    adj = np.ones((v, v), dtype=bool)
-    for rows in row_blocks(v):
-        for col in t.T:
-            adj[rows] &= nonzero[col[rows, None], col]
-    return Graph(adj, labels=_digit_labels(t), cap=cap)
+    return Graph.from_rows(v, lambda s: np.logical_and.reduce(
+        [nonzero[col[s, None], col] for col in t.T]), labels=_digit_labels(t), cap=cap)

@@ -1,8 +1,9 @@
 """Immutable dense simple graphs and exact invariant algorithms.
 
-Every Graph checks on construction that its adjacency is symmetric, one
-256 x 256 tile pair at a time (see _is_symmetric), which reads the matrix
-at memory speed where a full transpose would stride through it.
+Every Graph is built one way (Graph.from_rows): a row block at a time into
+an array no caller holds, so builders pass a row rule and Graph(a) copies
+a.  It then checks symmetry one 256 x 256 tile pair at a time (see
+_is_symmetric), at memory speed where a full transpose would stride.
 
 Components, root depths and the two-coloring come from one BFS per
 component over the dense rows (see _bfs_forest).  All-pairs distances
@@ -48,13 +49,30 @@ class Graph:
     """
 
     def __init__(self, adjacency, labels=None, cap: int = DEFAULT_VERTEX_CAP):
-        adj = np.array(adjacency, dtype=bool)
+        adj = np.asarray(adjacency)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError("adjacency must be a square matrix")
-        v = adj.shape[0]
+        self._fill(adj.shape[0], adj.__getitem__, labels, cap)
+
+    @classmethod
+    def from_rows(cls, vertex_count, rows, labels=None, cap=DEFAULT_VERTEX_CAP):
+        """The graph whose adjacency rows s are rows(s), for each slice s of
+        row_blocks(vertex_count), written into its own array; the cap is
+        checked before rows is called."""
+        g = cls.__new__(cls)
+        g._fill(vertex_count, rows, labels, cap)
+        return g
+
+    def _fill(self, v, rows, labels, cap):
         if v > cap:
             raise GraphTooLarge(f"{v} vertices exceed the cap of {cap}")
-        if v and np.diagonal(adj).any():
+        adj = np.empty((v, v), dtype=bool)
+        for s in row_blocks(v):
+            block = np.asarray(rows(s))
+            if block.shape != adj[s].shape:
+                raise ValueError(f"rows({s}) must be a {adj[s].shape} array")
+            adj[s] = block
+        if np.diagonal(adj).any():
             raise ValueError("loops are not allowed")
         if not _is_symmetric(adj):
             raise ValueError("adjacency must be symmetric")
@@ -97,12 +115,13 @@ class Graph:
         return self._adj.sum(axis=1)
 
     def edge_count(self) -> int:
-        return int(self._adj.sum()) // 2
+        return int(np.count_nonzero(self._adj)) // 2
 
     def edges(self):
         """Iterate edges as (u, v) with u < v, in row-major order."""
-        us, vs = np.nonzero(np.triu(self._adj))
-        yield from zip(us.tolist(), vs.tolist())
+        for s in row_blocks(self.vertex_count):
+            us, vs = np.nonzero(np.triu(self._adj[s], s.start + 1))
+            yield from zip((us + s.start).tolist(), vs.tolist())
 
     def neighbor_masks(self):
         """Adjacency rows as python-int bitsets (bit v set <=> edge to v)."""
@@ -152,18 +171,15 @@ def connected_components(g: Graph) -> list:
     return comps
 
 
-_BFS_ROWS = 256  # dense rows per OR in _bfs_forest: 16 MB at the 2^16 cap
-
-
 def _bfs_forest(g: Graph):
     """(count, label, depth, odd) of one BFS per component, cached on g.
 
     Each BFS starts at its component's smallest vertex, so labels rise with
     that vertex and depth is the hop distance from it; a vertex without
     neighbours gets depth 0 and no BFS.  A level is the OR of the frontier's
-    dense rows, _BFS_ROWS at a time, masked by the unvisited vertices.  That
-    OR also shows any edge inside the frontier: `odd` says some level has
-    one, which holds iff some component has an odd cycle.
+    dense rows, one row block at a time, masked by the unvisited vertices.
+    That OR also shows any edge inside the frontier: `odd` says some level
+    has one, which holds iff some component has an odd cycle.
     """
     if "forest" not in g._cache:
         adj = g.adjacency
@@ -179,8 +195,8 @@ def _bfs_forest(g: Graph):
             front, level = np.array([top]), 0
             while front.size:
                 hit = np.zeros(v, dtype=bool)
-                for i in range(0, front.size, _BFS_ROWS):
-                    hit |= adj[front[i:i + _BFS_ROWS]].any(axis=0)
+                for s in row_blocks(front.size, v):
+                    hit |= adj[front[s]].any(axis=0)
                 odd = odd or bool(hit[front].any())
                 front = np.flatnonzero(hit & todo)
                 level += 1
@@ -352,10 +368,10 @@ def _unpack(rows: np.ndarray, v: int) -> np.ndarray:
 _ROW_BLOCK_ENTRIES = 1 << 22
 
 
-def row_blocks(v: int) -> list:
+def row_blocks(v: int, width: int | None = None) -> list:
     """Slices of rows covering 0..v-1, each at least one row and at most
-    _ROW_BLOCK_ENTRIES entries of a v-column array."""
-    step = max(_ROW_BLOCK_ENTRIES // max(v, 1), 1)
+    _ROW_BLOCK_ENTRIES entries of an array of `width` columns (default v)."""
+    step = max(_ROW_BLOCK_ENTRIES // max(v if width is None else width, 1), 1)
     return [slice(i, min(i + step, v)) for i in range(0, v, step)]
 
 
@@ -599,20 +615,18 @@ def is_complete_bipartite(g: Graph):
     """The bipartition (A, B) when g equals K_{|A|,|B|}, else None.
 
     Only defined for connected graphs.  The 2-coloring fixes the unique
-    candidate bipartition; every cross pair must then be an edge.
+    candidate bipartition (both parts are nonempty from 2 vertices on); it
+    is proper, so g is complete bipartite iff its adjacency is "colours
+    differ", compared a row block at a time.
     """
     if _bfs_forest(g)[0] != 1:
         raise DisconnectedGraph("complete-bipartite test needs a connected graph")
     color = two_coloring(g)
-    if color is None:
+    if color is None or g.vertex_count < 2 or not all(
+            np.array_equal(g.adjacency[s], color[s, None] != color)
+            for s in row_blocks(g.vertex_count)):
         return None
-    part_a = [int(x) for x in np.nonzero(color == 0)[0]]
-    part_b = [int(x) for x in np.nonzero(color == 1)[0]]
-    if not part_a or not part_b:
-        return None
-    if g.adjacency[np.ix_(part_a, part_b)].all():
-        return part_a, part_b
-    return None
+    return np.flatnonzero(color == 0).tolist(), np.flatnonzero(color == 1).tolist()
 
 
 def antipodal(g: Graph) -> Graph:

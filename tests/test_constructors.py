@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -305,17 +306,40 @@ def test_quotient_some_pair_equals_every_pair(spec):
 
 @pytest.mark.parametrize("entries", [1, 100])
 def test_row_blocked_builds_match_one_block(monkeypatch, entries):
-    """unitary_cayley and diagonal_quotient give the same graph whether the
-    rows go one at a time, a few at a time or all in one block."""
+    """unitary_cayley, diagonal_quotient and semistrong_product give the
+    same graph whether the rows go one at a time, a few at a time or all
+    in one block."""
     specs = [RingSpec.parse(text) for text in ("tri:2,3,1", "tri:3,2,1",
                                                "tri:2,2,2", "zn:30")]
-    builds = [(unitary_cayley, s) for s in specs] + [(diagonal_quotient, s)
-                                                     for s in specs[:3]]
+    factors = [(hamming_graph(2, 2), antipodal_hamming_direct(2, 3)),
+               (complete_graph(4), hamming_graph(2, 3)),
+               (random_graph(7, 0.4, random.Random(5)), complete_bipartite(2, 3))]
+    builds = ([(unitary_cayley, s) for s in specs]
+              + [(diagonal_quotient, s) for s in specs[:3]]
+              + [(lambda pair: semistrong_product(*pair), f) for f in factors])
     whole = [build(spec) for build, spec in builds]
     monkeypatch.setattr(graph_core, "_ROW_BLOCK_ENTRIES", entries)
     for g, (build, spec) in zip(whole, builds):
         blocked = build(spec)
         assert labeled_equal(blocked, g) and blocked.labels == g.labels
+
+
+def test_builders_fill_the_graph_without_a_copy(monkeypatch):
+    """With blocks of 16 rows, unitary_cayley and semistrong_product hold
+    the graph's own V x V bool array and one row block besides: no array
+    of their own and no copy of it (which would be 2 V^2 bytes)."""
+    monkeypatch.setattr(graph_core, "_ROW_BLOCK_ENTRIES", 1 << 16)
+    spec = RingSpec.parse("tri:3,2,2")
+    k, a = complete_graph(64), antipodal_hamming_direct(3, 4)
+    for name, build in (("unitary_cayley", lambda: unitary_cayley(spec)),
+                        ("semistrong_product", lambda: semistrong_product(k, a))):
+        tracemalloc.start()
+        try:
+            v = build().vertex_count
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v == 4096 and peak < 1.25 * v * v, (name, peak / (v * v))
 
 
 def test_quotient_needs_triangular_spec():

@@ -121,6 +121,57 @@ def test_graph_rejects_bad_adjacency():
 
 
 @st.composite
+def symmetric_matrices(draw, max_vertices=300):
+    """Random symmetric loop-free bool matrices of 0..max_vertices vertices."""
+    v = draw(st.sampled_from([0, 1]) | st.integers(0, max_vertices))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = np.triu(rng.random((v, v)) < draw(st.sampled_from([0.0, 0.05, 0.5])), 1)
+    return a | a.T
+
+
+@settings(max_examples=40, deadline=None)
+@given(symmetric_matrices(), st.sampled_from([1, 7, None]))
+@example(np.zeros((0, 0), dtype=bool), 1)
+@example(np.zeros((1, 1), dtype=bool), 7)
+def test_from_rows_matches_graph_of_the_matrix(a, entries):
+    """Filled a row block at a time, at 1 entry, 7 entries or the default
+    block size, from_rows gives the graph of the whole matrix."""
+    with pytest.MonkeyPatch.context() as mp:
+        if entries is not None:
+            mp.setattr(graph_core, "_ROW_BLOCK_ENTRIES", entries)
+        g = Graph.from_rows(len(a), lambda s: a[s], labels=range(len(a)))
+    assert labeled_equal(g, Graph(a)) and g.labels == tuple(map(str, range(len(a))))
+    assert not g.adjacency.flags.writeable
+
+
+def test_from_rows_rejects_bad_rows(monkeypatch):
+    monkeypatch.setattr(graph_core, "_ROW_BLOCK_ENTRIES", 7)
+    a = np.array(cycle_graph(9).adjacency)
+    asymmetric, loop = a.copy(), a.copy()
+    asymmetric[2, 7] = True
+    loop[4, 4] = True
+    for bad, match in ((asymmetric, "symmetric"), (loop, "loops")):
+        with pytest.raises(ValueError, match=match):
+            Graph.from_rows(9, lambda s: bad[s])
+    for rows in (lambda s: a[s, :8], lambda s: a[s][1:], lambda s: a[0]):
+        with pytest.raises(ValueError, match="must be a"):
+            Graph.from_rows(9, rows)
+
+    def refuse(s):
+        raise AssertionError("rows called over the cap")
+    with pytest.raises(GraphTooLarge):
+        Graph.from_rows(9, refuse, cap=8)
+
+
+def test_public_constructor_copies():
+    a = np.array(cycle_graph(5).adjacency)
+    g = Graph(a)
+    a[0, 1] = a[1, 0] = False
+    assert g.adjacency[0, 1] and g.edge_count() == 5
+    assert a.flags.writeable and not g.adjacency.flags.writeable
+
+
+@st.composite
 def square_bool_matrices(draw):
     """Random bool matrices around the 256-wide symmetry tiles: symmetric,
     symmetric with one entry flipped, or unconstrained."""
@@ -540,16 +591,16 @@ def test_bfs_forest_matches_scipy(adj):
 
 
 def test_bfs_forest_spans_several_row_blocks():
-    """Frontiers wider than _BFS_ROWS are read in several row blocks, at
-    the default block size and at 1-3 rows per block."""
+    """Frontiers wider than one row block are read in several, at 256 and
+    at 1-3 rows per block."""
     v = 3000
     rng = np.random.default_rng(5)
     adj = np.triu(rng.random((v, v)) < 0.002, 1)
     adj[:, :40] = adj[:40] = False  # isolated vertices
     adj |= adj.T
-    for rows in (graph_core._BFS_ROWS, 1, 2, 3):
+    for rows in (256, 1, 2, 3):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(graph_core, "_BFS_ROWS", rows)
+            mp.setattr(graph_core, "_ROW_BLOCK_ENTRIES", rows * v)
             depth = check_forest(adj)
         assert np.bincount(depth).max() > 2 * rows  # at least 3 blocks
 
