@@ -22,11 +22,13 @@ and their triameter is searched over the triples through vertex 0 (see
 cayley_triametral_triple).  Passes over V x V pairs hold one row block at
 a time (see row_blocks).  Diameter, triameter and antipodal graphs are
 only defined for connected graphs and raise DisconnectedGraph otherwise.
+The isomorphism oracle (iso_check) backtracks over packed bitset rows of
+candidates, one row per unmapped vertex, narrowing them all in a few
+whole-array operations per step; its search order, and so the bijection
+it finds, is that of a vertex-at-a-time search.
 """
 
 from __future__ import annotations
-
-import sys
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -88,16 +90,27 @@ class Graph:
     @classmethod
     def from_edges(cls, vertex_count, edges, labels=None, cap=DEFAULT_VERTEX_CAP):
         """Graph on vertex_count vertices with the given (u, v) edges: any
-        iterable of pairs, or an E x 2 integer array (used without a copy)."""
+        iterable of pairs, or an E x 2 integer array.
+
+        Both directions of every edge become one sorted flat position
+        u * V + w, and each row block is filled from its own run of them.
+        """
         ends = (edges if isinstance(edges, np.ndarray)
                 else np.array(list(edges) or np.zeros((0, 2), dtype=int)))
         if ends.ndim != 2 or ends.shape[1] != 2 or ends.dtype.kind not in "iu":
             raise ValueError("edges must be pairs of integer vertex indices")
         if ((ends < 0) | (ends >= vertex_count)).any():
             raise ValueError(f"endpoint not a vertex index 0..{vertex_count - 1}")
-        adj = np.zeros((vertex_count, vertex_count), dtype=bool)
-        adj[ends[:, 0], ends[:, 1]] = adj[ends[:, 1], ends[:, 0]] = True
-        return cls(adj, labels=labels, cap=cap)
+        v = vertex_count
+        u, w = ends.astype(np.int64).T
+        flat = np.sort(np.concatenate([u * v + w, w * v + u]))
+
+        def rows(s):
+            block = np.zeros((s.stop - s.start, v), dtype=bool)
+            lo, hi = np.searchsorted(flat, [s.start * v, s.stop * v])
+            block.reshape(-1)[flat[lo:hi] - s.start * v] = True
+            return block
+        return cls.from_rows(v, rows, labels=labels, cap=cap)
 
     @property
     def vertex_count(self) -> int:
@@ -326,9 +339,7 @@ def _all_sources_bfs(adj: np.ndarray) -> np.ndarray:
     unreached = ~unreached
     if v % 64:
         unreached[:, -1] &= _WORD.type((1 << v % 64) - 1)
-    front = np.zeros_like(unreached)
-    front.view(np.uint8)[:, :-(-v // 8)] = np.packbits(adj, axis=1,
-                                                       bitorder="little")
+    front = _pack(adj)
     expand = None
     planes = []
     level = 0
@@ -355,6 +366,15 @@ def _all_sources_bfs(adj: np.ndarray) -> np.ndarray:
         if split:
             block[_unpack(unreached[rows], v).view(bool)] = _unreachable(hops)
     return hops
+
+
+def _pack(rows: np.ndarray) -> np.ndarray:
+    """Bool rows as packed bitset rows of ceil(v / 64) words, v = columns."""
+    v = rows.shape[1]
+    packed = np.zeros((len(rows), -(-v // 64)), dtype=_WORD)
+    packed.view(np.uint8)[:, :-(-v // 8)] = np.packbits(rows, axis=1,
+                                                        bitorder="little")
+    return packed
 
 
 def _unpack(rows: np.ndarray, v: int) -> np.ndarray:
@@ -644,10 +664,16 @@ def iso_check(g: Graph, h: Graph):
 
     Backtracking over candidate sets: a vertex of g may map to the
     vertices of h of its degree, pruned by adjacency to the vertices
-    already mapped.  The search is exhaustive, so None is a definitive
-    answer, and a mapping found is checked edge by edge.  There is no
-    colour refinement: theorem3 compares Cayley graphs, which are regular,
-    and refinement cannot split a regular graph's degree class.
+    already mapped.  A search step holds one packed bitset row of
+    candidates per unmapped vertex of g, with the vertices of h already
+    used taken out.  It maps the lowest-indexed unmapped vertex with the
+    fewest candidates to each of them in ascending order, and narrows
+    every other row to that candidate's row of h or its complement in a
+    few whole-array operations; a row left empty rejects the candidate.
+    The search is exhaustive, so None is a definitive answer, and a
+    mapping found is checked edge by edge.  There is no colour
+    refinement: theorem3 compares Cayley graphs, which are regular, and
+    refinement cannot split a regular graph's degree class.
     Capped at ISO_ORACLE_CAP vertices.
     """
     if max(g.vertex_count, h.vertex_count) > ISO_ORACLE_CAP:
@@ -661,55 +687,31 @@ def iso_check(g: Graph, h: Graph):
     if v == 0:
         return []
 
-    masks_h = h.neighbor_masks()
-    by_degree_h = {}
-    for u, d in enumerate(h.degrees().tolist()):
-        by_degree_h[d] = by_degree_h.get(d, 0) | (1 << u)
-    cand = [by_degree_h[d] for d in g.degrees().tolist()]
-
+    g_adj = g.adjacency
+    near = _pack(h.adjacency)
+    far = _pack(~(h.adjacency | np.eye(v, dtype=bool)))  # not adjacent, not equal
     mapping = [-1] * v
-    full = (1 << v) - 1
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * v + 200))
 
-    def assign(cand, used):
-        if used == full:
+    def assign(unmapped, cand):
+        # Recursion depth is at most V + 1 <= ISO_ORACLE_CAP + 1.
+        if not unmapped.size:
             return True
-        # most-constrained unmapped vertex
-        pick, pick_n = -1, None
-        for u in range(v):
-            if mapping[u] < 0:
-                c = cand[u] & ~used
-                n = c.bit_count()
-                if n == 0:
-                    return False
-                if pick_n is None or n < pick_n:
-                    pick, pick_n = u, n
-                    if n == 1:
-                        break
-        options = cand[pick] & ~used
-        while options:
-            bit = options & -options
-            hu = bit.bit_length() - 1
-            new_cand = list(cand)
-            ok = True
-            for w in range(v):
-                if mapping[w] < 0 and w != pick:
-                    if g.adjacency[pick, w]:
-                        new_cand[w] &= masks_h[hu]
-                    else:
-                        new_cand[w] &= ~masks_h[hu]
-                    if (new_cand[w] & ~(used | bit)) == 0:
-                        ok = False
-                        break
-            if ok:
+        counts = np.bitwise_count(cand).sum(axis=1)
+        i = int(np.argmin(counts))
+        if not counts[i]:
+            return False
+        pick = int(unmapped[i])
+        rest = np.delete(unmapped, i)
+        adjacent = g_adj[pick, rest][:, None]
+        for hu in np.flatnonzero(_unpack(cand[i:i + 1], v)).tolist():
+            narrowed = np.delete(cand, i, axis=0)
+            narrowed &= np.where(adjacent, near[hu], far[hu])
+            if narrowed.any(axis=1).all() and assign(rest, narrowed):
                 mapping[pick] = hu
-                if assign(new_cand, used | bit):
-                    return True
-                mapping[pick] = -1
-            options ^= bit
+                return True
         return False
 
-    if not assign(cand, 0):
+    if not assign(np.arange(v), _pack(g.degrees()[:, None] == h.degrees())):
         return None
     perm = np.array(mapping)
     # verify edge by edge before reporting

@@ -1,8 +1,11 @@
 """Graph invariants against brute-force oracles and hand values."""
 
+import concurrent.futures
+import functools
 import itertools
 import random
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -13,9 +16,10 @@ from scipy.sparse import csgraph, csr_matrix
 
 from uct import (DisconnectedGraph, Graph, GraphTooLarge,
                  GraphTooLargeForOracle, RingSpec, all_pairs_distances,
-                 antipodal, clique_number, complete_bipartite, complete_graph,
-                 connected_components, diameter, hamming_graph, is_bipartite,
-                 is_complete_bipartite, iso_check, labeled_equal, max_clique,
+                 antipodal, antipodal_hamming_direct, clique_number,
+                 complete_bipartite, complete_graph, connected_components,
+                 diameter, hamming_graph, is_bipartite, is_complete_bipartite,
+                 iso_check, labeled_equal, max_clique, semistrong_product,
                  translation_distances, triameter, triametral_triple,
                  unitary_cayley)
 from uct import graph_core
@@ -722,13 +726,19 @@ def test_iso_check_k22_is_c4():
     assert iso_check(complete_bipartite(2, 2), cycle_graph(4)) is not None
 
 
+def prism_graph():
+    return Graph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
+                                (0, 3), (1, 4), (2, 5)])
+
+
+def two_triangles():
+    return Graph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+
+
 def test_iso_check_negatives():
     assert iso_check(complete_graph(3), path_graph(3)) is None
-    prism = Graph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
-                                 (0, 3), (1, 4), (2, 5)])
-    assert iso_check(complete_bipartite(3, 3), prism) is None  # both 3-regular
-    assert iso_check(cycle_graph(6), Graph.from_edges(6, [(0, 1), (1, 2), (2, 0),
-                                                          (3, 4), (4, 5), (5, 3)])) is None
+    assert iso_check(complete_bipartite(3, 3), prism_graph()) is None  # both 3-regular
+    assert iso_check(cycle_graph(6), two_triangles()) is None
 
 
 def spider(legs):
@@ -755,6 +765,143 @@ def test_iso_check_cap():
     big = Graph(np.zeros((513, 513), dtype=bool), cap=1024)
     with pytest.raises(GraphTooLargeForOracle):
         iso_check(big, big)
+
+
+def reference_iso_check(g, h):
+    """iso_check's search on python-int bitsets, one vertex at a time: the
+    same degree classes, the same lowest-indexed most constrained vertex
+    and the same ascending order of candidates, so the same mapping or
+    None."""
+    v = g.vertex_count
+    if v != h.vertex_count or g.edge_count() != h.edge_count():
+        return None
+    if sorted(g.degrees()) != sorted(h.degrees()):
+        return None
+    if v == 0:
+        return []
+    masks_h = h.neighbor_masks()
+    by_degree_h = {}
+    for u, d in enumerate(h.degrees().tolist()):
+        by_degree_h[d] = by_degree_h.get(d, 0) | (1 << u)
+    mapping = [-1] * v
+    full = (1 << v) - 1
+
+    def assign(cand, used):
+        if used == full:
+            return True
+        pick, pick_n = -1, None
+        for u in range(v):
+            if mapping[u] < 0:
+                n = (cand[u] & ~used).bit_count()
+                if n == 0:
+                    return False
+                if pick_n is None or n < pick_n:
+                    pick, pick_n = u, n
+                    if n == 1:
+                        break
+        options = cand[pick] & ~used
+        while options:
+            bit = options & -options
+            hu = bit.bit_length() - 1
+            new_cand = list(cand)
+            ok = True
+            for w in range(v):
+                if mapping[w] < 0 and w != pick:
+                    new_cand[w] &= masks_h[hu] if g.adjacency[pick, w] else ~masks_h[hu]
+                    if new_cand[w] & ~(used | bit) == 0:
+                        ok = False
+                        break
+            if ok:
+                mapping[pick] = hu
+                if assign(new_cand, used | bit):
+                    return True
+                mapping[pick] = -1
+            options ^= bit
+        return False
+
+    return mapping if assign([by_degree_h[d] for d in g.degrees().tolist()], 0) else None
+
+
+@st.composite
+def iso_pairs(draw):
+    """Pairs of graphs on at most 12 vertices: a relabelled copy, a copy
+    with random double edge swaps (same degree sequence, often not
+    isomorphic), or an independent random graph."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    g = random_graph(n, draw(st.sampled_from([0.2, 0.5, 0.8])), rng)
+    kind = draw(st.sampled_from(["relabelled", "swapped", "independent"]))
+    if kind == "independent":
+        return g, random_graph(n, rng.random(), rng)
+    adj = np.array(g.adjacency)
+    if kind == "swapped":
+        for _ in range(draw(st.integers(1, 20))):
+            edges = list(zip(*np.nonzero(np.triu(adj))))
+            if len(edges) < 2:
+                break
+            (a, b), (c, d) = rng.sample(edges, 2)
+            if len({a, b, c, d}) == 4 and not adj[a, d] and not adj[c, b]:
+                adj[a, b] = adj[b, a] = adj[c, d] = adj[d, c] = False
+                adj[a, d] = adj[d, a] = adj[c, b] = adj[b, c] = True
+    perm = rng.sample(range(n), n)
+    return g, Graph(adj[np.ix_(perm, perm)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(iso_pairs())
+@example((complete_bipartite(3, 3), prism_graph()))
+@example((prism_graph(), complete_bipartite(3, 3)))
+@example((cycle_graph(6), two_triangles()))
+@example((two_triangles(), cycle_graph(6)))
+@example((spider((1, 2, 3)), spider((1, 1, 4))))
+def test_iso_check_matches_reference_search(pair):
+    g, h = pair
+    assert iso_check(g, h) == reference_iso_check(g, h)
+
+
+@functools.cache
+def theorem3_pair(text):
+    """The ring graph of a q > 2 spec and theorem3's K_m . A(H(n, q))."""
+    spec = RingSpec.parse(text)
+    m = spec.q ** (spec.n * (spec.n - 1) // 2)
+    return unitary_cayley(spec), semistrong_product(
+        complete_graph(m), antipodal_hamming_direct(spec.n, spec.q))
+
+
+@pytest.mark.parametrize("text", ["tri:2,3,1", "tri:2,2,2", "tri:2,5,1",
+                                  "tri:2,7,1", "tri:2,2,3"])
+def test_iso_check_matches_reference_search_on_theorem3_rings(text):
+    g, product = theorem3_pair(text)
+    mapping = iso_check(g, product)
+    assert mapping is not None and mapping == reference_iso_check(g, product)
+
+
+def test_iso_check_leaves_the_recursion_limit():
+    """A search 513 calls deep fits under the default recursion limit, in
+    the main thread and in worker threads, without raising it."""
+    limit = sys.getrecursionlimit()
+    g, product = theorem3_pair("tri:2,2,3")
+    assert g.vertex_count == 512 and iso_check(g, product) is not None
+    path = path_graph(512)
+    shuffled = shuffled_copy(path, random.Random(5))
+    with concurrent.futures.ThreadPoolExecutor(2) as pool:
+        found = list(pool.map(iso_check, [path, shuffled], [shuffled, path]))
+    assert all(mapping is not None for mapping in found)
+    assert sys.getrecursionlimit() == limit
+
+
+def test_iso_check_holds_one_candidate_row_per_unmapped_vertex():
+    """The search on tri:2,2,3 (512 vertices, 8 words a row) holds one
+    row per unmapped vertex at each depth: about V^2 / 2 rows of 64 bytes
+    in all.  A copy of all V rows at each depth would take 33 MB."""
+    g, product = theorem3_pair("tri:2,2,3")
+    tracemalloc.start()
+    try:
+        assert iso_check(g, product) is not None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 << 20, peak / (1 << 20)
 
 
 # -- serialization -------------------------------------------------------------
@@ -817,6 +964,33 @@ def test_from_edges_takes_an_integer_array():
         Graph.from_edges(3, np.array([[0, 1.0]]))
     with pytest.raises(ValueError, match="pairs"):
         Graph.from_edges(3, np.array([0, 1]))
+    # Narrow dtypes, repeats and both directions give one edge; the cap is
+    # checked before any V x V array is made.
+    one = Graph.from_edges(200, np.array([[199, 198], [198, 199], [199, 198]],
+                                         dtype=np.uint8))
+    assert one.edge_count() == 1 and one.adjacency[198, 199]
+    with pytest.raises(ValueError, match="loops"):
+        Graph.from_edges(3, [(1, 1)])
+    with pytest.raises(GraphTooLarge):
+        read_edge_list("0 1\n5 1000000\n")
+
+
+def test_edge_list_import_fills_the_graph_without_a_copy(monkeypatch):
+    """With blocks of 16 rows, reading an edge list back holds the graph's
+    own V x V bool array and one row block besides (2.13 V^2 when a
+    V x V array of its own was copied into the Graph)."""
+    monkeypatch.setattr(graph_core, "_ROW_BLOCK_ENTRIES", 1 << 16)
+    g = hamming_graph(12, 2)
+    text = to_edge_list(g)
+    tracemalloc.start()
+    try:
+        back = read_edge_list(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    v = g.vertex_count
+    assert v == 4096 and peak < 1.25 * v * v, peak / (v * v)
+    assert labeled_equal(back, g)
 
 
 def test_dot_export():
