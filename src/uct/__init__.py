@@ -28,7 +28,7 @@ from .graph_core import (Graph, all_pairs_distances, antipodal,
 from .constructors import (VertexLabeling, antipodal_hamming_direct,
                            complete_bipartite, complete_graph,
                            diagonal_quotient, hamming_graph,
-                           semistrong_product, unitary_cayley)
+                           semistrong_product, semistrong_rows, unitary_cayley)
 from .theorem_checker import (DEFAULT_SUITE_SPECS, Verdict, check_clique,
                               check_connectivity_and_diameter, check_prop0,
                               check_prop1, check_quotient, check_theorem1,

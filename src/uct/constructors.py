@@ -2,16 +2,17 @@
 
 Vertex order is always the canonical encoding order of the underlying
 objects (ring elements, tuples, product pairs), so structural claims can
-be tested as labeled-graph equality instead of isomorphism search.  Ring
-graphs, the quotient and the product pass Graph.from_rows a rule for a
-block of rows, so they hold no adjacency array of their own.
+be tested as labeled-graph equality instead of isomorphism search.  Every
+builder passes Graph.from_rows a rule for a block of rows, so none holds
+an adjacency array of its own.
 Tuples are encoded base-q with the first coordinate least significant,
 matching the matrix entry encoding in tri_ring.  Ring graphs are Cayley
 graphs of (R, +) and are built from that definition: a unit mask over the
 elements, read at the differences x - y a row block at a time.  H(n, q)
-and its antipodal graph A(H(n, q)) are the Cartesian and direct powers of
-K_q, so both are built as Kronecker products of I_q and J_q - I_q, never
-by a pass over all pairs per coordinate.
+and its antipodal graph A(H(n, q)) share one rule, the number of
+coordinates in which two tuples differ (1 for H, n for A(H)), read from
+two half tables, q^floor(n/2) and q^ceil(n/2) on a side.  The product's
+rule, semistrong_rows, reads any rows without building the product.
 diagonal_quotient keeps its own field-subtraction rule, so comparing it
 with antipodal_hamming_direct compares two independent constructions.
 """
@@ -72,90 +73,85 @@ def unitary_cayley(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
 
 def hamming_graph(length: int, q: int, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     """Tuples of the given length over 0..q-1; adjacent iff they differ in
-    exactly one coordinate.
-
-    The Cartesian power of K_q, built as the Kronecker recursion
-    A_1 = J_q - I_q, A_n = I_q (x) A_{n-1} + (J_q - I_q) (x) I: each step
-    adds the most significant coordinate, copying A_{n-1} into the q
-    diagonal blocks and setting the diagonals of the off-diagonal blocks
-    (row a * size + i meets column b * size + i for every b != a).
-    """
-    v = _tuple_count(length, q, cap, "length")
-    adj = np.zeros((v, v), dtype=bool)
-    adj[:q, :q] = ~np.eye(q, dtype=bool)
-    size = q  # adj[:size, :size] holds A_k, starting from A_1 = K_q
-    while size < v:
-        for a in range(1, q):
-            block = slice(a * size, (a + 1) * size)
-            adj[block, block] = adj[:size, :size]
-        rows = np.arange(q * size)
-        for shift in range(size, q * size, size):
-            adj[rows, (rows + shift) % (q * size)] = True
-        size *= q
-    return Graph(adj, labels=_digit_labels(tuple_codes(length, q)), cap=cap)
+    exactly one coordinate (the Cartesian power of K_q)."""
+    return _differ_graph(length, q, 1, cap)
 
 
 def antipodal_hamming_direct(n: int, q: int, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
-    """Tuples adjacent iff they differ in every coordinate; equals the
-    antipodal graph of hamming_graph(n, q) vertex for vertex.
-
-    The direct power of K_q, so its adjacency is the Kronecker power
-    (J_q - I_q)^(x)n.
-    """
-    _tuple_count(n, q, cap, "n")
-    k = ~np.eye(q, dtype=bool)
-    adj = k
-    for _ in range(n - 1):
-        adj = np.kron(k, adj)
-    return Graph(adj, labels=_digit_labels(tuple_codes(n, q)), cap=cap)
+    """Tuples adjacent iff they differ in every coordinate, the direct power
+    of K_q and the antipodal graph of hamming_graph(n, q) vertex for vertex."""
+    return _differ_graph(n, q, n, cap)
 
 
-def _tuple_count(length: int, q: int, cap: int, name: str) -> int:
-    """q**length, the vertex count of a graph on the length-tuples over
-    0..q-1, after checking the arguments and the cap; `name` is the
-    caller's name for the length in the error messages."""
-    if length < 1 or q < 2:
-        raise ValueError(f"need {name} >= 1 and alphabet size >= 2")
-    v = q ** length
+def _differ_graph(n: int, q: int, count: int, cap: int) -> Graph:
+    """The n-tuples over 0..q-1, adjacent iff they differ in exactly `count`
+    coordinates: lo[x_lo, y_lo] + hi[x_hi, y_hi] for the low floor(n/2) and
+    high ceil(n/2) digits, lo and hi the Kronecker sums of J_q - I_q over
+    that many coordinates."""
+    v = _tuple_count(n, q, cap)
+    if n == 1:  # K_q, whose one-coordinate half table would be a second q x q array
+        return complete_graph(q, cap)
+    ne = 1 - np.eye(q, dtype=np.uint8)
+
+    def table(k):  # one more coordinate, most significant, per step
+        t = np.zeros((1, 1), dtype=np.uint8)
+        for _ in range(k):
+            t = (ne[:, None, :, None] + t[None, :, None, :]).reshape(q * len(t), -1)
+        return t
+    lo, hi = table(n // 2), table(n - n // 2)
+
+    def rows(s):
+        x_hi, x_lo = np.divmod(np.arange(s.start, s.stop), len(lo))
+        differ = hi[x_hi][:, :, None] + lo[x_lo][:, None, :]
+        return (differ == count).reshape(len(x_lo), v)
+    return Graph.from_rows(v, rows, labels=_digit_labels(tuple_codes(n, q)), cap=cap)
+
+
+def _tuple_count(n: int, q: int, cap: int) -> int:
+    """q**n, the number of n-tuples over 0..q-1, after checking n, q and the cap."""
+    if n < 1 or q < 2:
+        raise ValueError("need tuple length n >= 1 and alphabet size q >= 2")
+    v = q ** n
     if v > cap:
-        raise GraphTooLarge(f"q**{name} = {v} exceeds the cap of {cap}")
+        raise GraphTooLarge(f"q**n = {v} exceeds the cap of {cap}")
     return v
 
 
 def complete_graph(m: int, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     if m < 1:
         raise ValueError("need at least one vertex")
-    if m > cap:
-        raise GraphTooLarge(f"{m} vertices exceed the cap of {cap}")
-    adj = ~np.eye(m, dtype=bool)
-    return Graph(adj, labels=[str(i) for i in range(m)], cap=cap)
+    return Graph.from_rows(m, lambda s: np.arange(m)[s, None] != np.arange(m),
+                           labels=range(m), cap=cap)
 
 
 def complete_bipartite(a: int, b: int, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     """K_{a,b} with parts on index ranges [0, a) and [a, a+b)."""
     if a < 1 or b < 1:
         raise ValueError("both parts must be nonempty")
-    if a + b > cap:
-        raise GraphTooLarge(f"{a + b} vertices exceed the cap of {cap}")
-    adj = np.zeros((a + b, a + b), dtype=bool)
-    adj[:a, a:] = True
-    adj[a:, :a] = True
-    return Graph(adj, labels=[str(i) for i in range(a + b)], cap=cap)
+    return Graph.from_rows(a + b, lambda s: (np.arange(a + b)[s, None] < a)
+                           != (np.arange(a + b) < a), labels=range(a + b), cap=cap)
+
+
+def semistrong_rows(g: Graph, h: Graph):
+    """rows(x): the rows at x (a slice, or an index array in any order with
+    repeats) of g (bullet) h, where (u1,v1) ~ (u2,v2) iff v1v2 is an edge of
+    h and (u1u2 is an edge of g or u1 = u2).  Vertex (u, v) sits at index
+    u*|V(h)| + v; its row is (row u of g + I) (x) (row v of h)."""
+    v = g.vertex_count * h.vertex_count
+
+    def rows(x):
+        u, w = np.divmod(np.arange(v)[x], h.vertex_count)
+        left = g.adjacency[u] | (np.arange(g.vertex_count) == u[:, None])
+        return (left[:, :, None] & h.adjacency[w][:, None, :]).reshape(len(u), v)
+    return rows
 
 
 def semistrong_product(g: Graph, h: Graph, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
-    """(u1,v1) ~ (u2,v2) iff v1v2 is an edge of h and (u1u2 is an edge of g
-    or u1 = u2).  Vertex (u, v) sits at index u*|V(h)| + v; its row is
-    (row u of g + I) (x) (row v of h); labels are made after the cap check."""
-    v = g.vertex_count * h.vertex_count
-
-    def rows(s):
-        u, w = np.divmod(np.arange(s.start, s.stop), h.vertex_count)
-        left = g.adjacency[u] | (np.arange(g.vertex_count) == u[:, None])
-        return (left[:, :, None] & h.adjacency[w][:, None, :]).reshape(len(u), v)
+    """The graph of semistrong_rows(g, h); labels are made after the cap check."""
     labels = (None if g.labels is None or h.labels is None
               else (f"{gl}|{hl}" for gl in g.labels for hl in h.labels))
-    return Graph.from_rows(v, rows, labels=labels, cap=cap)
+    return Graph.from_rows(g.vertex_count * h.vertex_count, semistrong_rows(g, h),
+                           labels=labels, cap=cap)
 
 
 def diagonal_quotient(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
@@ -171,7 +167,7 @@ def diagonal_quotient(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     if spec.kind != "tri":
         raise ValueError("diagonal quotient is defined for triangular rings only")
     q = spec.q
-    v = _tuple_count(spec.n, q, cap, "n")
+    v = _tuple_count(spec.n, q, cap)
     nonzero = spec.field().sub_table != 0
     t = tuple_codes(spec.n, q)
     return Graph.from_rows(v, lambda s: np.logical_and.reduce(

@@ -6,11 +6,12 @@ a.  It then checks symmetry one 256 x 256 tile pair at a time (see
 _is_symmetric), at memory speed where a full transpose would stride.
 
 Components, root depths and the two-coloring come from one BFS per
-component over the dense rows (see _bfs_forest).  All-pairs distances
-come from one level-synchronous BFS out of every vertex at once over
-packed bitset frontiers, each level ORing the frontier rows of every
-vertex's neighbours; graphs that may have too many levels for that (a
-diameter in the hundreds) get one scipy search per source instead.
+component over rows read through a callable, a Graph's or a row rule's
+(see bfs_forest).  All-pairs distances come from one level-synchronous
+BFS out of every vertex at once over packed bitset frontiers, each level
+ORing the frontier rows of every vertex's neighbours; graphs that may
+have too many levels for that (a diameter in the hundreds) get one scipy
+search per source instead.
 Distances are returned as hop counts in the smallest unsigned dtype that
 holds the largest finite distance plus one (uint8 up to a diameter of
 254), with that dtype's maximum marking pairs in different components;
@@ -31,8 +32,6 @@ it finds, is that of a vertex-at-a-time search.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse import csgraph
 
 from .errors import (DisconnectedGraph, GraphTooLarge, GraphTooLargeForOracle,
                      NotTranslationInvariant)
@@ -170,54 +169,59 @@ def _is_symmetric(adj: np.ndarray) -> bool:
 
 def labeled_equal(g: Graph, h: Graph) -> bool:
     """Equality as labeled graphs: same adjacency matrix, vertex for vertex."""
-    return (g.vertex_count == h.vertex_count
-            and np.array_equal(g.adjacency, h.adjacency))
+    return np.array_equal(g.adjacency, h.adjacency)
 
 
 def connected_components(g: Graph) -> list:
     """Vertex partition; components ordered by their smallest vertex index.
     The labelling is cached on the graph; every call returns fresh lists."""
-    count, label, _, _ = _bfs_forest(g)
+    count, label, _, _ = _forest(g)
     comps = [[] for _ in range(count)]
     for v, c in enumerate(label.tolist()):
         comps[c].append(v)
     return comps
 
 
-def _bfs_forest(g: Graph):
-    """(count, label, depth, odd) of one BFS per component, cached on g.
+def _forest(g: Graph):
+    """bfs_forest of g's adjacency rows, cached on g."""
+    if "forest" not in g._cache:
+        g._cache["forest"] = bfs_forest(g.adjacency.__getitem__, g.adjacency.any(axis=1))
+    return g._cache["forest"]
+
+
+def bfs_forest(rows, linked: np.ndarray):
+    """(count, label, depth, odd) of one BFS per component of the graph on
+    0..len(linked)-1 whose rows at an index array x are rows(x), linked
+    marking the vertices with a neighbour.
 
     Each BFS starts at its component's smallest vertex, so labels rise with
     that vertex and depth is the hop distance from it; a vertex without
     neighbours gets depth 0 and no BFS.  A level is the OR of the frontier's
-    dense rows, one row block at a time, masked by the unvisited vertices.
+    rows, one row block at a time, masked by the unvisited vertices.
     That OR also shows any edge inside the frontier: `odd` says some level
     has one, which holds iff some component has an odd cycle.
     """
-    if "forest" not in g._cache:
-        adj = g.adjacency
-        v = adj.shape[0]
-        root = np.arange(v)
-        depth = np.zeros(v, dtype=np.intp)
-        todo = adj.any(axis=1)  # vertices with a neighbour, not yet reached
-        odd = False
-        for top in range(v):
-            if not todo[top]:
-                continue
-            todo[top] = False
-            front, level = np.array([top]), 0
-            while front.size:
-                hit = np.zeros(v, dtype=bool)
-                for s in row_blocks(front.size, v):
-                    hit |= adj[front[s]].any(axis=0)
-                odd = odd or bool(hit[front].any())
-                front = np.flatnonzero(hit & todo)
-                level += 1
-                todo[front] = False
-                root[front], depth[front] = top, level
-        tops, label = np.unique(root, return_inverse=True)
-        g._cache["forest"] = (len(tops), label, depth, odd)
-    return g._cache["forest"]
+    v = len(linked)
+    root = np.arange(v)
+    depth = np.zeros(v, dtype=np.intp)
+    todo = np.array(linked, dtype=bool)  # vertices with a neighbour, not yet reached
+    odd = False
+    for top in range(v):
+        if not todo[top]:
+            continue
+        todo[top] = False
+        front, level = np.array([top]), 0
+        while front.size:
+            hit = np.zeros(v, dtype=bool)
+            for s in row_blocks(front.size, v):
+                hit |= rows(front[s]).any(axis=0)
+            odd = odd or bool(hit[front].any())
+            front = np.flatnonzero(hit & todo)
+            level += 1
+            todo[front] = False
+            root[front], depth[front] = top, level
+    tops, label = np.unique(root, return_inverse=True)
+    return len(tops), label, depth, odd
 
 
 def all_pairs_distances(g: Graph) -> np.ndarray:
@@ -237,7 +241,7 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
     if "dist" not in g._cache:
         v = g.vertex_count
         # d(x, y) <= d(x, root) + d(root, y) <= 2 * the root's eccentricity
-        levels = 2 * int(_bfs_forest(g)[2].max()) if v else 0
+        levels = 2 * int(_forest(g)[2].max()) if v else 0
         if levels * -(-v // 64) <= _LEVEL_WORDS_PER_VERTEX * v:
             d = _all_sources_bfs(g.adjacency)
         else:
@@ -299,6 +303,7 @@ def _per_source_distances(adj: np.ndarray, levels: int) -> np.ndarray:
     once the largest distance is known: truncating a wider unsigned dtype
     turns its all-ones mark into the narrower one's.
     """
+    from scipy.sparse import csgraph, csr_matrix  # the one scipy use: import on demand
     v = adj.shape[0]
     indptr, indices = _neighbours(adj)
     csr = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(v, v))
@@ -471,7 +476,7 @@ def translation_distances(g: Graph, minus) -> np.ndarray:
         if not np.array_equal(adj[0][codes], adj[rows]):
             raise NotTranslationInvariant(
                 "adjacency is not invariant under the given translations")
-    _, label, depth, _ = _bfs_forest(g)
+    _, label, depth, _ = _forest(g)
     reached = label == 0  # vertex 0 roots the first component's BFS
     dtype = _hop_dtype(int(depth.max(where=reached, initial=0)))
     d0 = np.where(reached, depth, np.iinfo(dtype).max).astype(dtype)
@@ -616,11 +621,11 @@ def two_coloring(g: Graph):
     component has an odd cycle; cached on the graph.
 
     The colour is the parity of the depth below the smallest vertex of the
-    component (see _bfs_forest), so every root gets colour 0.  The coloring
+    component (see bfs_forest), so every root gets colour 0.  The coloring
     is proper iff no edge joins two vertices of one BFS level.
     """
     if "coloring" not in g._cache:
-        _, _, depth, odd = _bfs_forest(g)
+        _, _, depth, odd = _forest(g)
         color = (depth % 2).astype(np.int8)
         color.flags.writeable = False
         g._cache["coloring"] = None if odd else color
@@ -639,7 +644,7 @@ def is_complete_bipartite(g: Graph):
     is proper, so g is complete bipartite iff its adjacency is "colours
     differ", compared a row block at a time.
     """
-    if _bfs_forest(g)[0] != 1:
+    if _forest(g)[0] != 1:
         raise DisconnectedGraph("complete-bipartite test needs a connected graph")
     color = two_coloring(g)
     if color is None or g.vertex_count < 2 or not all(
@@ -680,9 +685,7 @@ def iso_check(g: Graph, h: Graph):
         raise GraphTooLargeForOracle(
             f"isomorphism oracle capped at {ISO_ORACLE_CAP} vertices")
     v = g.vertex_count
-    if v != h.vertex_count or g.edge_count() != h.edge_count():
-        return None
-    if sorted(g.degrees()) != sorted(h.degrees()):
+    if sorted(g.degrees()) != sorted(h.degrees()):  # so V and E agree too
         return None
     if v == 0:
         return []

@@ -21,10 +21,10 @@ import numpy as np
 
 from .constructors import (VertexLabeling, antipodal_hamming_direct,
                            complete_graph, diagonal_quotient,
-                           semistrong_product, unitary_cayley)
+                           semistrong_product, semistrong_rows, unitary_cayley)
 from .errors import UctError, WrongField
 from .finite_field import is_prime
-from .graph_core import (ISO_ORACLE_CAP, cayley_triametral_triple,
+from .graph_core import (ISO_ORACLE_CAP, bfs_forest, cayley_triametral_triple,
                          connected_components, is_bipartite, is_complete_bipartite,
                          iso_check, labeled_equal, largest_finite_distance,
                          max_clique, row_blocks, translation_distances)
@@ -309,37 +309,37 @@ def theorem3_relabeling(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> Vertex
 @_check("theorem3", "theorem3.semistrong_product", gf2=False, seeded=True)
 def check_theorem3(ring: RingInstance, seed: int):
     """q > 2: the Cayley graph equals K_m (bullet) A(H(n,q)) as a labeled
-    graph after the structural relabeling, m = q^(n(n-1)/2).  Every vertex
-    pair is compared; degree sequence, edge count and component count are
-    asserted as redundant cross-checks, and the generic isomorphism oracle
-    independently confirms instances small enough for it."""
+    graph after the structural relabeling, m = q^(n(n-1)/2), on every vertex
+    pair of the product's row rule (semistrong_rows) read at perm; its row
+    sums and a BFS forest over it cross-check the degrees, edge count and
+    component count, and the isomorphism oracle confirms small instances."""
     spec, g, cap = ring.spec, ring.graph, ring.cap
     q, n = spec.q, spec.n
     m = q ** (n * (n - 1) // 2)
-    product = semistrong_product(complete_graph(m, cap),
-                                 antipodal_hamming_direct(n, q, cap), cap)
-    phi = theorem3_relabeling(ring)
-    perm = np.array(phi.encodings)
-    if len(phi) != product.vertex_count or perm.max() >= product.vertex_count:
+    factors = complete_graph(m, cap), antipodal_hamming_direct(n, q, cap)
+    rows = semistrong_rows(*factors)
+    perm = np.array(theorem3_relabeling(ring).encodings)
+    v = g.vertex_count
+    if v != m * q ** n or perm.max() >= v:
         raise AssertionError("relabeling is not onto the product vertex set")
-    pairwise_equal = all(np.array_equal(product.adjacency[perm[rows]].take(perm, axis=1),
-                                        g.adjacency[rows])
-                         for rows in row_blocks(g.vertex_count))
+    degrees = np.empty(v, dtype=np.intp)  # of the product, in its vertex order
+    pairwise_equal = True
+    for s in row_blocks(v):
+        block = rows(perm[s])
+        degrees[perm[s]] = np.count_nonzero(block, axis=1)
+        pairwise_equal &= np.array_equal(block.take(perm, axis=1), g.adjacency[s])
 
-    degrees_equal = sorted(g.degrees()) == sorted(product.degrees())
-    edges_equal = g.edge_count() == product.edge_count()
-    components_equal = len(connected_components(g)) == len(connected_components(product))
+    degrees_equal = sorted(g.degrees()) == sorted(degrees)
+    edges_equal = g.edge_count() == int(degrees.sum()) // 2
+    components_equal = len(connected_components(g)) == bfs_forest(rows, degrees > 0)[0]
 
     iso_confirmed = None
-    if g.vertex_count <= ISO_ORACLE_CAP:
-        iso_confirmed = iso_check(g, product) is not None
+    if v <= ISO_ORACLE_CAP:
+        iso_confirmed = iso_check(g, semistrong_product(*factors, cap)) is not None
 
     rng = random.Random(seed)
-    v = g.vertex_count
-    spot_ok = True
-    for _ in range(100):
-        x, y = rng.randrange(v), rng.randrange(v)
-        spot_ok &= bool(g.adjacency[x, y] == product.adjacency[perm[x], perm[y]])
+    x, y = np.array([(rng.randrange(v), rng.randrange(v)) for _ in range(100)]).T
+    spot_ok = np.array_equal(g.adjacency[x, y], rows(perm[x])[np.arange(100), perm[y]])
 
     expected = {"pairwise_equal": True, "degree_sequences_equal": True,
                 "edge_counts_equal": True, "component_counts_equal": True,

@@ -282,6 +282,17 @@ def test_error_exit_codes(capsys, monkeypatch, error):
 
 
 
+def test_import_does_not_load_scipy():
+    """scipy is imported on first use by the per-source distance search, its
+    one caller, so importing uct leaves scipy.sparse unloaded."""
+    src = os.path.dirname(os.path.dirname(uct.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, uct; sys.exit('scipy.sparse' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("argv", [
     ["build", "--ring", "tri", "--n", "2", "--p", "4"],
     ["verify", "--spec", "tri:2,4,1"],

@@ -6,12 +6,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uct import (Graph, GraphTooLarge, RingSpec, RingTooLarge, VertexLabeling,
                  antipodal, antipodal_hamming_direct, complete_bipartite,
                  complete_graph, connected_components, diagonal_quotient,
                  diameter, hamming_graph, is_complete_bipartite, iso_check,
-                 labeled_equal, semistrong_product, unitary_cayley)
+                 labeled_equal, semistrong_product, semistrong_rows,
+                 unitary_cayley)
 from uct import graph_core
 from uct.tri_ring import (decode, diagonal_of, enumerate_ring, is_unit, mat_sub,
                           tuple_codes)
@@ -239,6 +242,21 @@ def test_semistrong_matches_defining_rule():
         assert labeled_equal(semistrong_product(g, h), semistrong_by_rule(g, h))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2 ** 32 - 1),
+       st.data())
+def test_semistrong_rows_at_any_index_array(a, b, seed, data):
+    """semistrong_rows read at index arrays in any order, with repeats, or
+    at a slice gives the rows of semistrong_product there."""
+    rng = random.Random(seed)
+    g, h = random_graph(a, rng.random(), rng), random_graph(b, rng.random(), rng)
+    rows, product = semistrong_rows(g, h), semistrong_product(g, h)
+    x = np.array(data.draw(st.lists(st.integers(0, a * b - 1), max_size=12)),
+                 dtype=np.intp)
+    assert np.array_equal(rows(x), product.adjacency[x])
+    assert np.array_equal(rows(slice(1, a * b)), product.adjacency[1:])
+
+
 def test_semistrong_degree_law():
     rng = random.Random(37)
     cases = [(complete_graph(3), antipodal_hamming_direct(2, 3))]
@@ -325,14 +343,18 @@ def test_row_blocked_builds_match_one_block(monkeypatch, entries):
 
 
 def test_builders_fill_the_graph_without_a_copy(monkeypatch):
-    """With blocks of 16 rows, unitary_cayley and semistrong_product hold
-    the graph's own V x V bool array and one row block besides: no array
-    of their own and no copy of it (which would be 2 V^2 bytes)."""
+    """With blocks of 16 rows, unitary_cayley, semistrong_product,
+    hamming_graph and antipodal_hamming_direct hold the graph's own V x V
+    bool array and one row block besides: no array of their own and no
+    copy of it (which would be 2 V^2 bytes)."""
     monkeypatch.setattr(graph_core, "_ROW_BLOCK_ENTRIES", 1 << 16)
     spec = RingSpec.parse("tri:3,2,2")
     k, a = complete_graph(64), antipodal_hamming_direct(3, 4)
     for name, build in (("unitary_cayley", lambda: unitary_cayley(spec)),
-                        ("semistrong_product", lambda: semistrong_product(k, a))):
+                        ("semistrong_product", lambda: semistrong_product(k, a)),
+                        ("hamming_graph", lambda: hamming_graph(12, 2)),
+                        ("antipodal_hamming_direct",
+                         lambda: antipodal_hamming_direct(6, 4))):
         tracemalloc.start()
         try:
             v = build().vertex_count

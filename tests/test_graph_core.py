@@ -10,6 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csgraph, csr_matrix
@@ -387,7 +388,7 @@ def test_per_source_route_holds_no_float_matrix():
     holds a V x V float64 matrix (8 bytes per pair)."""
     v = 3000
     g = path_graph(v)
-    graph_core._bfs_forest(g)  # the forest behind the level bound
+    graph_core._forest(g)  # the forest behind the level bound
     tracemalloc.start()
     try:
         d = all_pairs_distances(g)
@@ -402,7 +403,7 @@ def test_level_route_unpacks_its_bit_planes_in_row_blocks():
     """H(12, 2): a 16.8 MB uint8 result whose four bit planes are unpacked
     a row block at a time, not as whole 4096 x 4096 arrays (63 MB peak)."""
     g = hamming_graph(12, 2)
-    graph_core._bfs_forest(g)  # the forest behind the level bound
+    graph_core._forest(g)  # the forest behind the level bound
     tracemalloc.start()
     try:
         d = all_pairs_distances(g)
@@ -568,7 +569,7 @@ def two_colourable(adj):
 
 
 def check_forest(adj):
-    count, label, depth, odd = graph_core._bfs_forest(Graph(adj))
+    count, label, depth, odd = graph_core._forest(Graph(adj))
     want_count, want_label = csgraph.connected_components(csr_matrix(adj),
                                                           directed=False)
     assert count == want_count
@@ -614,6 +615,31 @@ def test_bfs_forest_spans_several_row_blocks():
 @example(np.zeros((0, 0), dtype=bool), 1)
 @example(np.zeros((1, 1), dtype=bool), 1)
 @example(np.zeros((70, 70), dtype=bool), 100)
+@example(np.ones((9, 9), dtype=bool) ^ np.eye(9, dtype=bool), 9)
+def test_forest_over_a_row_callable_matches_the_graph(adj, block_entries):
+    """bfs_forest over a row callable, read in row blocks of any size, is the
+    forest of the Graph of the same rows: count, labels, depths and `odd`.
+    The callable is handed index arrays and forms each row at most once."""
+    want = graph_core._forest(Graph(adj))
+    asked = [np.zeros(0, dtype=np.intp)]
+
+    def rows(x):
+        assert isinstance(x, np.ndarray) and x.dtype.kind in "iu"
+        asked.append(x)
+        return adj[x]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_core, "_ROW_BLOCK_ENTRIES", block_entries)
+        count, label, depth, odd = graph_core.bfs_forest(rows, adj.any(axis=1))
+    assert count == want[0] and odd == want[3]
+    assert np.array_equal(label, want[1]) and np.array_equal(depth, want[2])
+    assert np.bincount(np.concatenate(asked), minlength=1).max(initial=0) <= 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(apsp_cases(), st.integers(min_value=1, max_value=2000))
+@example(np.zeros((0, 0), dtype=bool), 1)
+@example(np.zeros((1, 1), dtype=bool), 1)
+@example(np.zeros((70, 70), dtype=bool), 100)
 def test_neighbour_lists_match_scipy(adj, block_entries):
     """Read in row blocks of any size, the neighbour lists have scipy's own
     CSR structure."""
@@ -641,7 +667,7 @@ def test_dense_traversals_build_no_sparse_form(monkeypatch):
         matrices.append(args)
         return csr_matrix(*args, **kwargs)
     monkeypatch.setattr(graph_core, "_neighbours", counted_lists)
-    monkeypatch.setattr(graph_core, "csr_matrix", counted_matrix)
+    monkeypatch.setattr(scipy.sparse, "csr_matrix", counted_matrix)
     for g, per_source in ((random_connected_graph(60, 0.05, random.Random(3)),
                            False), (path_graph(1000), True)):
         lists.clear()

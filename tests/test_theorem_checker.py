@@ -345,16 +345,15 @@ def test_registry_declares_each_check_once():
 
 def test_ring_checks_hold_one_row_block_at_a_time(monkeypatch):
     """With blocks of 16 rows and the graph, d0 and diagonal digits built,
-    prop1, connectivity and the triameter each hold less than a quarter of
-    a V x V bool array; theorem3 holds the product graph's own adjacency
-    (V^2 bytes), filled in place, but no builder array or relabelled
-    V x V copy besides."""
+    prop1, connectivity, the triameter and theorem3 each hold less than a
+    quarter of a V x V bool array: theorem3 reads the product through its
+    row rule and builds no product graph above the oracle's cap."""
     monkeypatch.setattr(graph_core, "_ROW_BLOCK_ENTRIES", 1 << 16)
     ring = tc.RingInstance(RingSpec.parse("tri:3,2,2"))
     v = ring.graph.vertex_count
     assert ring.d0.shape == (v,) and ring.diagonal.shape == (v, 3)
     for name, bound in (("prop1", v * v / 4), ("connectivity", v * v / 4),
-                        ("triameter", v * v / 4), ("theorem3", 1.25 * v * v)):
+                        ("triameter", v * v / 4), ("theorem3", v * v / 4)):
         tracemalloc.start()
         try:
             verdict = tc._measure(name, ring)
