@@ -8,7 +8,8 @@ listed row by row with the diagonal included,
 and the canonical integer encoding reads that sequence as base-q digits,
 first entry least significant.  The encoding is a bijection between
 T_n(F) and 0..q**(n(n+1)/2)-1; exported graphs and all structural maps
-depend on it.
+depend on it.  difference_rows is the one place x - y is formed; it reads a
+per-element table (the unit mask, say) there, for Z_n through one window.
 """
 
 from __future__ import annotations
@@ -235,28 +236,34 @@ def entry_digit_matrix(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> np.ndar
     return tuple_codes(spec.n * (spec.n + 1) // 2, spec.q)
 
 
-def difference_rows(spec: RingSpec, rows, cap: int = DEFAULT_VERTEX_CAP) -> np.ndarray:
+def difference_rows(spec: RingSpec, rows, cap: int = DEFAULT_VERTEX_CAP,
+                    of=None) -> np.ndarray:
     """len(rows) x order array of the encodings of x - y, x in rows (a slice or
     a sequence of encodings), in the smallest unsigned dtype (uint8 up to
-    256 elements, uint16 up to 2**16).
+    256 elements, uint16 up to 2**16); given a length-order array `of`, of[x - y].
 
     (R, +) is Z_m, or Z_p**D for T_n(GF(p^k)) (D = k*n(n+1)/2 base-p digits,
     added digit-wise), so row x is the Kronecker sum of one cyclic-table row
     (x_j - y_j) mod m per digit x_j of x, each new digit the most significant.
+    Cyclic-table rows are windows of one length-(2m - 1) ramp; Z_n reads `of`
+    there, so its rows are windows of of[ramp], and T_n reads it at the codes.
     """
     _check_order(spec, cap)
     x = np.asarray(range(spec.order)[rows] if isinstance(rows, slice) else rows, int)
     if x.ndim != 1 or x.size and not 0 <= x.min() <= x.max() < spec.order:
         raise ValueError(f"rows must be encodings 0..{spec.order - 1}")
+    if of is not None and len(of) != spec.order:
+        raise ValueError(f"of must have {spec.order} entries, got {len(of)}")
     m, count = ((spec.modulus, 1) if spec.kind == "zn"
                 else (spec.p, spec.k * spec.n * (spec.n + 1) // 2))
     ramp = (np.arange(m - 1, -m, -1) % m).astype(np.min_scalar_type(spec.order - 1))
-    cyclic = sliding_window_view(ramp, m)[::-1]  # [i, j] = ramp[m - 1 - i + j]
+    table = ramp if of is None or count > 1 else of[ramp]
+    cyclic = sliding_window_view(table, m)[::-1]  # [i, j] = table[m - 1 - i + j]
     codes = cyclic[x % m]
     for size in (m ** j for j in range(1, count)):  # the next digit's weight
         codes = (cyclic[x // size % m][:, :, None] * size
                  + codes[:, None, :]).reshape(len(x), m * size)
-    return codes
+    return codes if of is None or count == 1 else of[codes]
 
 
 def unit_mask(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> np.ndarray:

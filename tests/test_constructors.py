@@ -77,6 +77,21 @@ def test_cayley_adjacency_matches_per_element_unit_rule():
                 assert bool(g.adjacency[x, y]) == expect
 
 
+def zn_gcd_adjacency(m):
+    """Pairwise reference for C_{Z_m}: gcd((x - y) mod m, m) == 1 and x != y."""
+    x = np.arange(m, dtype=np.int16)
+    diff = np.subtract.outer(x, x) % m
+    return (np.gcd(diff, m) == 1) & (diff != 0)
+
+
+@pytest.mark.parametrize("moduli", [range(2, 101), range(101, 201), range(201, 301),
+                                    [4093]])
+def test_zn_cayley_matches_the_gcd_definition(moduli):
+    for m in moduli:
+        g = unitary_cayley(RingSpec.integers_mod(m))
+        assert np.array_equal(g.adjacency, zn_gcd_adjacency(m)), m
+
+
 def test_cayley_is_unit_count_regular():
     for spec in [RingSpec.triangular(2, 3, 1), RingSpec.triangular(3, 2, 1),
                  RingSpec.triangular(2, 5, 1), RingSpec.integers_mod(9)]:
@@ -362,6 +377,20 @@ def test_builders_fill_the_graph_without_a_copy(monkeypatch):
         finally:
             tracemalloc.stop()
         assert v == 4096 and peak < 1.25 * v * v, (name, peak / (v * v))
+
+
+def test_zn_cayley_holds_the_graph_and_one_row_block():
+    """unitary_cayley(zn:4093) reads the unit mask through one cyclic window:
+    the graph's V x V bool array and one row block, with no uint16 code
+    block of twice the block's size beside it."""
+    v = 4093
+    tracemalloc.start()
+    try:
+        g = unitary_cayley(RingSpec.integers_mod(v))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.vertex_count == v and peak < 1.6 * v * v, peak / (v * v)
 
 
 def test_quotient_needs_triangular_spec():

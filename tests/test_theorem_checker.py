@@ -175,6 +175,34 @@ def test_zn_prime_and_power_of_two_and_even():
     assert v6.computed["degree"] == 2
 
 
+@pytest.mark.parametrize("p", [3, 7, 31])
+def test_zn_complete_reads_every_degree(p):
+    """For prime p, K_p passes and K_p minus one edge is reported incomplete."""
+    ring = tc.RingInstance(p)
+    ring.graph = complete_graph(p)
+    assert tc._measure("zn", ring).passed
+    adj = ~np.eye(p, dtype=bool)
+    adj[0, 1] = adj[1, 0] = False
+    ring = tc.RingInstance(p)
+    ring.graph = Graph(adj)
+    verdict = tc._measure("zn", ring)
+    assert verdict.computed["complete"] is False and not verdict.passed
+
+
+def test_zn_oracles_build_no_second_graph():
+    """check_zn_oracles(4093) holds its ring graph and one row block: the
+    completeness test reads the degrees, with no complete_graph beside it."""
+    v = 4093
+    tracemalloc.start()
+    try:
+        verdict = check_zn_oracles(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.passed and verdict.computed["complete"] is True
+    assert peak < 1.6 * v * v, peak / (v * v)
+
+
 def test_zn_rejects_tri_spec():
     with pytest.raises(ValueError):
         check_zn_oracles(T23)
@@ -286,8 +314,8 @@ def test_suite_builds_each_graph_once_and_difference_rows_by_block(monkeypatch):
         graphs.append(str(spec))
         return real_graph(spec, cap)
 
-    def counting_rows(spec, rows, cap):
-        diff = real_rows(spec, rows, cap)
+    def counting_rows(spec, rows, cap, of=None):
+        diff = real_rows(spec, rows, cap, of=of)
         entries.append(diff.size)
         return diff
 

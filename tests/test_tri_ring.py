@@ -263,6 +263,35 @@ def test_difference_rows_in_any_order(text):
         assert diff.shape == (0, v) and diff.dtype == table.dtype
 
 
+@pytest.mark.parametrize("text", ["zn:2", "zn:3", "zn:12", "zn:256", "zn:257",
+                                  "zn:4093", *ALL_TRI_SPECS])
+def test_difference_rows_of_table(text):
+    """difference_rows(spec, rows, of=t) is t read at the difference codes,
+    in t's dtype, for bool and uint8 tables and rows asked for as slices,
+    unsorted and repeated arrays and no rows at all."""
+    spec = RingSpec.parse(text)
+    v = spec.order
+    rng = np.random.default_rng(v)
+    tables = (rng.random(v) < 0.5, rng.integers(0, 256, v, dtype=np.uint8))
+    row_sets = (slice(None) if v <= 512 else slice(v // 3, v // 3 + 40),
+                slice(v - 1, None), np.array([v - 1, 0, v // 2, v // 2, 1, v - 1]),
+                rng.integers(0, v, 17), [], slice(0, 0))
+    for t in tables:
+        for rows in row_sets:
+            got = difference_rows(spec, rows, of=t)
+            want = t[difference_rows(spec, rows)]
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want), (text, t.dtype, rows)
+
+
+@pytest.mark.parametrize("text", ["zn:12", "tri:2,3,1"])
+def test_difference_rows_of_wrong_length_raises(text):
+    spec = RingSpec.parse(text)
+    for size in (spec.order - 1, spec.order + 1, 0):
+        with pytest.raises(ValueError):
+            difference_rows(spec, slice(None), of=np.zeros(size, dtype=bool))
+
+
 @pytest.mark.parametrize("rows", [[-1], [0, 27], [27], np.array([[0, 1]])])
 def test_difference_rows_outside_the_ring_raise(rows):
     with pytest.raises(ValueError):
