@@ -21,10 +21,10 @@ from .tri_ring import (DEFAULT_VERTEX_CAP, HARD_VERTEX_CAP, RingSpec,
                        from_parts, is_unit, mat_det, mat_sub, strict_upper_of)
 from .graph_core import (Graph, all_pairs_distances, antipodal,
                          cayley_triametral_triple, clique_number,
-                         connected_components, diameter, is_bipartite,
-                         is_complete_bipartite, iso_check, labeled_equal,
-                         max_clique, translation_distances, triameter,
-                         triametral_triple)
+                         complete_bipartite_parts, connected_components,
+                         diameter, is_bipartite, is_complete_bipartite,
+                         iso_check, labeled_equal, max_clique,
+                         translation_distances, triameter, triametral_triple)
 from .constructors import (VertexLabeling, antipodal_hamming_direct,
                            complete_bipartite, complete_graph,
                            diagonal_quotient, hamming_graph,

@@ -5,8 +5,8 @@ an array no caller holds, so builders pass a row rule and Graph(a) copies
 a.  It then checks symmetry one 256 x 256 tile pair at a time (see
 _is_symmetric), at memory speed where a full transpose would stride.
 
-Components, root depths and the two-coloring come from one BFS per
-component over rows read through a callable, a Graph's or a row rule's
+Components, root depths, the two-coloring and the complete-bipartite
+parts come from one BFS per component over rows read through a callable
 (see bfs_forest).  All-pairs distances come from one level-synchronous
 BFS out of every vertex at once over packed bitset frontiers, each level
 ORing the frontier rows of every vertex's neighbours; graphs that may
@@ -124,7 +124,11 @@ class Graph:
         return self._labels
 
     def degrees(self) -> np.ndarray:
-        return self._adj.sum(axis=1)
+        """Row sums as a read-only array, cached on the graph."""
+        if "degrees" not in self._cache:
+            self._cache["degrees"] = np.count_nonzero(self._adj, axis=1)
+            self._cache["degrees"].flags.writeable = False
+        return self._cache["degrees"]
 
     def edge_count(self) -> int:
         return int(np.count_nonzero(self._adj)) // 2
@@ -144,10 +148,10 @@ class Graph:
         return self._cache["masks"]
 
     def induced_subgraph(self, vertices) -> "Graph":
-        vs = list(vertices)
-        sub = self._adj[np.ix_(vs, vs)]
+        vs = np.array(list(vertices), dtype=np.intp)
         labels = None if self._labels is None else [self._labels[v] for v in vs]
-        return Graph(sub, labels=labels, cap=max(len(vs), 1))
+        return Graph.from_rows(len(vs), lambda s: self._adj[np.ix_(vs[s], vs)],
+                               labels=labels, cap=max(len(vs), 1))
 
     def __repr__(self):
         return f"Graph(V={self.vertex_count}, E={self.edge_count()})"
@@ -636,22 +640,35 @@ def is_bipartite(g: Graph) -> bool:
     return two_coloring(g) is not None
 
 
-def is_complete_bipartite(g: Graph):
-    """The bipartition (A, B) when g equals K_{|A|,|B|}, else None.
+def complete_bipartite_parts(g: Graph) -> list:
+    """For each component, in connected_components order, its parts (A, B)
+    when it is complete bipartite with both parts nonempty, else None; A
+    holds the component's smallest vertex, and both parts are ascending.
 
-    Only defined for connected graphs.  The 2-coloring fixes the unique
-    candidate bipartition (both parts are nonempty from 2 vertices on); it
-    is proper, so g is complete bipartite iff its adjacency is "colours
-    differ", compared a row block at a time.
+    The parts are the depth parities in the component's BFS tree (see
+    bfs_forest): with part = 2 * label + depth % 2, a component passes iff
+    on each of its rows x ~ y exactly when part[y] == part[x] ^ 1,
+    compared a row block at a time.
     """
+    count, label, depth, _ = _forest(g)
+    part = (2 * label + depth % 2).astype(np.min_scalar_type(2 * count))
+    sizes = np.bincount(part, minlength=2 * count)
+    ok = sizes.reshape(count, 2).all(axis=1)
+    for s in row_blocks(g.vertex_count):
+        wrong = part[s, None] ^ 1 == part
+        wrong ^= g.adjacency[s]
+        ok[label[s][wrong.any(axis=1)]] = False
+    members = np.split(np.argsort(part, kind="stable"), np.cumsum(sizes)[:-1])
+    return [(members[2 * c].tolist(), members[2 * c + 1].tolist()) if ok[c] else None
+            for c in range(count)]
+
+
+def is_complete_bipartite(g: Graph):
+    """The bipartition (A, B) when the connected graph g is K_{|A|,|B|},
+    else None: the one entry of complete_bipartite_parts."""
     if _forest(g)[0] != 1:
         raise DisconnectedGraph("complete-bipartite test needs a connected graph")
-    color = two_coloring(g)
-    if color is None or g.vertex_count < 2 or not all(
-            np.array_equal(g.adjacency[s], color[s, None] != color)
-            for s in row_blocks(g.vertex_count)):
-        return None
-    return np.flatnonzero(color == 0).tolist(), np.flatnonzero(color == 1).tolist()
+    return complete_bipartite_parts(g)[0]
 
 
 def antipodal(g: Graph) -> Graph:

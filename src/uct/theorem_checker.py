@@ -25,9 +25,10 @@ from .constructors import (VertexLabeling, antipodal_hamming_direct,
 from .errors import UctError, WrongField
 from .finite_field import is_prime
 from .graph_core import (ISO_ORACLE_CAP, bfs_forest, cayley_triametral_triple,
-                         connected_components, is_bipartite, is_complete_bipartite,
-                         iso_check, labeled_equal, largest_finite_distance,
-                         max_clique, row_blocks, translation_distances)
+                         complete_bipartite_parts, connected_components,
+                         is_bipartite, is_complete_bipartite, iso_check,
+                         labeled_equal, largest_finite_distance, max_clique,
+                         row_blocks, translation_distances)
 from .tri_ring import (DEFAULT_VERTEX_CAP, RingSpec, diagonal_slots,
                        difference_rows, encode, entry_digit_matrix,
                        enumerate_ring, from_parts, is_unit, strict_upper_slots,
@@ -181,32 +182,23 @@ def check_theorem1(ring: RingInstance):
     comps = connected_components(g)
     m = 2 ** (n * (n - 1) // 2)
 
-    components_ok = True
     certificate_comps = []
-    for comp in comps:
-        sub = g.induced_subgraph(comp)
-        parts = is_complete_bipartite(sub)
+    for comp, parts in zip(comps, complete_bipartite_parts(g)):
         entry = {"size": len(comp)}
         if parts is None:
-            components_ok = False
             entry["complete_bipartite"] = False
         else:
-            part_a = [comp[i] for i in parts[0]]
-            part_b = [comp[i] for i in parts[1]]
-            diag_a = {tuple(int(x) for x in diag[v]) for v in part_a}
-            diag_b = {tuple(int(x) for x in diag[v]) for v in part_b}
-            entry["part_sizes"] = sorted([len(part_a), len(part_b)])
-            single_class = len(diag_a) == 1 and len(diag_b) == 1
-            complementary = False
+            diag_a, diag_b = (diag[part] for part in parts)
+            entry["part_sizes"] = sorted(len(part) for part in parts)
+            single_class = (diag_a == diag_a[0]).all() and (diag_b == diag_b[0]).all()
             if single_class:
-                da, db = next(iter(diag_a)), next(iter(diag_b))
-                complementary = all(x != y for x, y in zip(da, db))
-                entry["diagonals"] = [list(da), list(db)]
-            ok = (len(part_a) == m and len(part_b) == m
-                  and single_class and complementary)
-            entry["parts_are_complementary_diagonal_classes"] = ok
-            components_ok = components_ok and ok
+                entry["diagonals"] = [diag_a[0].tolist(), diag_b[0].tolist()]
+            entry["parts_are_complementary_diagonal_classes"] = bool(
+                single_class and (diag_a[0] != diag_b[0]).all()
+                and len(diag_a) == len(diag_b) == m)
         certificate_comps.append(entry)
+    components_ok = all(entry.get("parts_are_complementary_diagonal_classes", False)
+                        for entry in certificate_comps)
 
     expected = {"components": 2 ** (n - 1), "all_components_k_mm": True, "m": m}
     computed = {"components": len(comps), "all_components_k_mm": components_ok, "m": m}
@@ -325,8 +317,9 @@ def check_theorem3(ring: RingInstance, seed: int):
         degrees[perm[s]] = np.count_nonzero(block, axis=1)
         pairwise_equal &= np.array_equal(block.take(perm, axis=1), g.adjacency[s])
 
+    edges = g.edge_count()
     degrees_equal = sorted(g.degrees()) == sorted(degrees)
-    edges_equal = g.edge_count() == int(degrees.sum()) // 2
+    edges_equal = edges == int(degrees.sum()) // 2
     components_equal = len(connected_components(g)) == bfs_forest(rows, degrees > 0)[0]
 
     iso_confirmed = None
@@ -349,7 +342,7 @@ def check_theorem3(ring: RingInstance, seed: int):
                 "iso_oracle": iso_confirmed}
     certificate = {"m": m, "hamming_vertices": q ** n,
                    "pairs_checked": v * (v - 1) // 2,
-                   "edge_count": g.edge_count(),
+                   "edge_count": edges,
                    "phi": [int(x) for x in perm]}
     return expected, computed, certificate
 
@@ -387,10 +380,9 @@ def check_zn_oracles(ring: RingInstance):
     if m & (m - 1) == 0:  # power of two
         expected["bipartition_sizes"] = [m // 2, m // 2]
         parts = is_complete_bipartite(g)
-        computed["bipartition_sizes"] = (None if parts is None
-                                         else sorted([len(parts[0]), len(parts[1])]))
+        computed["bipartition_sizes"] = None if parts is None else sorted(map(len, parts))
         if parts is not None:
-            certificate["parts"] = [parts[0], parts[1]]
+            certificate["parts"] = list(parts)
     if m % 2 == 0:
         expected["bipartite"] = True
         computed["bipartite"] = is_bipartite(g)

@@ -359,17 +359,20 @@ def test_row_blocked_builds_match_one_block(monkeypatch, entries):
 
 def test_builders_fill_the_graph_without_a_copy(monkeypatch):
     """With blocks of 16 rows, unitary_cayley, semistrong_product,
-    hamming_graph and antipodal_hamming_direct hold the graph's own V x V
-    bool array and one row block besides: no array of their own and no
-    copy of it (which would be 2 V^2 bytes)."""
+    hamming_graph, antipodal_hamming_direct and Graph.induced_subgraph hold
+    the graph's own V x V bool array and one row block besides: no array
+    of their own and no copy of it (which would be 2 V^2 bytes)."""
     monkeypatch.setattr(graph_core, "_ROW_BLOCK_ENTRIES", 1 << 16)
     spec = RingSpec.parse("tri:3,2,2")
     k, a = complete_graph(64), antipodal_hamming_direct(3, 4)
+    big = complete_graph(4100)
     for name, build in (("unitary_cayley", lambda: unitary_cayley(spec)),
                         ("semistrong_product", lambda: semistrong_product(k, a)),
                         ("hamming_graph", lambda: hamming_graph(12, 2)),
                         ("antipodal_hamming_direct",
-                         lambda: antipodal_hamming_direct(6, 4))):
+                         lambda: antipodal_hamming_direct(6, 4)),
+                        ("induced_subgraph",
+                         lambda: big.induced_subgraph(range(4, 4100)))):
         tracemalloc.start()
         try:
             v = build().vertex_count

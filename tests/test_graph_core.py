@@ -18,11 +18,11 @@ from scipy.sparse import csgraph, csr_matrix
 from uct import (DisconnectedGraph, Graph, GraphTooLarge,
                  GraphTooLargeForOracle, RingSpec, all_pairs_distances,
                  antipodal, antipodal_hamming_direct, clique_number,
-                 complete_bipartite, complete_graph, connected_components,
-                 diameter, hamming_graph, is_bipartite, is_complete_bipartite,
-                 iso_check, labeled_equal, max_clique, semistrong_product,
-                 translation_distances, triameter, triametral_triple,
-                 unitary_cayley)
+                 complete_bipartite, complete_bipartite_parts, complete_graph,
+                 connected_components, diameter, hamming_graph, is_bipartite,
+                 is_complete_bipartite, iso_check, labeled_equal, max_clique,
+                 semistrong_product, translation_distances, triameter,
+                 triametral_triple, unitary_cayley)
 from uct import graph_core
 from uct.graph_core import (_all_sources_bfs, largest_finite_distance,
                             two_coloring)
@@ -220,6 +220,15 @@ def test_edges_and_degrees():
     assert g.edge_count() == 6
     assert list(g.degrees()) == [3, 3, 3, 3]
     assert list(g.edges())[0] == (0, 1)
+
+
+def test_degrees_are_one_cached_read_only_array():
+    g = path_graph(4)
+    d = g.degrees()
+    assert g.degrees() is d
+    assert d.tolist() == [1, 2, 2, 1]
+    with pytest.raises(ValueError):
+        d[0] = 5
 
 
 # -- components --------------------------------------------------------------
@@ -487,6 +496,18 @@ def test_complete_bipartite_recognized(a, b):
     assert parts is not None
     assert sorted([len(parts[0]), len(parts[1])]) == sorted([a, b])
     assert sorted(parts[0] + parts[1]) == list(range(a + b))
+
+
+def test_complete_bipartite_parts_per_component_in_component_order():
+    """K_{3,2} on {1, 7, 12} | {3, 4}, C_6 on 0 2 5 8 10 13 (in cycle order),
+    K_1 on 6 and a triangle on 9 11 14: components ordered by their
+    smallest vertex, A holding it whatever the part sizes."""
+    cycle = [0, 2, 5, 8, 10, 13]
+    edges = [(a, b) for a in (1, 7, 12) for b in (3, 4)]
+    edges += list(zip(cycle, cycle[1:] + cycle[:1]))
+    edges += [(9, 11), (11, 14), (9, 14)]
+    g = Graph.from_edges(15, edges)
+    assert complete_bipartite_parts(g) == [None, ([1, 7, 12], [3, 4]), None, None]
 
 
 def test_complete_bipartite_rejections():

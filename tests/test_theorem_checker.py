@@ -358,6 +358,44 @@ def test_prop1_checks_the_graph_the_other_checks_use(monkeypatch):
     assert v.computed == {"rules_agree": False}
 
 
+@pytest.mark.parametrize("mutation", ["drop_cross_edge", "add_edge_inside_a_part"])
+def test_theorem1_checks_every_pair_of_each_component(monkeypatch, mutation):
+    """One edge dropped between the parts of vertex 0's component, or added
+    between 0 and a vertex of its own part: that component, and only it,
+    is reported as not complete bipartite."""
+    real = tc.unitary_cayley
+
+    def one_pair_flipped(spec, cap):
+        adj = real(spec, cap).adjacency.copy()
+        v = int(np.flatnonzero(adj[0])[0])  # in the other part of 0's component
+        w = v if mutation == "drop_cross_edge" else int(np.flatnonzero(adj[v])[1])
+        adj[0, w] = adj[w, 0] = not adj[0, w]
+        return Graph(adj)
+
+    assert check_theorem1(T32).passed
+    monkeypatch.setattr(tc, "unitary_cayley", one_pair_flipped)
+    v = check_theorem1(T32)
+    assert not v.passed
+    assert v.computed["components"] == 4 and v.computed["all_components_k_mm"] is False
+    first, *rest = v.certificate["components"]
+    assert first == {"size": 16, "complete_bipartite": False}
+    assert all(e["parts_are_complementary_diagonal_classes"] for e in rest)
+
+
+def test_theorem1_builds_no_graph_once_the_ring_graph_exists(monkeypatch):
+    ring = tc.RingInstance(T42)
+    assert ring.graph.vertex_count == 1024
+    fills = []
+    real_fill = Graph._fill
+
+    def counted_fill(self, v, *args):
+        fills.append(v)
+        return real_fill(self, v, *args)
+    monkeypatch.setattr(Graph, "_fill", counted_fill)
+    assert tc._measure("theorem1", ring).passed
+    assert fills == []
+
+
 def test_registry_declares_each_check_once():
     assert list(tc.CHECKS) == list(tc.CLAIM_IDS)
     assert tc.CLAIM_IDS["connectivity"] == "theorem2.connectivity_diameter"
