@@ -2,8 +2,13 @@
 
 Every Graph is built one way (Graph.from_rows): a row block at a time into
 an array no caller holds, so builders pass a row rule and Graph(a) copies
-a.  It then checks symmetry one 256 x 256 tile pair at a time (see
-_is_symmetric), at memory speed where a full transpose would stride.
+a.  It then checks symmetry one 256 x 256 tile pair at a time, each mirror
+tile first copied into one reused buffer whose rows are padded off a
+power-of-two stride (see _is_symmetric), so every pair is compared at
+memory speed at any V, powers of two included, where a full transpose
+would stride.  Row counts (degrees, neighbour-list lengths) are summed
+as bytes into the smallest unsigned dtype that holds V and widened to
+intp (see row_counts).
 
 Components, root depths, the two-coloring and the complete-bipartite
 parts come from one BFS per component over rows read through a callable
@@ -124,9 +129,9 @@ class Graph:
         return self._labels
 
     def degrees(self) -> np.ndarray:
-        """Row sums as a read-only array, cached on the graph."""
+        """Row sums as a read-only intp array, cached on the graph."""
         if "degrees" not in self._cache:
-            self._cache["degrees"] = np.count_nonzero(self._adj, axis=1)
+            self._cache["degrees"] = row_counts(self._adj)
             self._cache["degrees"].flags.writeable = False
         return self._cache["degrees"]
 
@@ -135,9 +140,20 @@ class Graph:
 
     def edges(self):
         """Iterate edges as (u, v) with u < v, in row-major order."""
-        for s in row_blocks(self.vertex_count):
-            us, vs = np.nonzero(np.triu(self._adj[s], s.start + 1))
-            yield from zip((us + s.start).tolist(), vs.tolist())
+        for us, vs in self.edge_blocks():
+            yield from zip(us.tolist(), vs.tolist())
+
+    def edge_blocks(self):
+        """Iterate the edges as index arrays (us, vs), us < vs, one
+        row_blocks block of the upper triangle at a time; concatenated they
+        are the edges in row-major order."""
+        v = self.vertex_count
+        for s in row_blocks(v):
+            upper = np.arange(v) > np.arange(s.start, s.stop)[:, None]
+            upper &= self._adj[s]
+            us, vs = np.divmod(np.flatnonzero(upper), v)
+            us += s.start
+            yield us, vs
 
     def neighbor_masks(self):
         """Adjacency rows as python-int bitsets (bit v set <=> edge to v)."""
@@ -158,17 +174,29 @@ class Graph:
 
 
 # Side of the square tiles _is_symmetric compares: a 256 x 256 bool tile and
-# its mirror (64 KB each) stay in cache while one is read transposed.
+# its mirror (64 KB each) stay in cache while one is read transposed.  The
+# mirror is read transposed from a copy whose rows are 256 + 8 bytes apart:
+# read in place, a power-of-two V puts the 256 rows of a tile column in a
+# few cache sets, and V = 32768 ran 7-8x slower than V = 32700.
 _SYMMETRY_TILE = 256
 
 
 def _is_symmetric(adj: np.ndarray) -> bool:
     """adj == adj.T, compared one tile pair at a time: every tile on or
     above the diagonal against the transpose of its mirror tile, so every
-    pair is compared without a strided pass over the whole matrix."""
+    pair is compared without a strided pass over the whole matrix.  Each
+    mirror tile is first copied, row by row, into one reused buffer padded
+    off a power-of-two row stride, and read transposed from there."""
     v, t = adj.shape[0], _SYMMETRY_TILE
-    return all(np.array_equal(adj[i:i + t, j:j + t], adj[j:j + t, i:i + t].T)
-               for i in range(0, v, t) for j in range(i, v, t))
+    buffer = np.empty((t, t + 8), dtype=bool)
+    for i in range(0, v, t):
+        for j in range(i, v, t):
+            tile = adj[i:i + t, j:j + t]
+            mirror = buffer[:tile.shape[1], :tile.shape[0]]
+            np.copyto(mirror, adj[j:j + t, i:i + t])
+            if not np.array_equal(tile, mirror.T):
+                return False
+    return True
 
 
 def labeled_equal(g: Graph, h: Graph) -> bool:
@@ -404,12 +432,21 @@ def row_blocks(v: int, width: int | None = None) -> list:
     return [slice(i, min(i + step, v)) for i in range(0, v, step)]
 
 
+def row_counts(rows: np.ndarray) -> np.ndarray:
+    """The True entries of each row of a 2-d bool array, as intp: summed
+    as bytes into the smallest unsigned dtype that holds the column count
+    (a bool count_nonzero casts every entry to intp first), then widened,
+    so callers may add or multiply them."""
+    width = np.min_scalar_type(rows.shape[1])
+    return rows.view(np.uint8).sum(axis=1, dtype=width).astype(np.intp)
+
+
 def _neighbours(adj: np.ndarray):
     """(indptr, indices): the sorted neighbour lists of a bool adjacency in
     CSR layout, with no data array.  The rows are read one row block at a
     time, with no array of all (row, col) pairs."""
     v = adj.shape[0]
-    counts = np.count_nonzero(adj, axis=1)
+    counts = row_counts(adj)
     nnz = int(counts.sum())
     index = np.int32 if nnz <= np.iinfo(np.int32).max else np.int64
     indptr = np.zeros(v + 1, dtype=index)

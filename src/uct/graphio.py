@@ -3,11 +3,20 @@
 Edge lists are one ``u v`` pair per line, 0-indexed, u < v.  Isolated
 vertices do not appear in an edge list, so imports accept an explicit
 vertex count for re-checks that need them preserved.
+
+Edge lists move as bytes, not one Python string per edge.  The export
+gathers each row block's edges (Graph.edge_blocks) from two NUL-padded
+tables of the decimal tokens of 0..V-1, one ending in a space and one in
+a newline, then drops the NUL bytes and decodes the whole text once.
+The import hands the text to np.loadtxt as one stream, after blanking
+comment lines with one regex.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import re
 
 import numpy as np
 
@@ -15,7 +24,16 @@ from .graph_core import Graph
 
 
 def to_edge_list(g: Graph) -> str:
-    return "".join(f"{u} {v}\n" for u, v in g.edges())
+    """One "u v" line per edge, u < v, in row-major order."""
+    v = g.vertex_count
+    digits = np.arange(v).astype(f"S{len(str(max(v - 1, 0)))}")
+    left, right = np.strings.add(digits, b" "), np.strings.add(digits, b"\n")
+    text = []
+    for us, vs in g.edge_blocks():
+        lines = np.empty((len(us), 2), dtype=left.dtype)
+        lines[:, 0], lines[:, 1] = left[us], right[vs]
+        text.append(lines.tobytes())
+    return b"".join(text).translate(None, b"\0").decode()
 
 
 def to_dot(g: Graph, name: str = "G") -> str:
@@ -51,15 +69,19 @@ def read_edge_list(text: str, vertex_count=None) -> Graph:
     """Rebuild a graph from edge-list text; vertex count defaults to
     1 + the largest mentioned vertex.
 
-    Blank lines and lines starting with '#' are skipped; every other line
-    must hold exactly two integers, else ValueError.  np.loadtxt parses the
-    kept lines and checks their column count in one pass.
+    Lines end at LF, CRLF or CR.  Blank lines and lines whose first
+    non-space character is '#' are skipped; every other line must hold
+    exactly two integers, else ValueError.  np.loadtxt parses the text as
+    one stream and checks every line's column count in the same pass.
     """
-    lines = [line for line in text.splitlines()
-             if (s := line.lstrip()) and s[0] != "#"]
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if "#" in text:
+        text = re.sub(r"(?m)^[^\S\n]*#.*", "", text)
     try:
-        ends = (np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2)
-                if lines else np.zeros((0, 2), dtype=np.int64))
+        ends = (np.zeros((0, 2), dtype=np.int64) if not text or text.isspace()
+                else np.loadtxt(io.StringIO(text), dtype=np.int64,
+                                comments=None, ndmin=2))
     except ValueError as exc:
         raise ValueError(f"each edge-list line must hold two integers: {exc}") from None
     if ends.shape[1] != 2:

@@ -28,7 +28,7 @@ from .graph_core import (ISO_ORACLE_CAP, bfs_forest, cayley_triametral_triple,
                          complete_bipartite_parts, connected_components,
                          is_bipartite, is_complete_bipartite, iso_check,
                          labeled_equal, largest_finite_distance, max_clique,
-                         row_blocks, translation_distances)
+                         row_blocks, row_counts, translation_distances)
 from .tri_ring import (DEFAULT_VERTEX_CAP, RingSpec, diagonal_slots,
                        difference_rows, encode, entry_digit_matrix,
                        enumerate_ring, from_parts, is_unit, strict_upper_slots,
@@ -314,7 +314,7 @@ def check_theorem3(ring: RingInstance, seed: int):
     pairwise_equal = True
     for s in row_blocks(v):
         block = rows(perm[s])
-        degrees[perm[s]] = np.count_nonzero(block, axis=1)
+        degrees[perm[s]] = row_counts(block)
         pairwise_equal &= np.array_equal(block.take(perm, axis=1), g.adjacency[s])
 
     edges = g.edge_count()

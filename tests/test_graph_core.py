@@ -209,6 +209,27 @@ def test_one_asymmetric_entry_is_rejected(u, w):
         Graph(adj)
 
 
+# At a power-of-two V every tile column is read from the padded mirror
+# buffer; tiles start at multiples of 256, so 4096 has 16 full tiles a side.
+def test_all_ones_power_of_two_matrix_is_symmetric():
+    assert graph_core._is_symmetric(np.ones((4096, 4096), dtype=bool))
+
+
+# One flipped entry of an all-ones matrix: in the first tile, on a diagonal
+# tile, in the last tile, and in either corner off the diagonal; then in
+# the partial last tiles at V = 4093 (253 rows) and V = 4097 (one row).
+@pytest.mark.parametrize("v, u, w", [
+    (4096, 3, 200), (4096, 200, 3), (4096, 2100, 2200), (4096, 4095, 3900),
+    (4096, 0, 4095), (4096, 4095, 0),
+    (4093, 4092, 3850), (4093, 3850, 4092), (4093, 4092, 5), (4093, 5, 4092),
+    (4097, 4096, 5), (4097, 5, 4096), (4097, 4096, 4095), (4097, 4000, 4096),
+])
+def test_one_flipped_entry_of_all_ones_is_found(v, u, w):
+    adj = np.ones((v, v), dtype=bool)
+    adj[u, w] = False
+    assert not graph_core._is_symmetric(adj)
+
+
 def test_graph_is_immutable():
     g = complete_graph(3)
     with pytest.raises(ValueError):
@@ -220,6 +241,23 @@ def test_edges_and_degrees():
     assert g.edge_count() == 6
     assert list(g.degrees()) == [3, 3, 3, 3]
     assert list(g.edges())[0] == (0, 1)
+
+
+# Around the 255/256 switch from uint8 to uint16 counts; row 0 has degree
+# V - 1, the largest a loop-free row can have.
+@pytest.mark.parametrize("v", [255, 256, 257])
+@pytest.mark.parametrize("density", [0.0, 0.5, 1.0])
+def test_row_counts_match_count_nonzero(v, density):
+    rng = np.random.default_rng(v)
+    a = np.triu(rng.random((v, v)) < density, 1)
+    a[0, 1:] = True
+    a |= a.T
+    want = np.count_nonzero(a, axis=1)
+    assert want[0] == v - 1
+    for got, rows in ((graph_core.row_counts(a), slice(None)),
+                      (graph_core.row_counts(a[3:9]), slice(3, 9)),
+                      (Graph(a).degrees(), slice(None))):
+        assert got.dtype == want.dtype and np.array_equal(got, want[rows])
 
 
 def test_degrees_are_one_cached_read_only_array():
@@ -973,7 +1011,14 @@ def _old_edge_list(g):
     lambda: cycle_graph(7),
     lambda: unitary_cayley(RingSpec.parse("tri:2,3,2")),
     lambda: Graph.from_edges(9, [(1, 4), (4, 7), (2, 8)]),
-], ids=["cycle", "tri:2,3,2", "isolated-vertices"])
+    lambda: Graph(np.zeros((0, 0), dtype=bool)),
+    lambda: Graph(np.zeros((1, 1), dtype=bool)),
+    lambda: path_graph(1001),
+    lambda: complete_graph(101),
+    lambda: Graph.from_edges(1001, [(0, 1000), (9, 999), (10, 100), (99, 1000)]),
+    lambda: hamming_graph(12, 2),
+], ids=["cycle", "tri:2,3,2", "isolated-vertices", "V=0", "V=1",
+        "path-1001", "complete-101", "mixed-widths", "H(12,2)"])
 def test_edge_list_export_bytes_are_unchanged(make):
     g = make()
     text = to_edge_list(g)
@@ -988,10 +1033,28 @@ def test_edge_list_import_skips_blank_and_comment_lines():
     assert list(g.edges()) == [(0, 1), (1, 2)]
 
 
+@pytest.mark.parametrize("text", [
+    "0 1\r\n1 2\r\n2 3\r\n",
+    "0 1\r1 2\r2 3\r",
+    "0\t1\n1 \t 2\n\t2\t3\t\n",
+    "0 1\n\t# tab-indented\n   #spaces\n1 2\n # 5 6\n2 3\n",
+    "0 1\r\n  # indented, CRLF\r\n1 2\r\n#\r\n2 3",
+    "\n \n0 1\n\t\n1 2\n  \t \n2 3\n\n",
+    "0 1\n1 2\n2 3",
+    "  0 1\n 1 2 \n2   3   ",
+], ids=["crlf", "cr", "tabs", "indented-comments", "crlf-comments",
+        "whitespace-lines", "no-final-newline", "padded"])
+def test_edge_list_import_line_forms(text):
+    """Every line form below reads as the path 0-1-2-3."""
+    assert list(read_edge_list(text).edges()) == [(0, 1), (1, 2), (2, 3)]
+
+
 # "0\n1 2 3\n" holds four tokens: two pairs if they were read as one stream.
+# A '#' after the pair is not a comment.
 @pytest.mark.parametrize("text", ["0\n", "0 1\n2\n", "0 1 2\n", "0 1\n1 2 3\n",
                                   "0\n1 2 3\n", "0 1 2\n3\n", "0 x\n",
-                                  "0 1.5\n", "0 99999999999999999999\n"])
+                                  "0 1.5\n", "0 99999999999999999999\n",
+                                  "0 1 # note\n", "# a\n0 1\n1 2 # note"])
 def test_edge_list_rejects_lines_without_two_integers(text):
     with pytest.raises(ValueError):
         read_edge_list(text)
