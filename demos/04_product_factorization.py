@@ -22,7 +22,7 @@ print(f"K_{m} * A(H({n},{q})): {product}")
 
 # The relabeling maps matrix encodings onto product positions; after applying
 # it, the two adjacency matrices agree pair for pair.
-phi = np.array(theorem3_relabeling(spec).encodings)
+phi = theorem3_relabeling(spec)
 print("relabeling of the first six vertices:", phi[:6])
 agree = np.array_equal(product.adjacency[np.ix_(phi, phi)], g.adjacency)
 print("labeled equality after relabeling:", agree)

@@ -25,9 +25,8 @@ from .graph_core import (Graph, all_pairs_distances, antipodal,
                          diameter, is_bipartite, is_complete_bipartite,
                          iso_check, labeled_equal, max_clique,
                          translation_distances, triameter, triametral_triple)
-from .constructors import (VertexLabeling, antipodal_hamming_direct,
-                           complete_bipartite, complete_graph,
-                           diagonal_quotient, hamming_graph,
+from .constructors import (antipodal_hamming_direct, complete_bipartite,
+                           complete_graph, diagonal_quotient, hamming_graph,
                            semistrong_product, semistrong_rows, unitary_cayley)
 from .theorem_checker import (DEFAULT_SUITE_SPECS, Verdict, check_clique,
                               check_connectivity_and_diameter, check_prop0,

@@ -1,6 +1,9 @@
 """Command-line front end.
 
 Subcommands: ``field info``, ``build``, ``invariants``, ``verify``.
+Ring-taking commands (build, invariants, verify) name a ring one way,
+``--spec tri:N,P,K`` or ``--spec zn:M``, parsed by RingSpec.parse inside
+the command, so a cap error raised while parsing exits 3 like any other.
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage
 error (a ValueError or any package error not listed under 3), 3 resource
 limit (ring, graph, or field over the configured cap, a graph too large
@@ -51,30 +54,12 @@ def _resolve_cap(args) -> int:
     return cap
 
 
-def _ring_spec(args) -> RingSpec:
-    if args.ring == "tri":
-        if args.n is None or args.p is None:
-            raise ValueError("tri rings need --n and --p (and optionally --k)")
-        return RingSpec.triangular(args.n, args.p, args.k)
-    if args.modulus is None:
-        raise ValueError("zn rings need --modulus")
-    return RingSpec.integers_mod(args.modulus)
-
-
 def _write_output(text: str, out):
     if out:
         with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _add_ring_flags(parser):
-    parser.add_argument("--ring", choices=["tri", "zn"], required=True)
-    parser.add_argument("--n", type=int, help="matrix dimension (tri)")
-    parser.add_argument("--p", type=int, help="field characteristic (tri)")
-    parser.add_argument("--k", type=int, default=1, help="extension degree (tri)")
-    parser.add_argument("--modulus", type=int, help="modulus (zn)")
 
 
 def _add_common_flags(parser):
@@ -101,13 +86,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also print the multiplication table as CSV")
 
     p_build = sub.add_parser("build", help="build a unitary Cayley graph")
-    _add_ring_flags(p_build)
+    p_build.add_argument("--spec", required=True, metavar="SPEC",
+                         help="ring spec tri:N,P,K or zn:M")
     p_build.add_argument("--format", choices=["json", "dot", "edges", "text"],
                          default="edges")
     _add_common_flags(p_build)
 
     p_inv = sub.add_parser("invariants", help="exact invariants of the graph")
-    _add_ring_flags(p_inv)
+    p_inv.add_argument("--spec", required=True, metavar="SPEC",
+                       help="ring spec tri:N,P,K or zn:M")
     p_inv.add_argument("--format", choices=["json", "text"], default="json")
     _add_common_flags(p_inv)
 
@@ -137,7 +124,7 @@ def cmd_field_info(args) -> int:
 
 def cmd_build(args) -> int:
     cap = _resolve_cap(args)
-    spec = _ring_spec(args)
+    spec = RingSpec.parse(args.spec)
     g = unitary_cayley(spec, cap)
     print(f"{g.vertex_count} vertices, {g.edge_count()} edges", file=sys.stderr)
     if args.format == "edges":
@@ -154,7 +141,7 @@ def cmd_build(args) -> int:
 
 def cmd_invariants(args) -> int:
     cap = _resolve_cap(args)
-    ring = RingInstance(_ring_spec(args), cap)
+    ring = RingInstance(RingSpec.parse(args.spec), cap)
     g = ring.graph
     degrees = g.degrees()
     comps = connected_components(g)

@@ -20,36 +20,12 @@ with antipodal_hamming_direct compares two independent constructions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import GraphTooLarge
 from .graph_core import Graph
 from .tri_ring import (DEFAULT_VERTEX_CAP, RingSpec, difference_rows,
                        entry_digit_matrix, tuple_codes, unit_mask)
-
-
-@dataclass(frozen=True)
-class VertexLabeling:
-    """Bijection between vertex indices and canonical integer encodings."""
-
-    encodings: tuple
-
-    def __post_init__(self):
-        if len(set(self.encodings)) != len(self.encodings):
-            raise ValueError("vertex labeling must be injective")
-        object.__setattr__(self, "_inverse",
-                           {e: v for v, e in enumerate(self.encodings)})
-
-    def encoding_of(self, vertex: int) -> int:
-        return self.encodings[vertex]
-
-    def vertex_of(self, encoding: int) -> int:
-        return self._inverse[encoding]
-
-    def __len__(self):
-        return len(self.encodings)
 
 
 def _digit_labels(digits: np.ndarray) -> list:

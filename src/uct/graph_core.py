@@ -294,9 +294,6 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
 _LEVEL_WORDS_PER_VERTEX = 3
 # Bytes of gathered frontier words one block of _gather_expand holds.
 _EXPAND_BLOCK_BYTES = 8 << 20
-# Bytes of float64 scipy distance rows one block of _per_source_distances
-# holds.
-_SEARCH_BLOCK_BYTES = 8 << 20
 _WORD = np.dtype("<u8")  # bit j of word w is vertex 64 * w + j
 
 
@@ -331,9 +328,10 @@ def _per_source_distances(adj: np.ndarray, levels: int) -> np.ndarray:
 
     scipy reads the neighbour lists as a directed float64 CSR (the adjacency
     is symmetric).  Its float64 rows are turned into hop counts of the dtype
-    `levels` needs a block of _SEARCH_BLOCK_BYTES at a time, and narrowed
-    once the largest distance is known: truncating a wider unsigned dtype
-    turns its all-ones mark into the narrower one's.
+    `levels` needs one row block at a time (row_blocks of width 4 * v, so
+    8 MB of float64), and narrowed once the largest distance is known:
+    truncating a wider unsigned dtype turns its all-ones mark into the
+    narrower one's.
     """
     from scipy.sparse import csgraph, csr_matrix  # the one scipy use: import on demand
     v = adj.shape[0]
@@ -341,16 +339,14 @@ def _per_source_distances(adj: np.ndarray, levels: int) -> np.ndarray:
     csr = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(v, v))
     hops = np.empty((v, v), dtype=_hop_dtype(levels))
     mark = _unreachable(hops)
-    rows = max(_SEARCH_BLOCK_BYTES // (8 * v), 1)
     longest = 0
-    for start in range(0, v, rows):
-        stop = min(start + rows, v)
+    for s in row_blocks(v, 4 * v):
         block = csgraph.shortest_path(csr, method="D", directed=True,
                                       unweighted=True,
-                                      indices=np.arange(start, stop))
+                                      indices=np.arange(s.start, s.stop))
         reached = np.isfinite(block)
         longest = max(longest, int(block.max(where=reached, initial=0)))
-        hops[start:stop] = np.where(reached, block, mark)
+        hops[s] = np.where(reached, block, mark)
     return hops.astype(_hop_dtype(longest), copy=False)
 
 

@@ -19,9 +19,9 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .constructors import (VertexLabeling, antipodal_hamming_direct,
-                           complete_graph, diagonal_quotient,
-                           semistrong_product, semistrong_rows, unitary_cayley)
+from .constructors import (antipodal_hamming_direct, complete_graph,
+                           diagonal_quotient, semistrong_product,
+                           semistrong_rows, unitary_cayley)
 from .errors import UctError, WrongField
 from .finite_field import is_prime
 from .graph_core import (ISO_ORACLE_CAP, bfs_forest, cayley_triametral_triple,
@@ -280,18 +280,19 @@ def check_clique(ring: RingInstance):
     return expected, computed, {"scalar_clique": scalars, "found_clique": found}
 
 
-def theorem3_relabeling(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> VertexLabeling:
-    """The structural bijection: matrix -> (strict-upper encoding) * q^n +
-    (diagonal encoding).  Maps Cayley-graph vertices onto vertices of
-    K_m (bullet) A(H(n, q)) in product order.  A RingInstance may stand
-    in for the spec; its digit matrix is then reused."""
+def theorem3_relabeling(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> np.ndarray:
+    """The structural bijection, as a read-only int64 array indexed by
+    vertex: matrix -> (strict-upper encoding) * q^n + (diagonal encoding),
+    the base-q number whose low n digits are the diagonal.  Maps
+    Cayley-graph vertices onto vertices of K_m (bullet) A(H(n, q)) in
+    product order.  A RingInstance may stand in for the spec; its digit
+    matrix is then reused."""
     ring = spec if isinstance(spec, RingInstance) else RingInstance(spec, cap)
     q, n = ring.spec.q, ring.spec.n
-    up = ring.digits[:, list(strict_upper_slots(n))].astype(np.int64)
-    dg = ring.diagonal.astype(np.int64)
-    up_code = up @ (q ** np.arange(up.shape[1], dtype=np.int64))
-    dg_code = dg @ (q ** np.arange(n, dtype=np.int64))
-    return VertexLabeling(tuple(int(x) for x in up_code * q ** n + dg_code))
+    slots = list(diagonal_slots(n) + strict_upper_slots(n))
+    perm = ring.digits[:, slots] @ q ** np.arange(len(slots), dtype=np.int64)
+    perm.flags.writeable = False
+    return perm
 
 
 @_check("theorem3", "theorem3.semistrong_product", gf2=False, seeded=True)
@@ -306,9 +307,9 @@ def check_theorem3(ring: RingInstance, seed: int):
     m = q ** (n * (n - 1) // 2)
     factors = complete_graph(m, cap), antipodal_hamming_direct(n, q, cap)
     rows = semistrong_rows(*factors)
-    perm = np.array(theorem3_relabeling(ring).encodings)
+    perm = theorem3_relabeling(ring)
     v = g.vertex_count
-    if v != m * q ** n or perm.max() >= v:
+    if v != m * q ** n or not (np.bincount(perm, minlength=v) == 1).all():
         raise AssertionError("relabeling is not onto the product vertex set")
     degrees = np.empty(v, dtype=np.intp)  # of the product, in its vertex order
     pairwise_equal = True
@@ -318,7 +319,7 @@ def check_theorem3(ring: RingInstance, seed: int):
         pairwise_equal &= np.array_equal(block.take(perm, axis=1), g.adjacency[s])
 
     edges = g.edge_count()
-    degrees_equal = sorted(g.degrees()) == sorted(degrees)
+    degrees_equal = np.array_equal(np.sort(g.degrees()), np.sort(degrees))
     edges_equal = edges == int(degrees.sum()) // 2
     components_equal = len(connected_components(g)) == bfs_forest(rows, degrees > 0)[0]
 
@@ -343,7 +344,7 @@ def check_theorem3(ring: RingInstance, seed: int):
     certificate = {"m": m, "hamming_vertices": q ** n,
                    "pairs_checked": v * (v - 1) // 2,
                    "edge_count": edges,
-                   "phi": [int(x) for x in perm]}
+                   "phi": perm.tolist()}
     return expected, computed, certificate
 
 

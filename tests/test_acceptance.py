@@ -67,7 +67,7 @@ def test_criterion_2_semistrong_factorization():
             m = q ** (n * (n - 1) // 2)
             product = semistrong_product(complete_graph(m),
                                          antipodal_hamming_direct(n, q))
-            perm = np.array(theorem3_relabeling(spec).encodings)
+            perm = theorem3_relabeling(spec)
             assert sorted(perm) == list(range(g.vertex_count))
             assert np.array_equal(product.adjacency[np.ix_(perm, perm)],
                                   g.adjacency)

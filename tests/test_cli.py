@@ -36,9 +36,8 @@ def test_field_info_table(capsys):
 
 def test_build_edges_counts(capsys, tmp_path):
     out_file = tmp_path / "g.edges"
-    code, _, err = run_cli(capsys, "build", "--ring", "tri", "--n", "2",
-                           "--p", "3", "--k", "1", "--format", "edges",
-                           "--out", str(out_file))
+    code, _, err = run_cli(capsys, "build", "--spec", "tri:2,3,1",
+                           "--format", "edges", "--out", str(out_file))
     assert code == 0
     assert "27 vertices, 162 edges" in err
     lines = out_file.read_text().splitlines()
@@ -48,23 +47,20 @@ def test_build_edges_counts(capsys, tmp_path):
 
 
 def test_build_dot_k5(capsys):
-    code, out, err = run_cli(capsys, "build", "--ring", "zn", "--modulus", "5",
-                             "--format", "dot")
+    code, out, err = run_cli(capsys, "build", "--spec", "zn:5", "--format", "dot")
     assert code == 0
     assert "5 vertices, 10 edges" in err
     assert out.count(" -- ") == 10
     assert out.startswith("graph G {") and out.endswith("}\n")
 
 
-@pytest.mark.parametrize("argv", [["--ring", "zn", "--modulus", "12"],
-                                  ["--ring", "tri", "--n", "2", "--p", "3"]])
+@pytest.mark.parametrize("argv", [["--spec", "zn:12"], ["--spec", "tri:2,3,1"],
+                                  ["--spec", "tri:2,2,2"], ["--spec", "zn:8"]])
 def test_build_stdout_round_trips(capsys, argv):
     """Without --out, stdout holds the graph alone: the edge list reads back
     through read_edge_list and the JSON through from_json_envelope, each
     equal to unitary_cayley vertex for vertex."""
-    spec = (uct.RingSpec.integers_mod(12) if argv[1] == "zn"
-            else uct.RingSpec.triangular(2, 3))
-    g = uct.unitary_cayley(spec)
+    g = uct.unitary_cayley(uct.RingSpec.parse(argv[1]))
     code, out, err = run_cli(capsys, "build", *argv, "--format", "edges")
     assert code == 0
     assert err == f"{g.vertex_count} vertices, {g.edge_count()} edges\n"
@@ -77,29 +73,55 @@ def test_build_stdout_round_trips(capsys, argv):
 
 def test_build_json(capsys, tmp_path):
     out_file = tmp_path / "g.json"
-    code, _, _ = run_cli(capsys, "build", "--ring", "zn", "--modulus", "6",
-                         "--format", "json", "--out", str(out_file))
+    code, _, _ = run_cli(capsys, "build", "--spec", "zn:6", "--format", "json",
+                         "--out", str(out_file))
     assert code == 0
     payload = json.loads(out_file.read_text())
     assert payload["vertex_count"] == 6
     assert len(payload["edges"]) == 6
 
 
-def test_build_over_cap_exits_3(capsys):
-    code, _, err = run_cli(capsys, "build", "--ring", "tri", "--n", "9",
-                           "--p", "2", "--k", "1")
+@pytest.mark.parametrize("command", ["build", "invariants"])
+def test_over_cap_spec_exits_3(capsys, command):
+    code, out, err = run_cli(capsys, command, "--spec", "tri:9,2,1")
     assert code == 3
-    assert "error" in err
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
-def test_build_missing_ring_flags_exits_2(capsys):
-    code, _, _ = run_cli(capsys, "build", "--ring", "tri")
+@pytest.mark.parametrize("argv", [
+    ["build"],
+    ["invariants"],
+    ["build", "--ring", "tri", "--n", "2", "--p", "3"],
+    ["invariants", "--ring", "zn", "--modulus", "8"],
+    ["build", "--spec", "tri:2,3,1", "--modulus", "7"],
+    ["invariants", "--spec", "zn:8", "--n", "5", "--k", "9"],
+])
+def test_ring_flags_are_gone_and_spec_is_required(capsys, argv):
+    """build and invariants name a ring by --spec alone: a missing --spec
+    and any of the old --ring/--n/--p/--k/--modulus flags are usage errors."""
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize("spec", ["tri:2,3,1", "tri:2,2,2", "zn:8", "zn:12"])
+def test_invariants_spec_matches_the_generic_path(capsys, spec):
+    """invariants --spec reads RingInstance's d0 and the triples through 0;
+    the generic all-pairs invariants of unitary_cayley give the same values
+    on connected rings."""
+    g = uct.unitary_cayley(uct.RingSpec.parse(spec))
+    code, out, _ = run_cli(capsys, "invariants", "--spec", spec)
+    assert code == 0
+    assert json.loads(out) == {"degree": int(g.degrees().max()),
+                               "components": 1,
+                               "diameter": uct.diameter(g),
+                               "triameter": uct.triameter(g),
+                               "clique": uct.clique_number(g)}
 
 
 def test_invariants_connected(capsys):
-    code, out, _ = run_cli(capsys, "invariants", "--ring", "tri", "--n", "2",
-                           "--p", "3", "--k", "1")
+    code, out, _ = run_cli(capsys, "invariants", "--spec", "tri:2,3,1")
     assert code == 0
     assert json.loads(out) == {"degree": 12, "components": 1, "diameter": 2,
                                "triameter": 6, "clique": 3}
@@ -113,16 +135,14 @@ def test_invariants_read_no_all_pairs_distances(capsys, monkeypatch):
     def refuse(g):
         raise AssertionError("all_pairs_distances called")
     monkeypatch.setattr(graph_core, "all_pairs_distances", refuse)
-    code, out, _ = run_cli(capsys, "invariants", "--ring", "tri", "--n", "3",
-                           "--p", "3", "--k", "1")
+    code, out, _ = run_cli(capsys, "invariants", "--spec", "tri:3,3,1")
     assert code == 0
     assert json.loads(out) == {"degree": 216, "components": 1, "diameter": 2,
                                "triameter": 6, "clique": 3}
 
 
 def test_invariants_disconnected(capsys):
-    code, out, _ = run_cli(capsys, "invariants", "--ring", "tri", "--n", "3",
-                           "--p", "2", "--k", "1")
+    code, out, _ = run_cli(capsys, "invariants", "--spec", "tri:3,2,1")
     assert code == 0
     payload = json.loads(out)
     assert payload["degree"] == 8
@@ -133,8 +153,7 @@ def test_invariants_disconnected(capsys):
 
 
 def test_invariants_zn(capsys):
-    code, out, _ = run_cli(capsys, "invariants", "--ring", "zn",
-                           "--modulus", "8")
+    code, out, _ = run_cli(capsys, "invariants", "--spec", "zn:8")
     assert code == 0
     payload = json.loads(out)
     assert payload == {"degree": 4, "components": 1, "diameter": 2,
@@ -142,8 +161,8 @@ def test_invariants_zn(capsys):
 
 
 def test_invariants_text_format(capsys):
-    code, out, _ = run_cli(capsys, "invariants", "--ring", "zn",
-                           "--modulus", "5", "--format", "text")
+    code, out, _ = run_cli(capsys, "invariants", "--spec", "zn:5",
+                           "--format", "text")
     assert code == 0
     assert "degree 4" in out
     assert "clique 5" in out
@@ -220,23 +239,21 @@ def test_verify_output_is_stable_modulo_millis(capsys, tmp_path):
 
 def test_cap_env_variable(capsys, monkeypatch):
     monkeypatch.setenv("UCT_VERTEX_CAP", "10")
-    code, _, _ = run_cli(capsys, "build", "--ring", "zn", "--modulus", "12")
+    code, _, _ = run_cli(capsys, "build", "--spec", "zn:12")
     assert code == 3
     monkeypatch.setenv("UCT_VERTEX_CAP", "12")
-    code, _, _ = run_cli(capsys, "build", "--ring", "zn", "--modulus", "12")
+    code, _, _ = run_cli(capsys, "build", "--spec", "zn:12")
     assert code == 0
 
 
 def test_cap_flag_overrides_env(capsys, monkeypatch):
     monkeypatch.setenv("UCT_VERTEX_CAP", "10")
-    code, _, _ = run_cli(capsys, "build", "--ring", "zn", "--modulus", "12",
-                         "--cap", "20")
+    code, _, _ = run_cli(capsys, "build", "--spec", "zn:12", "--cap", "20")
     assert code == 0
 
 
 def test_cap_above_hard_ceiling_exits_2(capsys):
-    code, _, _ = run_cli(capsys, "build", "--ring", "zn", "--modulus", "5",
-                         "--cap", str(2 ** 21))
+    code, _, _ = run_cli(capsys, "build", "--spec", "zn:5", "--cap", str(2 ** 21))
     assert code == 2
 
 
@@ -294,9 +311,10 @@ def test_import_does_not_load_scipy():
 
 
 @pytest.mark.parametrize("argv", [
-    ["build", "--ring", "tri", "--n", "2", "--p", "4"],
+    ["build", "--spec", "tri:2,4,1"],
     ["verify", "--spec", "tri:2,4,1"],
     ["field", "info", "--p", "4"],
+    ["invariants", "--spec", "tri:2,4,1"],
 ])
 def test_non_prime_p_is_a_usage_error(argv):
     src = os.path.dirname(os.path.dirname(uct.__file__))
@@ -328,8 +346,11 @@ def test_verify_field_over_cap_exits_3():
     ["verify", "--spec", "tri:2,1000000000000000003,1"],
     ["field", "info", "--p", "2", "--k", "1000000000"],
     ["verify", "--spec", "tri:3000,2,1"],
-    ["build", "--ring", "tri", "--n", "3000", "--p", "2"],
+    ["build", "--spec", "tri:3000,2,1"],
     ["verify", "--spec", "tri:100000,2,1"],
+    ["invariants", "--spec", "tri:3000,2,1"],
+    ["build", "--spec", "tri:2,1000000000000000003,1"],
+    ["invariants", "--spec", "tri:2,1000000000000000003,1"],
 ])
 def test_huge_sizes_exit_3_without_arithmetic_on_them(argv):
     """Caps are checked before primality tests and before any power is
@@ -345,7 +366,9 @@ def test_huge_sizes_exit_3_without_arithmetic_on_them(argv):
     assert proc.stderr.startswith("error:")
 
 
-def test_out_of_memory_exits_3():
+@pytest.mark.parametrize("argv", [["build", "--format", "text"],
+                                  ["invariants"]])
+def test_out_of_memory_exits_3(argv):
     """An allocation the address-space limit refuses is a resource error:
     exit 3 with one error line, not a traceback under exit 1.  T_3(GF(7))
     has 117649 elements, so its bool adjacency alone needs 13.8 GB."""
@@ -356,9 +379,8 @@ def test_out_of_memory_exits_3():
 
     src = os.path.dirname(os.path.dirname(uct.__file__))
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-m", "uct", "build", "--ring", "tri",
-                           "--n", "3", "--p", "7", "--cap", "1048576",
-                           "--format", "text"], env=env,
+    proc = subprocess.run([sys.executable, "-m", "uct", *argv, "--spec",
+                           "tri:3,7,1", "--cap", "1048576"], env=env,
                           capture_output=True, text=True, timeout=120,
                           preexec_fn=cap_address_space)
     assert proc.returncode == 3

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uct import (Graph, GraphTooLarge, RingSpec, RingTooLarge, VertexLabeling,
+from uct import (Graph, GraphTooLarge, RingSpec, RingTooLarge,
                  antipodal, antipodal_hamming_direct, complete_bipartite,
                  complete_graph, connected_components, diagonal_quotient,
                  diameter, hamming_graph, is_complete_bipartite, iso_check,
@@ -400,13 +400,3 @@ def test_quotient_needs_triangular_spec():
     with pytest.raises(ValueError):
         diagonal_quotient(RingSpec.integers_mod(8))
 
-
-# -- labeling -----------------------------------------------------------------------
-
-def test_vertex_labeling_bijection():
-    lab = VertexLabeling((3, 1, 0, 2))
-    assert lab.encoding_of(0) == 3
-    assert lab.vertex_of(2) == 3
-    assert len(lab) == 4
-    with pytest.raises(ValueError):
-        VertexLabeling((0, 0, 1))

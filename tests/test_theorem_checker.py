@@ -155,7 +155,7 @@ def test_theorem3_phi_re_verifies_from_certificate():
 
 def test_theorem3_relabeling_is_bijection():
     phi = theorem3_relabeling(T33)
-    assert sorted(phi.encodings) == list(range(729))
+    assert sorted(phi) == list(range(729))
 
 
 @pytest.mark.parametrize("spec", [T23, T32, T25, T33])
