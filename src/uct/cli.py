@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--check", choices=sorted(CHECKS), default=None,
                           help="run only this check")
     p_verify.add_argument("--threads", type=int, default=None,
-                          help="worker threads across specs (default: cores)")
+                          help="only 1 is accepted: specs run one after another")
     p_verify.add_argument("--seed", type=int, default=0,
                           help="seed for randomized spot checks")
     _add_common_flags(p_verify)
@@ -148,7 +148,7 @@ def cmd_invariants(args) -> int:
     connected = len(comps) == 1
     if connected:
         diam = int(ring.d0.max())
-        triam = (cayley_triametral_triple(ring.d0, ring.minus)[0]
+        triam = (cayley_triametral_triple(ring.d0, ring.reader(ring.d0))[0]
                  if g.vertex_count >= 3
                  else "undefined: fewer than 3 vertices")
     else:
@@ -170,6 +170,9 @@ def cmd_invariants(args) -> int:
 
 def cmd_verify(args) -> int:
     cap = _resolve_cap(args)
+    if args.threads not in (None, 1):
+        raise ValueError(f"--threads {args.threads}: specs run one after "
+                         "another, so only --threads 1 is accepted")
     specs = None
     if args.spec:
         specs = [RingSpec.parse(s) for s in args.spec]
@@ -182,7 +185,7 @@ def cmd_verify(args) -> int:
                     f"check {args.check!r} is not applicable to {spec}")
         verdicts = [run_check(args.check, spec, cap, args.seed) for spec in specs]
     else:
-        verdicts = run_suite(specs, cap=cap, threads=args.threads, seed=args.seed)
+        verdicts = run_suite(specs, cap=cap, seed=args.seed)
     _write_output(report_json(verdicts), args.out)
     for v in verdicts:
         status = "PASS" if v.passed else "FAIL"

@@ -8,8 +8,8 @@ an adjacency array of its own.
 Tuples are encoded base-q with the first coordinate least significant,
 matching the matrix entry encoding in tri_ring.  Ring graphs are Cayley
 graphs of (R, +) and are built from that definition: a unit mask over the
-elements, read by difference_rows at x - y a row block at a time (for
-Z_n a gather of windows of one masked ramp).  H(n, q)
+elements, read at x - y a row block at a time by one difference_reader, a
+gather of contiguous chunks of its window table.  H(n, q)
 and its antipodal graph A(H(n, q)) share one rule, the number of
 coordinates in which two tuples differ (1 for H, n for A(H)), read from
 two half tables, q^floor(n/2) and q^ceil(n/2) on a side.  The product's
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import GraphTooLarge
 from .graph_core import Graph
-from .tri_ring import (DEFAULT_VERTEX_CAP, RingSpec, difference_rows,
+from .tri_ring import (DEFAULT_VERTEX_CAP, RingSpec, difference_reader,
                        entry_digit_matrix, tuple_codes, unit_mask)
 
 
@@ -36,15 +36,16 @@ def unitary_cayley(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     """The unitary Cayley graph of the ring: vertices in canonical encoding
     order, edge xy iff x - y is a unit.
 
-    Adjacency is tri_ring.difference_rows with of=tri_ring.unit_mask: the
+    Adjacency is tri_ring.difference_reader with of=tri_ring.unit_mask: the
     unit rule (gcd for Z_n, a nonzero determinant for T_n) is evaluated once
-    per element, not once per pair.  check_prop1 compares the triangular
-    graphs with the all-diagonal-entries-differ rule on every pair.
+    per element, not once per pair, and the reader's window table is built
+    once.  check_prop1 compares the triangular graphs with the
+    all-diagonal-entries-differ rule on every pair.
     """
     mask = unit_mask(spec, cap)
     labels = (range(spec.modulus) if spec.kind == "zn"
               else _digit_labels(entry_digit_matrix(spec, cap)))
-    return Graph.from_rows(len(mask), lambda s: difference_rows(spec, s, cap, of=mask),
+    return Graph.from_rows(len(mask), difference_reader(spec, mask, cap),
                            labels=labels, cap=cap)
 
 

@@ -8,8 +8,8 @@ significant digit first:
 
 so index 0 is the additive identity and index 1 the multiplicative
 identity.  Addition and subtraction act digit by digit mod p, so
-(GF(p^k), +) is Z_p^k read base p (tri_ring.difference_rows relies on
-it).  All arithmetic is precomputed into q x q tables; a FieldTable never
+(GF(p^k), +) is Z_p^k read base p (tri_ring.difference_reader relies
+on it).  All arithmetic is precomputed into q x q tables; a FieldTable never
 mutates and is safe to share between threads.
 """
 

@@ -23,11 +23,13 @@ holds the largest finite distance plus one (uint8 up to a diameter of
 widen them before adding two, since a sum can overflow the dtype.  Graphs
 whose adjacency depends only on the difference of the endpoints in an
 additive group (Cayley graphs) get theirs as one length-V vector d0 from
-the BFS out of vertex 0: d(x, y) = d0[x - y] (see translation_distances),
-and their triameter is searched over the triples through vertex 0 (see
-cayley_triametral_triple).  Passes over V x V pairs hold one row block at
-a time (see row_blocks).  Diameter, triameter and antipodal graphs are
-only defined for connected graphs and raise DisconnectedGraph otherwise.
+the BFS out of vertex 0: d(x, y) = d0[x - y] (see translation_distances,
+which checks every pair against row 0 of the adjacency read at x - y by a
+caller's reader), and their triameter is searched over the triples
+through vertex 0 (see cayley_triametral_triple), reading d0 at x - y.
+Passes over V x V pairs hold one row block at a time (see row_blocks).
+Diameter, triameter and antipodal graphs are only defined for connected
+graphs and raise DisconnectedGraph otherwise.
 The isomorphism oracle (iso_check) backtracks over packed bitset rows of
 candidates, one row per unmapped vertex, narrowing them all in a few
 whole-array operations per step; its search order, and so the bijection
@@ -156,11 +158,14 @@ class Graph:
             yield us, vs
 
     def neighbor_masks(self):
-        """Adjacency rows as python-int bitsets (bit v set <=> edge to v)."""
+        """Adjacency rows as python-int bitsets (bit v set <=> edge to v),
+        packed one row_blocks block at a time."""
         if "masks" not in self._cache:
-            packed = np.packbits(self._adj, axis=1, bitorder="little")
-            self._cache["masks"] = [int.from_bytes(row.tobytes(), "little")
-                                    for row in packed]
+            masks = []
+            for s in row_blocks(self.vertex_count):
+                packed = np.packbits(self._adj[s], axis=1, bitorder="little")
+                masks += [int.from_bytes(row.tobytes(), "little") for row in packed]
+            self._cache["masks"] = masks
         return self._cache["masks"]
 
     def induced_subgraph(self, vertices) -> "Graph":
@@ -489,28 +494,28 @@ def _gather_expand(indptr, indices):
     return expand
 
 
-def translation_distances(g: Graph, minus) -> np.ndarray:
+def translation_distances(g: Graph, read) -> np.ndarray:
     """Hop distances from vertex 0 of a Cayley graph: a read-only length-V
     vector d0 with d(x, y) = d0[x - y].
 
-    minus(rows) gives the vertex index of x - y in the underlying group for
-    x in a slice of rows and every y (see tri_ring.difference_rows).  Every
-    pair is checked to satisfy adj[x, y] == adj[x - y, 0] first, a row
-    block at a time, so d(x, y) = d(x - y, 0); NotTranslationInvariant is
-    raised otherwise.  d0 has the format of all_pairs_distances (hop counts
-    in the smallest unsigned dtype with room for a mark above them, on the
-    vertices outside 0's component; widen before adding).
+    read(rows) gives row 0 of the adjacency read at x - y in the underlying
+    group, for x in a slice of rows and every y (see
+    tri_ring.difference_reader with of=adj[0]).  Every pair is checked to
+    satisfy adj[x, y] == adj[0, x - y] first, a row block at a time, so
+    d(x, y) = d(x - y, 0); NotTranslationInvariant is raised otherwise.  d0
+    has the format of all_pairs_distances (hop counts in the smallest
+    unsigned dtype with room for a mark above them, on the vertices outside
+    0's component; widen before adding).
     """
     adj = g.adjacency
     v = g.vertex_count
     if v == 0:
         raise ValueError("translation distances need V >= 1")
     for rows in row_blocks(v):
-        codes = np.asarray(minus(rows))
-        if codes.shape != adj[rows].shape or codes.min() < 0 or codes.max() >= v:
-            raise ValueError("minus(rows) must give V vertex indices per row")
-        # Row 0 stands for column 0 (g is symmetric).
-        if not np.array_equal(adj[0][codes], adj[rows]):
+        block = np.asarray(read(rows))
+        if block.shape != adj[rows].shape:
+            raise ValueError("read(rows) must give V entries per row")
+        if not np.array_equal(block, adj[rows]):
             raise NotTranslationInvariant(
                 "adjacency is not invariant under the given translations")
     _, label, depth, _ = _forest(g)
@@ -544,12 +549,14 @@ def triametral_triple(g: Graph):
     return _triametral_search(d, lambda x, s: d[x, s:], len(d) - 2)
 
 
-def cayley_triametral_triple(d0: np.ndarray, minus):
+def cayley_triametral_triple(d0: np.ndarray, read):
     """triametral_triple of a Cayley graph (see translation_distances) over
     the triples (0, b, c) only: translation carries the lexicographically
-    first triametral triple onto one through 0, and minus (see
-    translation_distances) forms only the rows the search reads."""
-    return _triametral_search(d0, lambda x, s: d0[minus(slice(x, x + 1))[0, s:]], 1)
+    first triametral triple onto one through 0.  read(rows) gives d0 read
+    at x - y for x in rows and every y (see tri_ring.difference_reader with
+    of=d0), so d(x, y) = read([x])[0, y]; only the rows the search reads
+    are formed."""
+    return _triametral_search(d0, lambda x, s: read(slice(x, x + 1))[0, s:], 1)
 
 
 def _triametral_search(d: np.ndarray, row, firsts: int):

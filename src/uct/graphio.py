@@ -4,10 +4,13 @@ Edge lists are one ``u v`` pair per line, 0-indexed, u < v.  Isolated
 vertices do not appear in an edge list, so imports accept an explicit
 vertex count for re-checks that need them preserved.
 
-Edge lists move as bytes, not one Python string per edge.  The export
-gathers each row block's edges (Graph.edge_blocks) from two NUL-padded
-tables of the decimal tokens of 0..V-1, one ending in a space and one in
-a newline, then drops the NUL bytes and decodes the whole text once.
+Edge lists and the JSON envelope's edges move as bytes, not one Python
+object per edge.  The export gathers each row block's edges
+(Graph.edge_blocks) from two NUL-padded tables of the decimal tokens of
+0..V-1, each wrapped in the text that comes before and after it (a space
+and a newline for an edge list, the indented brackets json.dumps writes
+for the envelope), then drops the NUL bytes and decodes the whole text
+once.
 The import hands the text to np.loadtxt as one stream, after blanking
 comment lines with one regex.
 """
@@ -25,12 +28,20 @@ from .graph_core import Graph
 
 def to_edge_list(g: Graph) -> str:
     """One "u v" line per edge, u < v, in row-major order."""
+    return _edge_text(g, b"", b" ", b"\n")
+
+
+def _edge_text(g: Graph, before: bytes, between: bytes, after: bytes) -> str:
+    """before + u + between + v + after for each edge, u < v, in row-major
+    order, u and v in decimal."""
     v = g.vertex_count
     digits = np.arange(v).astype(f"S{len(str(max(v - 1, 0)))}")
-    left, right = np.strings.add(digits, b" "), np.strings.add(digits, b"\n")
+    left = np.strings.add(np.strings.add(before, digits), between)
+    right = np.strings.add(digits, after)
+    width = max(left.itemsize, right.itemsize)
     text = []
     for us, vs in g.edge_blocks():
-        lines = np.empty((len(us), 2), dtype=left.dtype)
+        lines = np.empty((len(us), 2), dtype=f"S{width}")
         lines[:, 0], lines[:, 1] = left[us], right[vs]
         text.append(lines.tobytes())
     return b"".join(text).translate(None, b"\0").decode()
@@ -62,7 +73,15 @@ def from_json_envelope(payload: dict) -> Graph:
 
 
 def dump_json(g: Graph) -> str:
-    return json.dumps(to_json_envelope(g), indent=2) + "\n"
+    """json.dumps(to_json_envelope(g), indent=2) + "\n", with the edges
+    written from byte tables (see _edge_text)."""
+    head = json.dumps({"vertex_count": g.vertex_count,
+                       "labels": None if g.labels is None else list(g.labels),
+                       "edges": []}, indent=2)
+    edges = _edge_text(g, b"    [\n      ", b",\n      ", b"\n    ],\n")
+    if not edges:
+        return head + "\n"
+    return head[:-len("[]\n}")] + "[\n" + edges[:-len(",\n")] + "\n  ]\n}\n"
 
 
 def read_edge_list(text: str, vertex_count=None) -> Graph:

@@ -3,17 +3,19 @@ graphs of upper-triangular matrix rings, with re-checkable certificates.
 
 Every check takes a RingSpec, measures the built graph, compares against
 the claimed value, and returns a Verdict; the checks of one spec share
-one RingInstance.  Claims conditional on the field size are gated: the
-two-element-field claims raise WrongField for q > 2 and vice versa.
+one RingInstance, and a suite runs its specs one after another.  Ring
+checks read a table at x - y (the adjacency's row 0 to check translation
+invariance, d0 for the triameter) through tri_ring.difference_reader,
+whose window table is built once per table.  Claims conditional on the
+field size are gated: the two-element-field claims raise WrongField for
+q > 2 and vice versa.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -30,9 +32,8 @@ from .graph_core import (ISO_ORACLE_CAP, bfs_forest, cayley_triametral_triple,
                          labeled_equal, largest_finite_distance, max_clique,
                          row_blocks, row_counts, translation_distances)
 from .tri_ring import (DEFAULT_VERTEX_CAP, RingSpec, diagonal_slots,
-                       difference_rows, encode, entry_digit_matrix,
-                       enumerate_ring, from_parts, is_unit, strict_upper_slots,
-                       unit_mask)
+                       difference_reader, encode, entry_digit_matrix,
+                       from_parts, strict_upper_slots, unit_mask)
 
 
 @dataclass
@@ -64,13 +65,14 @@ class Verdict:
 class RingInstance:
     """One spec's unitary Cayley graph and the data derived from it, each
     built on first use and shared by the spec's checks.  An int spec is
-    the modulus of Z_n.  minus(rows) is tri_ring.difference_rows of the
-    ring, and its distances are d(x, y) = d0[x - y]."""
+    the modulus of Z_n.  reader(t) is tri_ring.difference_reader of the
+    ring for a length-V table t, the function rows -> t read at x - y, and
+    the ring's distances are d(x, y) = d0[x - y]."""
 
     def __init__(self, spec, cap: int = DEFAULT_VERTEX_CAP):
         self.spec = RingSpec.integers_mod(spec) if isinstance(spec, int) else spec
         self.cap = cap
-        self.minus = partial(difference_rows, self.spec, cap=cap)
+        self.reader = partial(difference_reader, self.spec, cap=cap)
 
     @cached_property
     def graph(self):
@@ -90,7 +92,8 @@ class RingInstance:
         """Hop distances from vertex 0, read-only: d(x, y) = d0[x - y]
         (see graph_core.translation_distances, uint8 up to a diameter of
         254); widen before adding them."""
-        return translation_distances(self.graph, self.minus)
+        g = self.graph
+        return translation_distances(g, self.reader(g.adjacency[0]))
 
 
 CHECKS = {}
@@ -145,12 +148,13 @@ def _diagonal_matrix_encoding(spec: RingSpec, diagonal) -> int:
 @_check("prop0", "prop0.regularity")
 def check_prop0(ring: RingInstance):
     """Regularity: every vertex degree equals (q-1)^n * q^((n^2-n)/2), the
-    number of units, which is also counted exhaustively."""
+    number of units, which is also counted exhaustively: is_unit's rule
+    (every diagonal entry nonzero) on every element's diagonal digits."""
     spec, g = ring.spec, ring.graph
     q, n = spec.q, spec.n
     formula = (q - 1) ** n * q ** ((n * n - n) // 2)
     degrees = g.degrees()
-    unit_count = sum(1 for a in enumerate_ring(spec, ring.cap) if is_unit(a))
+    unit_count = int(np.count_nonzero((ring.diagonal != 0).all(axis=1)))
     expected = {"degree_min": formula, "degree_max": formula, "unit_count": formula}
     computed = {"degree_min": int(degrees.min()), "degree_max": int(degrees.max()),
                 "unit_count": unit_count}
@@ -244,20 +248,21 @@ def check_triameter(ring: RingInstance):
     witness triple diag(a,a,...), diag(a,b,...), diag(a,c,...) attains
     2+2+2."""
     spec, d0 = ring.spec, ring.d0
-    value, triple = cayley_triametral_triple(d0, ring.minus)
+    distances = ring.reader(d0)  # distances([x])[0, y] = d(x, y)
+    value, triple = cayley_triametral_triple(d0, distances)
 
     a, b, c = 0, 1, 2
     d1 = _diagonal_matrix_encoding(spec, [a] * spec.n)
     d2 = _diagonal_matrix_encoding(spec, [a] + [b] * (spec.n - 1))
     d3 = _diagonal_matrix_encoding(spec, [a] + [c] * (spec.n - 1))
-    witness_sum = sum(int(d0[ring.minus([x])[0, y]])
+    witness_sum = sum(int(distances([x])[0, y])
                       for x, y in ((d1, d2), (d1, d3), (d2, d3)))
 
     expected = {"triameter": 6, "diagonal_witness_sum": 6}
     computed = {"triameter": value, "diagonal_witness_sum": witness_sum}
     certificate = {
         "triametral_triple": list(triple),
-        "pairwise": [int(d0[ring.minus([triple[i]])[0, triple[j]]])
+        "pairwise": [int(distances([triple[i]])[0, triple[j]])
                      for i, j in ((0, 1), (0, 2), (1, 2))],
         "diagonal_witness": [d1, d2, d3],
     }
@@ -438,24 +443,12 @@ def _run_spec(spec: RingSpec, cap: int, seed: int) -> list:
     return [_run(name, ring, seed) for name in checks_for(spec)]
 
 
-def run_suite(specs=None, cap: int = DEFAULT_VERTEX_CAP, threads=None,
-              seed: int = 0) -> list:
-    """Run every applicable check for each spec.  Specs run concurrently;
+def run_suite(specs=None, cap: int = DEFAULT_VERTEX_CAP, seed: int = 0) -> list:
+    """Run every applicable check for each spec, one spec after another;
     the verdict list keeps spec order, then check order."""
     if specs is None:
         specs = DEFAULT_SUITE_SPECS
-    specs = list(specs)
-    if not specs:
-        return []
-    if threads is None:
-        threads = os.cpu_count() or 1
-    threads = max(1, min(threads, len(specs)))
-    if threads == 1:
-        groups = [_run_spec(s, cap, seed) for s in specs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            groups = list(pool.map(lambda s: _run_spec(s, cap, seed), specs))
-    return [v for group in groups for v in group]
+    return [v for spec in specs for v in _run_spec(spec, cap, seed)]
 
 
 def report_json(verdicts) -> str:

@@ -8,8 +8,9 @@ listed row by row with the diagonal included,
 and the canonical integer encoding reads that sequence as base-q digits,
 first entry least significant.  The encoding is a bijection between
 T_n(F) and 0..q**(n(n+1)/2)-1; exported graphs and all structural maps
-depend on it.  difference_rows is the one place x - y is formed; it reads a
-per-element table (the unit mask, say) there, for Z_n through one window.
+depend on it.  difference_reader is the one place x - y is formed; it reads
+a per-element table (the unit mask, say) there, as a gather of contiguous
+chunks of one window table W built once per table (see difference_reader).
 """
 
 from __future__ import annotations
@@ -241,29 +242,94 @@ def difference_rows(spec: RingSpec, rows, cap: int = DEFAULT_VERTEX_CAP,
     """len(rows) x order array of the encodings of x - y, x in rows (a slice or
     a sequence of encodings), in the smallest unsigned dtype (uint8 up to
     256 elements, uint16 up to 2**16); given a length-order array `of`, of[x - y].
+    One call of difference_reader(spec, of, cap); a caller reading many row
+    blocks of one table keeps the reader, so its window table is built once."""
+    return difference_reader(spec, of, cap)(rows)
+
+
+# Bytes of one chunk of difference_reader's gather that window_digits aims
+# for.  Filling tri:4,3,1's rows (59049 x 59049, p = 3) took 1.49, 1.21,
+# 1.12 and 1.12 s at chunks of 81, 243, 729 and 2187 bytes (2 cores), and
+# tri:2,37,1's 1.13 s at 37 bytes and 0.79 s at 1369.
+_CHUNK_BYTES = 512
+
+
+def window_digits(spec: RingSpec, itemsize: int = 1) -> int:
+    """L, the low base-m digits of difference_reader's split for a table of
+    `itemsize` bytes per entry: the fewest whose chunk m**L * itemsize
+    reaches _CHUNK_BYTES, but no more than keep the reader's window table
+    (order * m**L entries) within order**2 / 16 entries; at least 1 (a
+    table of (order / m) * (2m - 1) entries), and all of Z_n's one digit."""
+    m, count = _digit_base(spec)
+    low = 1
+    while (low < count and m ** low * itemsize < _CHUNK_BYTES
+           and 16 * m ** (low + 1) <= spec.order):
+        low += 1
+    return low
+
+
+def _digit_base(spec: RingSpec):
+    """(m, count): (R, +) is Z_m**count, added digit-wise."""
+    if spec.kind == "zn":
+        return spec.modulus, 1
+    return spec.p, spec.k * spec.n * (spec.n + 1) // 2
+
+
+def difference_reader(spec: RingSpec, of=None, cap: int = DEFAULT_VERTEX_CAP):
+    """The function rows -> difference_rows(spec, rows, cap, of): the
+    length-order table `of` (default: the encodings themselves) read at
+    x - y for x in rows and every y, in of's dtype.
 
     (R, +) is Z_m, or Z_p**D for T_n(GF(p^k)) (D = k*n(n+1)/2 base-p digits,
-    added digit-wise), so row x is the Kronecker sum of one cyclic-table row
-    (x_j - y_j) mod m per digit x_j of x, each new digit the most significant.
-    Cyclic-table rows are windows of one length-(2m - 1) ramp; Z_n reads `of`
-    there, so its rows are windows of of[ramp], and T_n reads it at the codes.
+    added digit-wise).  The digits split into the low L = window_digits and
+    the rest, so x - y is hi[x_hi, y_hi] * m**L + lo[x_lo, y_lo], hi and lo
+    the difference tables of Z_m**(count - L) and Z_m**L.  The reader first
+    builds W = of.reshape(-1, m**L)[:, lo], so W[h, l] is `of` at every
+    element whose high part is h and whose low parts are row l of lo; row x
+    is then W[hi[x_hi], x_lo], a gather of contiguous chunks of m**L
+    entries.  A difference table's rows are Kronecker sums of one
+    cyclic-table row (x_j - y_j) mod m per digit x_j of x, each new digit
+    the most significant, and cyclic-table rows are windows of one
+    length-(2m - 1) ramp; so for L = 1 (Z_n always) the table is `of` read
+    at the ramp and W a view of its windows.  The reader's `table`
+    attribute is the array W was made from.
     """
     _check_order(spec, cap)
-    x = np.asarray(range(spec.order)[rows] if isinstance(rows, slice) else rows, int)
-    if x.ndim != 1 or x.size and not 0 <= x.min() <= x.max() < spec.order:
-        raise ValueError(f"rows must be encodings 0..{spec.order - 1}")
-    if of is not None and len(of) != spec.order:
-        raise ValueError(f"of must have {spec.order} entries, got {len(of)}")
-    m, count = ((spec.modulus, 1) if spec.kind == "zn"
-                else (spec.p, spec.k * spec.n * (spec.n + 1) // 2))
-    ramp = (np.arange(m - 1, -m, -1) % m).astype(np.min_scalar_type(spec.order - 1))
-    table = ramp if of is None or count > 1 else of[ramp]
-    cyclic = sliding_window_view(table, m)[::-1]  # [i, j] = table[m - 1 - i + j]
-    codes = cyclic[x % m]
-    for size in (m ** j for j in range(1, count)):  # the next digit's weight
+    v = spec.order
+    if of is None:
+        of = np.arange(v, dtype=np.min_scalar_type(v - 1))
+    elif len(of) != v:
+        raise ValueError(f"of must have {v} entries, got {len(of)}")
+    of = np.asarray(of)
+    m, count = _digit_base(spec)
+    low = window_digits(spec, of.itemsize)
+    size = m ** low
+    ramp = (np.arange(m - 1, -m, -1) % m).astype(np.min_scalar_type(v - 1))
+    cyclic = sliding_window_view(ramp, m)[::-1]  # [i, j] = ramp[m - 1 - i + j]
+    table = of.reshape(-1, size)[:, ramp if low == 1 else
+                                 _kronecker_rows(cyclic, np.arange(size), low)]
+    window = sliding_window_view(table, m, axis=1)[:, ::-1] if low == 1 else table
+
+    def read(rows):
+        x = np.asarray(range(v)[rows] if isinstance(rows, slice) else rows, int)
+        if x.ndim != 1 or x.size and not 0 <= x.min() <= x.max() < v:
+            raise ValueError(f"rows must be encodings 0..{v - 1}")
+        x_hi, x_lo = np.divmod(x, size)
+        hi = _kronecker_rows(cyclic, x_hi, count - low)
+        return window[hi, x_lo[:, None]].reshape(len(x), v)
+    read.table = table
+    return read
+
+
+def _kronecker_rows(cyclic: np.ndarray, x: np.ndarray, count: int) -> np.ndarray:
+    """Rows x of the difference table of Z_m**count, m = len(cyclic): one
+    cyclic-table row per digit of x, each new digit the most significant."""
+    m = len(cyclic)
+    codes = np.zeros((len(x), 1), dtype=cyclic.dtype)
+    for size in (m ** j for j in range(count)):  # the next digit's weight
         codes = (cyclic[x // size % m][:, :, None] * size
                  + codes[:, None, :]).reshape(len(x), m * size)
-    return codes if of is None or count == 1 else of[codes]
+    return codes
 
 
 def unit_mask(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> np.ndarray:

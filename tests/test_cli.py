@@ -237,6 +237,26 @@ def test_verify_output_is_stable_modulo_millis(capsys, tmp_path):
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("threads", ["2", "0", "-1"])
+def test_verify_threads_other_than_1_exits_2(capsys, threads):
+    """Specs run one after another: --threads stays only as --threads 1,
+    and any other value is a usage error, with no report written."""
+    code, out, err = run_cli(capsys, "verify", "--spec", "tri:2,3,1",
+                             "--threads", threads)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_verify_threads_1_is_the_default_run(capsys):
+    def report(*extra):
+        code, out, _ = run_cli(capsys, "verify", "--spec", "tri:2,3,1", *extra)
+        verdicts = json.loads(out)["verdicts"]
+        for v in verdicts:
+            v.pop("millis")
+        return code, verdicts
+    assert report("--threads", "1") == report() and report()[0] == 0
+
+
 def test_cap_env_variable(capsys, monkeypatch):
     monkeypatch.setenv("UCT_VERTEX_CAP", "10")
     code, _, _ = run_cli(capsys, "build", "--spec", "zn:12")
@@ -264,7 +284,7 @@ def test_unknown_subcommand_exits_2(capsys):
 def test_failed_verdicts_exit_1(capsys, monkeypatch):
     import uct.cli as cli_mod
 
-    def fake_suite(specs, cap, threads, seed):
+    def fake_suite(specs, cap, seed):
         from uct.theorem_checker import Verdict
         return [Verdict(claim_id="x", spec="tri:2,3,1", expected=1, computed=2,
                         passed=False, certificate={}, millis=0.0)]

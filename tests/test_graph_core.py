@@ -2,7 +2,9 @@
 
 import concurrent.futures
 import functools
+import hashlib
 import itertools
+import json
 import random
 import re
 import sys
@@ -26,10 +28,10 @@ from uct import (DisconnectedGraph, Graph, GraphTooLarge,
 from uct import graph_core
 from uct.graph_core import (_all_sources_bfs, largest_finite_distance,
                             two_coloring)
-from uct.graphio import (from_json_envelope, read_edge_list, to_dot,
-                         to_edge_list, to_json_envelope)
+from uct.graphio import (dump_json, from_json_envelope, read_edge_list,
+                         to_dot, to_edge_list, to_json_envelope)
 from uct.theorem_checker import RingInstance
-from uct.tri_ring import difference_rows
+from uct.tri_ring import difference_reader
 
 
 def path_graph(n):
@@ -446,6 +448,25 @@ def test_per_source_route_holds_no_float_matrix():
     assert peak < 8 * v * v
 
 
+def test_neighbor_masks_pack_one_row_block_at_a_time(monkeypatch):
+    """With blocks of 16 rows, the bitset rows of tri:3,2,2 hold the ints
+    (V^2 / 8 bytes) and one packed block besides, not a packed copy of the
+    whole adjacency (2 V^2 / 8 at the peak); they equal each row's bits."""
+    monkeypatch.setattr(graph_core, "_ROW_BLOCK_ENTRIES", 1 << 16)
+    g = unitary_cayley(RingSpec.parse("tri:3,2,2"))
+    v = g.vertex_count
+    tracemalloc.start()
+    try:
+        masks = g.neighbor_masks()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * v * v / 8, peak / (v * v / 8)
+    rng = random.Random(v)
+    for u in [0, v - 1, *rng.sample(range(v), 6)]:
+        assert masks[u] == sum(1 << w for w in np.flatnonzero(g.adjacency[u]).tolist())
+
+
 def test_level_route_unpacks_its_bit_planes_in_row_blocks():
     """H(12, 2): a 16.8 MB uint8 result whose four bit planes are unpacked
     a row block at a time, not as whole 4096 x 4096 arrays (63 MB peak)."""
@@ -741,7 +762,7 @@ def test_dense_traversals_build_no_sparse_form(monkeypatch):
     g = unitary_cayley(spec)
     lists.clear()
     matrices.clear()
-    translation_distances(g, lambda rows: difference_rows(spec, rows))
+    translation_distances(g, difference_reader(spec, g.adjacency[0]))
     connected_components(g)
     two_coloring(g)
     is_complete_bipartite(g)
@@ -1129,6 +1150,51 @@ def test_json_envelope_roundtrip():
     back = from_json_envelope(payload)
     assert labeled_equal(back, g)
     assert back.labels == g.labels
+
+
+def json_cases():
+    """(name, graph) pairs whose dump_json bytes are pinned below: ring
+    graphs with digit labels, graphs without edges, with one vertex and
+    with none, labels=None, and labels JSON must escape."""
+    for text in ["tri:2,3,1", "zn:8", "tri:2,2,2", "tri:3,2,1", "tri:2,3,2"]:
+        yield text, unitary_cayley(RingSpec.parse(text))
+    yield "edgeless-4", Graph(np.zeros((4, 4), dtype=bool))
+    yield "one-vertex", Graph(np.zeros((1, 1), dtype=bool))
+    yield "empty", Graph(np.zeros((0, 0), dtype=bool))
+    yield "H(4,3)-unlabeled", Graph(hamming_graph(4, 3).adjacency)
+    yield "K5", complete_graph(5)
+    adj = np.zeros((4, 4), dtype=bool)
+    adj[0, 3] = adj[3, 0] = True
+    yield "odd-labels", Graph(adj, labels=['a"b', "c\\d", "\u00e9\n", ""])
+    yield "edgeless-labeled", Graph(np.zeros((3, 3), dtype=bool), labels="xyz")
+
+
+# sha256 of dump_json's text, taken from json.dumps(to_json_envelope(g),
+# indent=2) + "\n" before dump_json wrote the edges from byte tables.
+DUMP_JSON_SHA256 = {
+    "tri:2,3,1": "9500fb8902cf94c688db9d6d58dc5c0e67ae3480668dcbe299e2a866a19b6221",
+    "zn:8": "d3b27f1d39a90109fe624fa38e5d402c175fccf4a17a0a1e4eeb1ed216c3b9f2",
+    "tri:2,2,2": "eaeff8197c57577d4178537371d2968c08166c44f745f7fab305d2e66e1a3b61",
+    "tri:3,2,1": "92e035cbdec40368e6c48a11c097f009de217ac0d18d5d6e1a52eb387442aa41",
+    "tri:2,3,2": "879f937a2f838235aa3dc7ea0de7708ec8c5989cb1811cbe93a93d4d44b1f76d",
+    "edgeless-4": "1bf0d017549d845e0b3c1ab626e81330efa0f0f58af293a0c771aef735bd9eea",
+    "one-vertex": "1241b12d671ce8d698cb225adb5f8b06c0e77a63a87ad7e1a9ac832e43fa8f62",
+    "empty": "237574e70d29b71b8d4b6123bede8aa933fe6000b8e073df8b94c232df09b9fc",
+    "H(4,3)-unlabeled": "8b11f687fe0cb349c06248d6f77115cb4b6767c479ffc68bccdf53e538b10ed2",
+    "K5": "220783389632d9d436d1a0a8700027ea6880b5c3d3283ca69049bde900078c41",
+    "odd-labels": "73894ed44bb0d09c5c19a60dc0e4b32e6b25aacdb2accf2812609fc24ad3487b",
+    "edgeless-labeled": "aa15f79d89332f1f020818af624ab26ad26ace2d3a4b83a05f7cd1e01394ce60",
+}
+
+
+def test_dump_json_bytes_are_pinned():
+    """dump_json writes the bytes json.dumps gives the envelope, pinned."""
+    got = {}
+    for name, g in json_cases():
+        text = dump_json(g)
+        assert text == json.dumps(to_json_envelope(g), indent=2) + "\n", name
+        got[name] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == DUMP_JSON_SHA256
 
 
 @pytest.mark.parametrize("text", ["0 -1\n", "0 7\n"])

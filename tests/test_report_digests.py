@@ -118,8 +118,7 @@ VERDICT_SHA256 = {
 
 
 def test_verdict_bytes_match_pinned_digests():
-    verdicts = run_suite(list(DEFAULT_SUITE_SPECS) + list(ZN_SPECS),
-                         threads=1, seed=0)
+    verdicts = run_suite(list(DEFAULT_SUITE_SPECS) + list(ZN_SPECS), seed=0)
     got = {}
     for v in verdicts:
         fields = v.to_json()

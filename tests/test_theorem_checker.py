@@ -256,11 +256,13 @@ def test_suite_deterministic_modulo_timing():
     assert a == b
 
 
-def test_suite_threading_preserves_order():
-    sequential = run_suite([T22, T23], threads=1)
-    parallel = run_suite([T22, T23], threads=2)
-    assert [(v.claim_id, v.spec) for v in sequential] == \
-           [(v.claim_id, v.spec) for v in parallel]
+def test_suite_keeps_spec_order_then_check_order():
+    """Specs run one after another: each spec's checks in checks_for
+    order, the specs in the order given, whatever their sizes."""
+    specs = [T33, T22, RingSpec.integers_mod(8), T23, T32]
+    verdicts = run_suite(specs)
+    assert [(v.claim_id, v.spec) for v in verdicts] == [
+        (tc.CLAIM_IDS[name], str(spec)) for spec in specs for name in checks_for(spec)]
 
 
 def test_report_json_stable_fields():
@@ -305,29 +307,37 @@ def _diag_of_label(label):
 # -- one instance per spec -----------------------------------------------------
 
 def test_suite_builds_each_graph_once_and_difference_rows_by_block(monkeypatch):
-    """Each spec's graph is built once, and every x - y row the suite forms
-    comes one row block at a time: no difference_rows call asks for more
-    entries than _ROW_BLOCK_ENTRIES (3 rows of T23's 27 vertices here)."""
-    graphs, entries = [], []
+    """Each spec's graph is built once, each table read at x - y gets one
+    difference_reader, so one window table, and every x - y row the suite
+    forms comes one row block at a time: no read asks for more entries than
+    _ROW_BLOCK_ENTRIES (3 rows of T23's 27 vertices here)."""
+    graphs, tables, entries = [], [], []
 
     def counting_graphs(spec, cap):
         graphs.append(str(spec))
         return real_graph(spec, cap)
 
-    def counting_rows(spec, rows, cap, of=None):
-        diff = real_rows(spec, rows, cap, of=of)
-        entries.append(diff.size)
-        return diff
+    def counting_reader(spec, of=None, cap=tc.DEFAULT_VERTEX_CAP):
+        read = real_reader(spec, of, cap)
+        tables.append((str(spec), of.dtype.name))
 
-    real_graph, real_rows = tc.unitary_cayley, tc.difference_rows
+        def counted(rows):
+            block = read(rows)
+            entries.append(block.size)
+            return block
+        return counted
+
+    real_graph, real_reader = tc.unitary_cayley, tc.difference_reader
     monkeypatch.setattr(graph_core, "_ROW_BLOCK_ENTRIES", 3 * 27)
     monkeypatch.setattr(tc, "unitary_cayley", counting_graphs)
-    monkeypatch.setattr(tc, "difference_rows", counting_rows)
-    monkeypatch.setattr(constructors, "difference_rows", counting_rows)
-    verdicts = run_suite([T23, T22], threads=1)
+    monkeypatch.setattr(tc, "difference_reader", counting_reader)
+    monkeypatch.setattr(constructors, "difference_reader", counting_reader)
+    verdicts = run_suite([T23, T22])
     assert all(v.passed for v in verdicts)
     assert graphs == ["tri:2,3,1", "tri:2,2,1"]
-    # The builds of both graphs, T23's d0 and its triameter rows.
+    # T23's unit mask, adjacency row 0 and d0; T22's unit mask.
+    assert tables == [("tri:2,3,1", "bool"), ("tri:2,3,1", "bool"),
+                      ("tri:2,3,1", "uint8"), ("tri:2,2,1", "bool")]
     assert len(entries) > 2 * 27 // 3 and max(entries) <= 3 * 27
 
 
@@ -337,7 +347,7 @@ def test_suite_reads_no_all_pairs_distances(monkeypatch):
     def refuse(g):
         raise AssertionError("all_pairs_distances called")
     monkeypatch.setattr(graph_core, "all_pairs_distances", refuse)
-    verdicts = run_suite([T23], threads=1)
+    verdicts = run_suite([T23])
     assert len(verdicts) == 7 and all(v.passed for v in verdicts)
     assert check_triameter(T23).passed
 

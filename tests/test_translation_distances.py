@@ -1,6 +1,8 @@
 """The Cayley fast path (one BFS from 0 plus a translation check, and the
 triameter through vertex 0) against the generic all-pairs BFS and
-triameter search it replaces for ring graphs."""
+triameter search it replaces for ring graphs.  Both read a table at x - y
+through a reader: difference_reader for ring specs, and here also the
+rows of a whole difference table."""
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from uct import (DisconnectedGraph, Graph, NotTranslationInvariant, RingSpec,
                  all_pairs_distances, cayley_triametral_triple,
                  translation_distances, triametral_triple, unitary_cayley)
-from uct.tri_ring import difference_rows, tuple_codes
+from uct.tri_ring import difference_reader, difference_rows, tuple_codes
 
 # Every triangular spec of at most 1024 vertices that the test suite or
 # the benchmark's verify workload runs, q = 2 (disconnected) ones included.
@@ -28,13 +30,19 @@ def difference_table(spec):
     return difference_rows(spec, range(spec.order))
 
 
+def reader(table, diff):
+    """rows -> table read at x - y, x - y taken from the rows of the whole
+    difference table diff."""
+    return lambda rows: table[diff[rows]]
+
+
 def assert_matches_generic(adj, diff, dtype=None):
-    """translation_distances' d0, with the rows of minus read from the table
-    diff, against the generic distances of a fresh graph: d0[diff] is every
-    pair, d0 is row 0, dtype and all, and the generic distance cache is
-    left to all_pairs_distances."""
+    """translation_distances' d0, with row 0 of adj read at the rows of the
+    table diff, against the generic distances of a fresh graph: d0[diff] is
+    every pair, d0 is row 0, dtype and all, and the generic distance cache
+    is left to all_pairs_distances."""
     g = Graph(adj)
-    d0 = translation_distances(g, diff.__getitem__)
+    d0 = translation_distances(g, reader(g.adjacency[0], diff))
     assert "dist" not in g._cache
     generic = all_pairs_distances(Graph(adj))
     assert d0.shape == (len(adj),) and not d0.flags.writeable
@@ -45,9 +53,13 @@ def assert_matches_generic(adj, diff, dtype=None):
 
 @pytest.mark.parametrize("text", TRI_SPECS + ZN_SPECS + LARGE_SPECS)
 def test_matches_generic_distances(text):
+    """Read through the whole difference table, and through the ring's
+    own difference_reader, which gives the same d0."""
     spec = RingSpec.parse(text)
-    assert_matches_generic(unitary_cayley(spec).adjacency,
-                           difference_table(spec), np.uint8)
+    g = unitary_cayley(spec)
+    assert_matches_generic(g.adjacency, difference_table(spec), np.uint8)
+    d0 = translation_distances(g, difference_reader(spec, g.adjacency[0]))
+    assert np.array_equal(d0, all_pairs_distances(Graph(g.adjacency))[0])
 
 
 @pytest.mark.parametrize("m, step, dtype", [(600, 2, np.uint8),
@@ -67,27 +79,42 @@ def test_circulant_with_one_edge_removed_raises():
     adj = np.array(unitary_cayley(spec).adjacency)
     adj[2, 3] = adj[3, 2] = False
     with pytest.raises(NotTranslationInvariant):
-        translation_distances(Graph(adj), difference_table(spec).__getitem__)
+        translation_distances(Graph(adj), reader(adj[0], difference_table(spec)))
 
 
-def test_rejects_a_malformed_difference_table():
-    """minus must give one row of V vertex indices per row asked for."""
+@pytest.mark.parametrize("text", ["zn:9", "tri:2,3,1", "tri:2,2,3"])
+@pytest.mark.parametrize("u", [0, 5])
+def test_ring_graph_with_one_edge_removed_raises(text, u):
+    """One edge of a ring graph removed, in row 0 itself (the table read at
+    x - y) or away from vertex 0, fails the check through the ring's own
+    difference_reader and through the whole difference table."""
+    spec = RingSpec.parse(text)
+    adj = np.array(unitary_cayley(spec).adjacency)
+    w = int(np.flatnonzero(adj[u])[-1])
+    adj[u, w] = adj[w, u] = False
+    g = Graph(adj)
+    for read in (reader(adj[0], difference_table(spec)),
+                 difference_reader(spec, g.adjacency[0])):
+        with pytest.raises(NotTranslationInvariant):
+            translation_distances(g, read)
+
+
+def test_rejects_a_malformed_reader():
+    """read must give one row of V entries per row asked for."""
     g = unitary_cayley(RingSpec.integers_mod(6))
-    diff = difference_table(RingSpec.integers_mod(6))
+    read = reader(g.adjacency[0], difference_table(RingSpec.integers_mod(6)))
+    small = unitary_cayley(RingSpec.integers_mod(5)).adjacency[0]
     malformed = [
-        difference_table(RingSpec.integers_mod(5)).__getitem__,  # 5 x 5
-        lambda rows: diff[rows][:, :-1],  # a column short
-        lambda rows: diff[rows][:-1],  # a row short
-        lambda rows: diff[rows].ravel(),  # flat
-        (-diff).__getitem__,  # unsigned: entries wrap above V - 1
-        (-diff.astype(np.int16)).__getitem__,  # negative entries
-        (diff + 1).__getitem__,  # V itself
+        reader(small, difference_table(RingSpec.integers_mod(5))),  # 5 x 5
+        lambda rows: read(rows)[:, :-1],  # a column short
+        lambda rows: read(rows)[:-1],  # a row short
+        lambda rows: read(rows).ravel(),  # flat
     ]
-    for minus in malformed:
+    for bad in malformed:
         with pytest.raises(ValueError):
-            translation_distances(g, minus)
+            translation_distances(g, bad)
     with pytest.raises(ValueError):
-        translation_distances(Graph(np.zeros((0, 0), dtype=bool)), diff.__getitem__)
+        translation_distances(Graph(np.zeros((0, 0), dtype=bool)), read)
 
 
 @st.composite
@@ -152,6 +179,6 @@ def test_triameter_through_vertex_0_matches_generic(case):
     bound and on graphs that scan every triple through 0; both raise alike
     on disconnected graphs and graphs of fewer than 3 vertices."""
     diff, connection = case
-    d0 = translation_distances(Graph(connection[diff]), diff.__getitem__)
-    assert (triameter_outcome(cayley_triametral_triple, d0, diff.__getitem__)
+    d0 = translation_distances(Graph(connection[diff]), reader(connection, diff))
+    assert (triameter_outcome(cayley_triametral_triple, d0, reader(d0, diff))
             == triameter_outcome(triametral_triple, Graph(connection[diff])))

@@ -15,9 +15,11 @@ from uct import (DimensionMismatch, FieldTooLarge, RingSpec, RingTooLarge,
                  enumerate_ring, from_parts, graph_core, is_unit, make_field,
                  mat_det, mat_sub, strict_upper_of)
 from uct.finite_field import power_exceeds
-from uct.tri_ring import (DEFAULT_VERTEX_CAP, diagonal_slots, difference_rows,
+from uct.theorem_checker import check_prop0
+from uct.tri_ring import (DEFAULT_VERTEX_CAP, diagonal_slots,
+                          difference_reader, difference_rows,
                           entry_digit_matrix, strict_upper_slots, tuple_codes,
-                          unit_mask, upper_positions)
+                          unit_mask, upper_positions, window_digits)
 
 
 def tri(field, n, entries):
@@ -196,7 +198,7 @@ ALL_TRI_SPECS = ["tri:2,2,1", "tri:3,2,1", "tri:4,2,1", "tri:2,3,1",
                  "tri:2,3,2", "tri:2,2,3", "tri:3,2,2", "tri:2,2,4"]
 
 
-@pytest.mark.parametrize("text", ALL_TRI_SPECS)
+@pytest.mark.parametrize("text", ALL_TRI_SPECS + ["tri:2,17,1"])
 def test_difference_codes_match_mat_sub(text):
     """difference_rows against mat_sub on the TriMatrix values, every
     column: every row up to 256 elements, else the first, second, middle
@@ -225,6 +227,15 @@ def entrywise_difference_codes(spec):
         codes *= spec.q
         codes += sub[col[:, None], col[None, :]]
     return codes
+
+
+@pytest.mark.parametrize("text", ALL_TRI_SPECS)
+def test_prop0_unit_count_is_the_definitional_count(text):
+    """prop0 counts the units from the diagonal digits; the reference is
+    is_unit on every TriMatrix of enumerate_ring."""
+    spec = RingSpec.parse(text)
+    verdict = check_prop0(spec)
+    assert verdict.computed["unit_count"] == sum(is_unit(a) for a in enumerate_ring(spec))
 
 
 @pytest.mark.parametrize("text", ALL_TRI_SPECS)
@@ -264,15 +275,18 @@ def test_difference_rows_in_any_order(text):
 
 
 @pytest.mark.parametrize("text", ["zn:2", "zn:3", "zn:12", "zn:256", "zn:257",
-                                  "zn:4093", *ALL_TRI_SPECS])
+                                  "zn:4093", *ALL_TRI_SPECS, "tri:2,17,1"])
 def test_difference_rows_of_table(text):
     """difference_rows(spec, rows, of=t) is t read at the difference codes,
-    in t's dtype, for bool and uint8 tables and rows asked for as slices,
-    unsorted and repeated arrays and no rows at all."""
+    in t's dtype, for bool, uint8 and uint16 tables and rows asked for as
+    slices, unsorted and repeated arrays and no rows at all.  The specs
+    include digit splits inside one entry's k digits and halves of one
+    digit (see test_window_digits)."""
     spec = RingSpec.parse(text)
     v = spec.order
     rng = np.random.default_rng(v)
-    tables = (rng.random(v) < 0.5, rng.integers(0, 256, v, dtype=np.uint8))
+    tables = (rng.random(v) < 0.5, rng.integers(0, 256, v, dtype=np.uint8),
+              rng.integers(0, 1 << 16, v, dtype=np.uint16))
     row_sets = (slice(None) if v <= 512 else slice(v // 3, v // 3 + 40),
                 slice(v - 1, None), np.array([v - 1, 0, v // 2, v // 2, 1, v - 1]),
                 rng.integers(0, v, 17), [], slice(0, 0))
@@ -292,10 +306,77 @@ def test_difference_rows_of_wrong_length_raises(text):
             difference_rows(spec, slice(None), of=np.zeros(size, dtype=bool))
 
 
-@pytest.mark.parametrize("rows", [[-1], [0, 27], [27], np.array([[0, 1]])])
+@pytest.mark.parametrize("rows", [[-1], [0, 27], [27], np.array([[0, 1]]),
+                                  np.array([-1, 3], dtype=np.int16),
+                                  -np.array([1], dtype=np.uint8),
+                                  np.arange(1, 28)])
 def test_difference_rows_outside_the_ring_raise(rows):
+    """Rows below 0, at V itself or wrapped above V - 1 by an unsigned
+    dtype are rejected, so no code outside 0..V-1 reaches a reader."""
+    spec = RingSpec.parse("tri:2,3,1")
     with pytest.raises(ValueError):
-        difference_rows(RingSpec.parse("tri:2,3,1"), rows)
+        difference_rows(spec, rows)
+    read = difference_reader(spec, np.zeros(spec.order, dtype=bool))
+    with pytest.raises(ValueError):
+        read(rows)
+
+
+@pytest.mark.parametrize("text, low", [
+    ("tri:2,2,3", 5), ("tri:2,3,2", 3),  # the split inside one entry's k digits
+    ("tri:2,2,1", 1), ("tri:2,3,1", 1),  # a low half of one digit
+    ("tri:2,17,1", 2),  # a high half of one digit
+    ("tri:3,2,2", 8), ("zn:4093", 1),
+    ("tri:5,2,1", 9), ("tri:2,37,1", 2), ("tri:4,3,1", 6)])
+def test_window_digits(text, low):
+    """window_digits for a bool table: chunks of 512 entries where V allows
+    (2^9 on tri:5,2,1), longer where one digit more is the first to reach
+    it (37^2, 3^6), shorter where the window table would pass V^2 / 16."""
+    spec = RingSpec.parse(text)
+    assert window_digits(spec) == low
+    if text in ("tri:2,2,3", "tri:2,3,2"):
+        assert low % spec.k
+
+
+@pytest.mark.parametrize("text", ["zn:12", "zn:4093", *ALL_TRI_SPECS, "tri:2,17,1"])
+def test_window_table_stays_within_its_bound(text):
+    """The table a reader gathers from holds V * m^L entries, within V^2 / 16
+    when L > 1, and (V / m) * (2m - 1) at L = 1, the ramp's windows; its
+    chunks reach 512 bytes unless that bound or the digit count stops them."""
+    spec = RingSpec.parse(text)
+    v = spec.order
+    m, count = (spec.modulus, 1) if spec.kind == "zn" else (
+        spec.p, spec.k * spec.n * (spec.n + 1) // 2)
+    for t in (np.zeros(v, dtype=bool), np.zeros(v, dtype=np.uint16)):
+        low = window_digits(spec, t.itemsize)
+        table = difference_reader(spec, t).table
+        assert table.dtype == t.dtype
+        if low == 1:
+            assert table.size == v // m * (2 * m - 1)
+        else:
+            assert table.size == v * m ** low <= v * v / 16
+        assert (m ** low * t.itemsize >= 512 or low == count
+                or 16 * m ** (low + 1) > v)
+
+
+def test_reader_builds_its_window_table_once(monkeypatch):
+    """A reader's window table is built with the reader: reading every one
+    of tri:3,2,2's 256 blocks of 16 rows allocates about one block at a
+    time, far below the 1 MB table, which a rebuild per block would add."""
+    monkeypatch.setattr(graph_core, "_ROW_BLOCK_ENTRIES", 1 << 16)
+    spec = RingSpec.parse("tri:3,2,2")
+    read = difference_reader(spec, unit_mask(spec))
+    assert read.table.nbytes == spec.order * 2 ** 8
+    blocks = graph_core.row_blocks(spec.order)
+    tracemalloc.start()
+    try:
+        for s in blocks:
+            block = read(s)
+            del block
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(blocks) == 256
+    assert peak < 4 * (1 << 16) <= read.table.nbytes / 4, peak
 
 
 def test_difference_codes_peak_memory():
