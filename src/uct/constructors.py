@@ -81,7 +81,7 @@ def _differ_graph(n: int, q: int, count: int, cap: int) -> Graph:
     def rows(s):
         x_hi, x_lo = np.divmod(np.arange(s.start, s.stop), len(lo))
         differ = hi[x_hi][:, :, None] + lo[x_lo][:, None, :]
-        return (differ == count).reshape(len(x_lo), v)
+        return np.equal(differ, count, out=differ.view(bool)).reshape(len(x_lo), v)
     return Graph.from_rows(v, rows, labels=_digit_labels(tuple_codes(n, q)), cap=cap)
 
 

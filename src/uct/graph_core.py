@@ -30,10 +30,13 @@ through vertex 0 (see cayley_triametral_triple), reading d0 at x - y.
 Passes over V x V pairs hold one row block at a time (see row_blocks).
 Diameter, triameter and antipodal graphs are only defined for connected
 graphs and raise DisconnectedGraph otherwise.
-The isomorphism oracle (iso_check) backtracks over packed bitset rows of
-candidates, one row per unmapped vertex, narrowing them all in a few
-whole-array operations per step; its search order, and so the bijection
-it finds, is that of a vertex-at-a-time search.
+The isomorphism oracle (iso_check) searches the quotients by classes of
+false twins (equal adjacency rows; see twin_classes), the q^n diagonal
+classes on the graph of T_n(GF(q)), and lifts the class bijection it
+finds to the vertices.  It backtracks over packed bitset rows of candidates,
+one row per unmapped class, narrowing them all in a few whole-array
+operations per step; on a twin-free graph its search order, and so the
+bijection it finds, is that of a vertex-at-a-time search.
 """
 
 from __future__ import annotations
@@ -724,14 +727,20 @@ def antipodal(g: Graph) -> Graph:
 def iso_check(g: Graph, h: Graph):
     """A vertex bijection g -> h, or None when the graphs are not isomorphic.
 
-    Backtracking over candidate sets: a vertex of g may map to the
-    vertices of h of its degree, pruned by adjacency to the vertices
-    already mapped.  A search step holds one packed bitset row of
-    candidates per unmapped vertex of g, with the vertices of h already
-    used taken out.  It maps the lowest-indexed unmapped vertex with the
-    fewest candidates to each of them in ascending order, and narrows
-    every other row to that candidate's row of h or its complement in a
-    few whole-array operations; a row left empty rejects the candidate.
+    The search runs on the twin-class quotients (see twin_classes): an
+    isomorphism maps classes of false twins onto classes of the same size,
+    and every size-preserving isomorphism of the quotients lifts, by
+    mapping the members of each class to those of its image in ascending
+    order.  Backtracking over candidate sets: a class of g may map to the
+    classes of h of its size and vertex degree, pruned by adjacency to the
+    classes already mapped.  A search step holds one packed bitset row of
+    candidates per unmapped class of g, with the classes of h already used
+    taken out.  It maps the lowest-indexed unmapped class with the fewest
+    candidates to each of them in ascending order, and narrows every other
+    row to that candidate's row of h or its complement in a few
+    whole-array operations; a row left empty rejects the candidate.  On a
+    twin-free graph the quotient is the graph itself, so the search order
+    and the bijection found are those of a vertex-at-a-time search.
     The search is exhaustive, so None is a definitive answer, and a
     mapping found is checked edge by edge.  There is no colour
     refinement: theorem3 compares Cayley graphs, which are regular, and
@@ -746,11 +755,17 @@ def iso_check(g: Graph, h: Graph):
         return None
     if v == 0:
         return []
+    g_reps, g_class = twin_classes(g)
+    h_reps, h_class = twin_classes(h)
+    c = len(g_reps)
+    if c != len(h_reps):
+        return None
 
-    g_adj = g.adjacency
-    near = _pack(h.adjacency)
-    far = _pack(~(h.adjacency | np.eye(v, dtype=bool)))  # not adjacent, not equal
-    mapping = [-1] * v
+    g_adj = g.adjacency[np.ix_(g_reps, g_reps)]
+    h_adj = h.adjacency[np.ix_(h_reps, h_reps)]
+    near = _pack(h_adj)
+    far = _pack(~(h_adj | np.eye(c, dtype=bool)))  # not adjacent, not equal
+    mapping = [-1] * c
 
     def assign(unmapped, cand):
         # Recursion depth is at most V + 1 <= ISO_ORACLE_CAP + 1.
@@ -763,7 +778,7 @@ def iso_check(g: Graph, h: Graph):
         pick = int(unmapped[i])
         rest = np.delete(unmapped, i)
         adjacent = g_adj[pick, rest][:, None]
-        for hu in np.flatnonzero(_unpack(cand[i:i + 1], v)).tolist():
+        for hu in np.flatnonzero(_unpack(cand[i:i + 1], c)).tolist():
             narrowed = np.delete(cand, i, axis=0)
             narrowed &= np.where(adjacent, near[hu], far[hu])
             if narrowed.any(axis=1).all() and assign(rest, narrowed):
@@ -771,10 +786,31 @@ def iso_check(g: Graph, h: Graph):
                 return True
         return False
 
-    if not assign(np.arange(v), _pack(g.degrees()[:, None] == h.degrees())):
+    g_size, h_size = np.bincount(g_class), np.bincount(h_class)
+    start = ((g.degrees()[g_reps, None] == h.degrees()[h_reps])
+             & (g_size[:, None] == h_size))
+    if not assign(np.arange(c), _pack(start)):
         return None
-    perm = np.array(mapping)
+    # lift: the members of class a, ascending, go to those of mapping[a]
+    preimage = np.empty(c, dtype=np.intp)
+    preimage[mapping] = np.arange(c)
+    perm = np.empty(v, dtype=np.intp)
+    perm[np.argsort(g_class, kind="stable")] = np.argsort(preimage[h_class],
+                                                          kind="stable")
     # verify edge by edge before reporting
     if not np.array_equal(h.adjacency[np.ix_(perm, perm)], g.adjacency):
         raise AssertionError("isomorphism search produced an invalid mapping")
-    return mapping
+    return perm.tolist()
+
+
+def twin_classes(g: Graph):
+    """The classes of false twins of g (vertices with equal adjacency rows;
+    each class is an independent set) as (reps, class_of): reps[a] is the
+    smallest member of class a, ascending, and class_of[x] the class of
+    vertex x."""
+    _, first, inverse = np.unique(_pack(g.adjacency), axis=0,
+                                  return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse.reshape(-1)]

@@ -5,6 +5,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import random
 import re
 import sys
@@ -27,11 +28,12 @@ from uct import (DisconnectedGraph, Graph, GraphTooLarge,
                  triametral_triple, unitary_cayley)
 from uct import graph_core
 from uct.graph_core import (_all_sources_bfs, largest_finite_distance,
-                            two_coloring)
+                            twin_classes, two_coloring)
 from uct.graphio import (dump_json, from_json_envelope, read_edge_list,
                          to_dot, to_edge_list, to_json_envelope)
 from uct.theorem_checker import RingInstance
-from uct.tri_ring import difference_reader
+from uct.tri_ring import (diagonal_slots, difference_reader,
+                          entry_digit_matrix)
 
 
 def path_graph(n):
@@ -873,22 +875,12 @@ def test_iso_check_cap():
         iso_check(big, big)
 
 
-def reference_iso_check(g, h):
-    """iso_check's search on python-int bitsets, one vertex at a time: the
-    same degree classes, the same lowest-indexed most constrained vertex
-    and the same ascending order of candidates, so the same mapping or
-    None."""
-    v = g.vertex_count
-    if v != h.vertex_count or g.edge_count() != h.edge_count():
-        return None
-    if sorted(g.degrees()) != sorted(h.degrees()):
-        return None
-    if v == 0:
-        return []
-    masks_h = h.neighbor_masks()
-    by_degree_h = {}
-    for u, d in enumerate(h.degrees().tolist()):
-        by_degree_h[d] = by_degree_h.get(d, 0) | (1 << u)
+def reference_search(g_masks, h_masks, cand):
+    """iso_check's search on python-int bitsets: the graphs given by their
+    neighbour masks, searched one vertex at a time from the candidate
+    masks cand, taking the same lowest-indexed most constrained vertex and
+    the same ascending order of candidates, so the same mapping or None."""
+    v = len(g_masks)
     mapping = [-1] * v
     full = (1 << v) - 1
 
@@ -913,7 +905,7 @@ def reference_iso_check(g, h):
             ok = True
             for w in range(v):
                 if mapping[w] < 0 and w != pick:
-                    new_cand[w] &= masks_h[hu] if g.adjacency[pick, w] else ~masks_h[hu]
+                    new_cand[w] &= h_masks[hu] if g_masks[pick] >> w & 1 else ~h_masks[hu]
                     if new_cand[w] & ~(used | bit) == 0:
                         ok = False
                         break
@@ -925,7 +917,81 @@ def reference_iso_check(g, h):
             options ^= bit
         return False
 
-    return mapping if assign([by_degree_h[d] for d in g.degrees().tolist()], 0) else None
+    return mapping if assign(cand, 0) else None
+
+
+def same_degree_sequence(g, h):
+    return (g.vertex_count == h.vertex_count and g.edge_count() == h.edge_count()
+            and sorted(g.degrees()) == sorted(h.degrees()))
+
+
+def vertex_reference_iso_check(g, h):
+    """The search one vertex at a time, candidates starting as degree
+    classes: iso_check's mapping on twin-free graphs."""
+    if not same_degree_sequence(g, h):
+        return None
+    by_degree_h = {}
+    for u, d in enumerate(h.degrees().tolist()):
+        by_degree_h[d] = by_degree_h.get(d, 0) | (1 << u)
+    return reference_search(g.neighbor_masks(), h.neighbor_masks(),
+                            [by_degree_h[d] for d in g.degrees().tolist()])
+
+
+def reference_twin_classes(g):
+    """The vertex lists of g's classes of equal neighbour masks, in order of
+    their smallest members, members ascending."""
+    classes = {}
+    for u, mask in enumerate(g.neighbor_masks()):
+        classes.setdefault(mask, []).append(u)
+    return list(classes.values())
+
+
+def reference_iso_check(g, h):
+    """The same search over the twin-class quotients, candidates starting
+    as the classes of equal size and vertex degree, lifted by mapping the
+    members of each class to those of its image in ascending order: the
+    same mapping as iso_check, or None."""
+    if not same_degree_sequence(g, h):
+        return None
+    g_classes, h_classes = reference_twin_classes(g), reference_twin_classes(h)
+    if len(g_classes) != len(h_classes):
+        return None
+
+    def quotient(graph, classes):
+        """Neighbour masks over the classes, and each class's (size, degree)."""
+        masks = graph.neighbor_masks()
+        rows = [sum(1 << b for b, other in enumerate(classes)
+                    if masks[c[0]] >> other[0] & 1) for c in classes]
+        return rows, [(len(c), int(graph.degrees()[c[0]])) for c in classes]
+
+    g_masks, g_keys = quotient(g, g_classes)
+    h_masks, h_keys = quotient(h, h_classes)
+    by_key_h = {}
+    for b, key in enumerate(h_keys):
+        by_key_h[key] = by_key_h.get(key, 0) | (1 << b)
+    classes = reference_search(g_masks, h_masks, [by_key_h.get(k, 0) for k in g_keys])
+    if classes is None:
+        return None
+    mapping = [-1] * g.vertex_count
+    for a, b in enumerate(classes):
+        for u, w in zip(g_classes[a], h_classes[b]):
+            mapping[u] = w
+    return mapping
+
+
+def double_edge_swaps(adj, count, rng):
+    """adj after up to `count` random double edge swaps (ab, cd -> ad, cb),
+    which keep every degree and often break isomorphism; adj is changed in
+    place and returned."""
+    for _ in range(count):
+        edges = list(zip(*np.nonzero(np.triu(adj))))
+        if len(edges) < 2:
+            break
+        (a, b), (c, d) = rng.sample(edges, 2)
+        if len({a, b, c, d}) == 4 and not adj[a, d] and not adj[c, b]:
+            adj[a, b] = adj[b, a] = adj[c, d] = adj[d, c] = False
+            adj[a, d] = adj[d, a] = adj[c, b] = adj[b, c] = True
+    return adj
 
 
 @st.composite
@@ -941,14 +1007,7 @@ def iso_pairs(draw):
         return g, random_graph(n, rng.random(), rng)
     adj = np.array(g.adjacency)
     if kind == "swapped":
-        for _ in range(draw(st.integers(1, 20))):
-            edges = list(zip(*np.nonzero(np.triu(adj))))
-            if len(edges) < 2:
-                break
-            (a, b), (c, d) = rng.sample(edges, 2)
-            if len({a, b, c, d}) == 4 and not adj[a, d] and not adj[c, b]:
-                adj[a, b] = adj[b, a] = adj[c, d] = adj[d, c] = False
-                adj[a, d] = adj[d, a] = adj[c, b] = adj[b, c] = True
+        double_edge_swaps(adj, draw(st.integers(1, 20)), rng)
     perm = rng.sample(range(n), n)
     return g, Graph(adj[np.ix_(perm, perm)])
 
@@ -961,8 +1020,109 @@ def iso_pairs(draw):
 @example((two_triangles(), cycle_graph(6)))
 @example((spider((1, 2, 3)), spider((1, 1, 4))))
 def test_iso_check_matches_reference_search(pair):
+    """The same mapping as the twin-class reference; the same answer as
+    the vertex-at-a-time search, and its mapping too when g is twin-free."""
     g, h = pair
-    assert iso_check(g, h) == reference_iso_check(g, h)
+    mapping = iso_check(g, h)
+    assert mapping == reference_iso_check(g, h)
+    by_vertex = vertex_reference_iso_check(g, h)
+    assert (mapping is None) == (by_vertex is None)
+    if len(reference_twin_classes(g)) == g.vertex_count:
+        assert mapping == by_vertex
+
+
+def disjoint_union(*graphs):
+    adj = np.zeros((sum(g.vertex_count for g in graphs),) * 2, dtype=bool)
+    start = 0
+    for g in graphs:
+        stop = start + g.vertex_count
+        adj[start:stop, start:stop] = g.adjacency
+        start = stop
+    return Graph(adj)
+
+
+def blow_up(g, sizes):
+    """g with vertex u replaced by sizes[u] false twins."""
+    side = np.repeat(np.arange(g.vertex_count), sizes)
+    return Graph(g.adjacency[np.ix_(side, side)])
+
+
+def small_twin_heavy_graphs():
+    """Graphs on at most 7 vertices made mostly of false twins: complete
+    multipartite graphs (blown-up complete graphs, stars among them), edgeless graphs, disjoint
+    unions of K_{a,a}, some of these or random graphs with isolated
+    vertices added, and the house graph (a 4-cycle with a roof) with two of
+    its vertices doubled, whose quotients have isomorphisms that keep
+    every vertex degree but not every class size."""
+    rng = random.Random(41)
+
+    def edgeless(n):
+        return Graph(np.zeros((n, n), dtype=bool))
+    house = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 4), (2, 4)])
+    graphs = [blow_up(complete_graph(len(parts)), parts)
+              for n in range(1, 8) for parts in integer_partitions(n)]
+    graphs += [edgeless(n) for n in range(8)]
+    graphs += [disjoint_union(*(complete_bipartite(a, a) for a in sides))
+               for sides in [(1, 1), (1, 2), (1, 1, 1), (2, 1), (3,), (2,)]]
+    graphs += [disjoint_union(g, edgeless(k))
+               for g, k in [(complete_bipartite(1, 3), 2), (complete_bipartite(2, 2), 3),
+                            (cycle_graph(5), 2), (complete_graph(3), 3)]]
+    graphs += [disjoint_union(random_graph(n, 0.5, rng), edgeless(7 - n))
+               for n in (3, 4, 5, 5, 6)]
+    graphs += [blow_up(house, [1 + (u in doubled) for u in range(5)])
+               for doubled in itertools.combinations(range(5), 2)]
+    return graphs
+
+
+def integer_partitions(n, largest=None):
+    """The partitions of n, parts in non-increasing order."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in integer_partitions(n - first, first):
+            yield (first,) + rest
+
+
+@functools.cache
+def all_permutations(n):
+    return np.array(list(itertools.permutations(range(n))),
+                    dtype=np.intp).reshape(math.factorial(n), n)
+
+
+def brute_isomorphic(g, h):
+    """Whether some vertex permutation p has h[p[u], p[v]] == g[u, v] for
+    all u, v: every permutation tried at once, nothing shared with the
+    search."""
+    if g.vertex_count != h.vertex_count:
+        return False
+    perms = all_permutations(g.vertex_count)
+    moved = h.adjacency[perms[:, :, None], perms[:, None, :]]
+    return bool((moved == g.adjacency).all(axis=(1, 2)).any())
+
+
+def test_iso_check_existence_matches_all_permutations():
+    """On graphs of at most 7 vertices, full of twins, iso_check finds a
+    mapping exactly when some permutation is an isomorphism: against every
+    graph of the family with as many vertices, a relabelled copy and copies
+    with double edge swaps."""
+    rng = random.Random(43)
+    graphs = small_twin_heavy_graphs()
+    pairs, found = 0, 0
+    for g in graphs:
+        n = g.vertex_count
+        others = [h for h in graphs if h.vertex_count == n]
+        for _ in range(2):
+            perm = rng.sample(range(n), n)
+            swapped = double_edge_swaps(np.array(g.adjacency), 3, rng)
+            others += [Graph(g.adjacency[np.ix_(perm, perm)]),
+                       Graph(swapped[np.ix_(perm, perm)])]
+        for h in others:
+            mapping = iso_check(g, h)
+            expected = brute_isomorphic(g, h)
+            assert (mapping is not None) == expected
+            pairs, found = pairs + 1, found + expected
+    assert found > 100 and pairs - found > 100, (pairs, found)
 
 
 @functools.cache
@@ -977,9 +1137,33 @@ def theorem3_pair(text):
 @pytest.mark.parametrize("text", ["tri:2,3,1", "tri:2,2,2", "tri:2,5,1",
                                   "tri:2,7,1", "tri:2,2,3"])
 def test_iso_check_matches_reference_search_on_theorem3_rings(text):
+    """The twin-class search finds the mapping the vertex-at-a-time search
+    finds on these rings."""
     g, product = theorem3_pair(text)
     mapping = iso_check(g, product)
     assert mapping is not None and mapping == reference_iso_check(g, product)
+    assert mapping == vertex_reference_iso_check(g, product)
+
+
+@pytest.mark.parametrize("text", ["tri:2,3,1", "tri:2,2,2", "tri:2,5,1",
+                                  "tri:2,7,1", "tri:2,2,3"])
+def test_twin_classes_of_theorem3_rings_are_the_diagonal_classes(text):
+    """The ring graph's classes of false twins are its q^n diagonal classes
+    of m = q^(n(n-1)/2) matrices each, and those of K_m . A(H(n, q)) its
+    K_m fibres {u |V(H)| + w : u}, numbered by their smallest members."""
+    spec = RingSpec.parse(text)
+    count, m = spec.q ** spec.n, spec.q ** (spec.n * (spec.n - 1) // 2)
+    diagonal = (entry_digit_matrix(spec)[:, diagonal_slots(spec.n)]
+                @ spec.q ** np.arange(spec.n))
+    g, product = theorem3_pair(text)
+    for graph, key in [(g, diagonal), (product, np.arange(count * m) % count)]:
+        reps, class_of = twin_classes(graph)
+        assert len(reps) == len(set(key.tolist())) == count
+        assert np.array_equal(class_of[reps], np.arange(count))
+        assert (reps[class_of] <= np.arange(count * m)).all()
+        assert (np.bincount(class_of) == m).all()
+        # one key per class and one class per key
+        assert len(set(zip(class_of.tolist(), key.tolist()))) == count
 
 
 def test_iso_check_leaves_the_recursion_limit():
@@ -996,10 +1180,12 @@ def test_iso_check_leaves_the_recursion_limit():
     assert sys.getrecursionlimit() == limit
 
 
-def test_iso_check_holds_one_candidate_row_per_unmapped_vertex():
-    """The search on tri:2,2,3 (512 vertices, 8 words a row) holds one
-    row per unmapped vertex at each depth: about V^2 / 2 rows of 64 bytes
-    in all.  A copy of all V rows at each depth would take 33 MB."""
+def test_iso_check_holds_one_candidate_row_per_unmapped_class():
+    """The search on tri:2,2,3 (512 vertices in 8 twin classes) holds one
+    one-word row per unmapped class at each depth; besides it, the packed
+    rows for the classes and the edge-by-edge check of the 512 x 512
+    result.  A search one vertex at a time held about V^2 / 2 rows of 64
+    bytes in all (10.7 MB)."""
     g, product = theorem3_pair("tri:2,2,3")
     tracemalloc.start()
     try:
@@ -1007,7 +1193,7 @@ def test_iso_check_holds_one_candidate_row_per_unmapped_vertex():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12 << 20, peak / (1 << 20)
+    assert peak < 2 << 20, peak / (1 << 20)
 
 
 # -- serialization -------------------------------------------------------------
