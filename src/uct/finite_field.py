@@ -9,8 +9,16 @@ significant digit first:
 so index 0 is the additive identity and index 1 the multiplicative
 identity.  Addition and subtraction act digit by digit mod p, so
 (GF(p^k), +) is Z_p^k read base p (tri_ring.difference_reader relies
-on it).  All arithmetic is precomputed into q x q tables; a FieldTable never
-mutates and is safe to share between threads.
+on it).  tuple_codes is the one digit expansion, of field elements here
+and of ring entries in tri_ring.
+
+The modulus is the first monic degree-k polynomial, in the encoding
+order of its lower coefficients, whose quotient ring has no zero
+divisors: its multiplication table, built anyway, decides
+irreducibility, so there is no polynomial arithmetic apart from it.
+Trial division is used only by is_prime.  All arithmetic is precomputed
+into q x q tables; a FieldTable never mutates and is safe to share
+between threads.
 """
 
 from __future__ import annotations
@@ -60,61 +68,14 @@ def digits_to_int(digits, base: int) -> int:
     return v
 
 
-# -- polynomial helpers over Z_p; coefficient lists are constant-first ---
-
-def _trim(c):
-    while len(c) > 1 and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(out)
-
-
-def poly_mod(a, m, p):
-    """Remainder of a modulo the monic polynomial m, over Z_p."""
-    a = _trim(list(a))
-    deg_m = len(m) - 1
-    while len(a) - 1 >= deg_m:
-        lead = a[-1]
-        if lead:
-            shift = len(a) - 1 - deg_m
-            for i, mi in enumerate(m):
-                a[shift + i] = (a[shift + i] - lead * mi) % p
-        a.pop()  # top coefficient is now zero
-        _trim(a)
-    return a
-
-
-def is_irreducible(poly, p: int) -> bool:
-    """Trial division by every monic polynomial of degree 1..deg//2.
-
-    A reducible polynomial of degree d always has a monic factor of
-    degree at most d//2, so this is exact.
-    """
-    deg = len(poly) - 1
-    for d in range(1, deg // 2 + 1):
-        for enc in range(p ** d):
-            divisor = base_digits(enc, p, d) + [1]
-            if poly_mod(poly, divisor, p) == [0]:
-                return False
-    return True
-
-
-def smallest_irreducible_modulus(p: int, k: int) -> list[int]:
-    """The monic irreducible degree-k polynomial over Z_p whose non-leading
-    coefficient vector has the smallest base-p integer encoding."""
-    for enc in range(p ** k):
-        cand = base_digits(enc, p, k) + [1]
-        if is_irreducible(cand, p):
-            return cand
-    raise AssertionError("no irreducible polynomial found; unreachable")
+def tuple_codes(length: int, base: int) -> np.ndarray:
+    """base**length x length array of digit tuples in encoding order
+    (first coordinate least significant)."""
+    codes = np.arange(base ** length, dtype=np.int64)
+    out = np.empty((len(codes), length), dtype=np.int16)
+    for j in range(length):
+        codes, out[:, j] = np.divmod(codes, base)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,6 +123,11 @@ class FieldTable:
 def make_field(p: int, k: int, cap: int = DEFAULT_FIELD_CAP) -> FieldTable:
     """Construct GF(p**k) with the smallest-encoding irreducible modulus.
 
+    The candidates x**k + low(x) are tried with low in encoding order (the
+    rows of tuple_codes(k, p)); the modulus is the first whose quotient
+    ring Z_p[x]/(x**k + low(x)) has no zero divisors, read off its
+    multiplication table: a finite ring without zero divisors is a field,
+    and the quotient is one exactly when the modulus is irreducible.
     Deterministic: two calls with equal (p, k) yield identical moduli and
     tables.  For k = 1 the modulus is x and the field is Z_p itself.
     """
@@ -173,29 +139,35 @@ def make_field(p: int, k: int, cap: int = DEFAULT_FIELD_CAP) -> FieldTable:
         raise ValueError(f"extension degree must be >= 1, got {k}")
     q = p ** k
 
-    modulus = smallest_irreducible_modulus(p, k)
-
-    digit = np.array([base_digits(e, p, k) for e in range(q)], dtype=np.int16)
+    digit = tuple_codes(k, p)
     powers = p ** np.arange(k, dtype=np.int64)
     add = (((digit[:, None, :] + digit[None, :, :]) % p) @ powers).astype(np.int16)
     sub = (((digit[:, None, :] - digit[None, :, :]) % p) @ powers).astype(np.int16)
 
-    mul = np.zeros((q, q), dtype=np.int16)
-    for a in range(1, q):
-        pa = list(digit[a])
-        for b in range(a, q):
-            prod = poly_mod(poly_mul(pa, list(digit[b]), p), modulus, p)
-            v = digits_to_int(prod, p)
-            mul[a, b] = v
-            mul[b, a] = v
-
-    inv = np.full(q, -1, dtype=np.int16)
-    for a in range(1, q):
-        inv[a] = int(np.nonzero(mul[a] == 1)[0][0])
+    wide = digit.astype(np.int64)  # digit products overflow int16 for p > 181
+    shifted = np.empty((k, q, k), dtype=np.int64)  # [i, b]: digits of x**i * b
+    shifted[0] = wide
+    for low in wide:  # the candidate moduli x**k + low(x), in encoding order
+        for i in range(1, k):
+            # x * c: c's digits move up, the top one folds back as -top * low(x)
+            shifted[i, :, 0] = 0
+            shifted[i, :, 1:] = shifted[i - 1, :, :-1]
+            shifted[i] -= shifted[i - 1, :, -1:] * low
+            shifted[i] %= p
+        prod = wide @ shifted.reshape(k, q * k)  # a * b = sum_i a_i * (x**i * b)
+        prod %= p
+        mul = prod.reshape(q, q, k) @ powers
+        # Row and column 0 hold 0 * b = 0; the quotient ring is a field
+        # exactly when no other product is 0 (no zero divisors).
+        if np.count_nonzero(mul) == (q - 1) ** 2:
+            break
+    mul = mul.astype(np.int16)
+    inv = np.argmax(mul == 1, axis=1).astype(np.int16)  # the 1 in each row
+    inv[0] = -1
 
     for t in (add, sub, mul, inv):
         t.flags.writeable = False
-    return FieldTable(p=p, k=k, q=q, modulus=tuple(modulus),
+    return FieldTable(p=p, k=k, q=q, modulus=(*low.tolist(), 1),
                       add_table=add, sub_table=sub, mul_table=mul, inv_table=inv)
 
 

@@ -4,13 +4,13 @@ Edge lists are one ``u v`` pair per line, 0-indexed, u < v.  Isolated
 vertices do not appear in an edge list, so imports accept an explicit
 vertex count for re-checks that need them preserved.
 
-Edge lists and the JSON envelope's edges move as bytes, not one Python
-object per edge.  The export gathers each row block's edges
-(Graph.edge_blocks) from two NUL-padded tables of the decimal tokens of
-0..V-1, each wrapped in the text that comes before and after it (a space
-and a newline for an edge list, the indented brackets json.dumps writes
-for the envelope), then drops the NUL bytes and decodes the whole text
-once.
+Edge lists, DOT edge lines and the JSON envelope's edges move as bytes,
+not one Python object per edge.  The export gathers each row block's
+edges (Graph.edge_blocks) from two NUL-padded tables of the decimal
+tokens of 0..V-1, each wrapped in the text that comes before and after
+it (a space and a newline for an edge list, " -- " and ";" for DOT, the
+indented brackets json.dumps writes for the envelope), then drops the
+NUL bytes and decodes the whole text once.
 The import hands the text to np.loadtxt as one stream, after blanking
 comment lines with one regex.
 """
@@ -53,10 +53,7 @@ def to_dot(g: Graph, name: str = "G") -> str:
         for v, label in enumerate(g.labels):
             quoted = label.replace("\\", "\\\\").replace('"', '\\"')
             lines.append(f'  {v} [label="{quoted}"];')
-    for u, v in g.edges():
-        lines.append(f"  {u} -- {v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n" + _edge_text(g, b"  ", b" -- ", b";\n") + "}\n"
 
 
 def to_json_envelope(g: Graph) -> dict:

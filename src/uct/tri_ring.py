@@ -23,7 +23,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatch, FieldTooLarge, RingTooLarge
 from .finite_field import (DEFAULT_FIELD_CAP, FieldTable, base_digits,
-                           digits_to_int, is_prime, make_field, power_exceeds)
+                           digits_to_int, is_prime, make_field, power_exceeds,
+                           tuple_codes)
 
 DEFAULT_VERTEX_CAP = 1 << 16
 HARD_VERTEX_CAP = 1 << 20
@@ -217,17 +218,6 @@ def enumerate_ring(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> list:
     return [decode(f, spec.n, e) for e in range(spec.order)]
 
 
-def tuple_codes(length: int, base: int) -> np.ndarray:
-    """base**length x length array of digit tuples in encoding order
-    (first coordinate least significant)."""
-    codes = np.arange(base ** length, dtype=np.int64)
-    cols = []
-    for _ in range(length):
-        codes, r = np.divmod(codes, base)
-        cols.append(r.astype(np.int16))
-    return np.stack(cols, axis=1)
-
-
 def entry_digit_matrix(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> np.ndarray:
     """order x n(n+1)/2 array: row e holds the canonical entry digits of
     the matrix with encoding e.  Triangular rings only."""
@@ -235,16 +225,6 @@ def entry_digit_matrix(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> np.ndar
         raise ValueError("digit matrix is only defined for triangular rings")
     _check_order(spec, cap)
     return tuple_codes(spec.n * (spec.n + 1) // 2, spec.q)
-
-
-def difference_rows(spec: RingSpec, rows, cap: int = DEFAULT_VERTEX_CAP,
-                    of=None) -> np.ndarray:
-    """len(rows) x order array of the encodings of x - y, x in rows (a slice or
-    a sequence of encodings), in the smallest unsigned dtype (uint8 up to
-    256 elements, uint16 up to 2**16); given a length-order array `of`, of[x - y].
-    One call of difference_reader(spec, of, cap); a caller reading many row
-    blocks of one table keeps the reader, so its window table is built once."""
-    return difference_reader(spec, of, cap)(rows)
 
 
 # Bytes of one chunk of difference_reader's gather that window_digits aims
@@ -276,9 +256,13 @@ def _digit_base(spec: RingSpec):
 
 
 def difference_reader(spec: RingSpec, of=None, cap: int = DEFAULT_VERTEX_CAP):
-    """The function rows -> difference_rows(spec, rows, cap, of): the
-    length-order table `of` (default: the encodings themselves) read at
-    x - y for x in rows and every y, in of's dtype.
+    """The function read(rows): the len(rows) x order array of the
+    length-order table `of` read at x - y, for x in rows (a slice or a
+    sequence of encodings) and every y, in of's dtype.  The default `of`
+    is the encodings themselves in the smallest unsigned dtype (uint8 up
+    to 256 elements, uint16 up to 2**16), so read(rows) holds the codes
+    of x - y.  A caller reading many row blocks of one table keeps the
+    reader, so its window table is built once.
 
     (R, +) is Z_m, or Z_p**D for T_n(GF(p^k)) (D = k*n(n+1)/2 base-p digits,
     added digit-wise).  The digits split into the low L = window_digits and

@@ -4,12 +4,14 @@ polynomial arithmetic written here (no shared code with the package)."""
 import itertools
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uct import (FieldTable, FieldTooLarge, NotPrime, ZeroInverse, field_add,
-                 field_inv, field_mul, field_sub, make_field)
+from uct import (DEFAULT_FIELD_CAP, FieldTable, FieldTooLarge, NotPrime,
+                 ZeroInverse, field_add, field_inv, field_mul, field_sub,
+                 make_field)
 
 ALL_SMALL_Q = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
 
@@ -71,6 +73,17 @@ def oracle_monic_irreducibles(p, k):
     return [tuple(f) for f in all_polys(k) if tuple(f) not in products]
 
 
+# (p, k) for every field order q = p^k <= 64.
+ALL_Q_UP_TO_64 = [(p, k) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37,
+                                   41, 43, 47, 53, 59, 61)
+                  for k in range(1, 7) if p ** k <= 64]
+
+
+@lru_cache(maxsize=None)
+def cached_field(p, k):
+    return make_field(p, k)
+
+
 def test_gf2_addition_is_xor():
     f = make_field(2, 1)
     assert f.q == 2
@@ -101,20 +114,40 @@ def test_gf4_full_multiplication_table_against_oracle():
 
 
 @pytest.mark.parametrize("p,k", [(2, 3), (3, 2), (2, 4), (5, 2), (2, 5),
-                                 (3, 3), (7, 2), (2, 6)])
+                                 (3, 3), (7, 2), (2, 6), (2, 7), (2, 8)])
 def test_modulus_is_smallest_irreducible(p, k):
-    f = make_field(p, k)
+    """GF(2^7) and GF(2^8) need a raised cap; GF(2^8)'s modulus is the
+    28th candidate in encoding order."""
+    f = make_field(p, k, cap=max(DEFAULT_FIELD_CAP, p ** k))
     irreducibles = oracle_monic_irreducibles(p, k)
     smallest = min(irreducibles, key=lambda c: oracle_int(list(c[:-1]), p))
     assert f.modulus == smallest
 
 
-@pytest.mark.parametrize("p,k", [(2, 3), (3, 2), (5, 2)])
+@pytest.mark.parametrize("p,k", ALL_Q_UP_TO_64)
 def test_extension_multiplication_against_oracle(p, k):
-    f = make_field(p, k)
+    """The whole multiplication table of every field the cap allows: the
+    oracle's convolution and long division for k >= 2, a*b mod p for k = 1."""
+    f = cached_field(p, k)
+    if k == 1:
+        elems = np.arange(p)
+        assert np.array_equal(f.mul_table, np.multiply.outer(elems, elems) % p)
+        return
     for a in range(f.q):
         for b in range(f.q):
             assert f.mul(a, b) == oracle_mul(a, b, p, f.modulus, k)
+
+
+@pytest.mark.parametrize("p,k", ALL_Q_UP_TO_64)
+def test_inverse_table(p, k):
+    """inv[a] is a's inverse through mul_table, inv[0] is -1, and all four
+    tables are read-only int16."""
+    f = cached_field(p, k)
+    elems = np.arange(1, f.q)
+    assert f.inv_table[0] == -1
+    assert (f.mul_table[elems, f.inv_table[elems]] == 1).all()
+    for t in (f.add_table, f.sub_table, f.mul_table, f.inv_table):
+        assert t.dtype == np.int16 and not t.flags.writeable
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
@@ -139,20 +172,9 @@ def test_field_axioms_exhaustive(p, k):
         assert f.mul(a, f.inv(a)) == 1
 
 
-# (p, k) for every field order q = p^k <= 64.
-ALL_Q_UP_TO_64 = [(p, k) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37,
-                                   41, 43, 47, 53, 59, 61)
-                  for k in range(1, 7) if p ** k <= 64]
-
-
-@lru_cache(maxsize=None)
-def cached_field(p, k):
-    return make_field(p, k)
-
-
 @pytest.mark.parametrize("p,k", ALL_Q_UP_TO_64)
 def test_addition_is_digitwise_mod_p(p, k):
-    """The encoding contract tri_ring.difference_rows rests on: add and
+    """The encoding contract tri_ring.difference_reader rests on: add and
     subtract act on the base-p digits of the indices one by one, mod p."""
     f = cached_field(p, k)
     for a in range(f.q):

@@ -1383,6 +1383,47 @@ def test_dump_json_bytes_are_pinned():
     assert got == DUMP_JSON_SHA256
 
 
+def dot_reference(g):
+    """to_dot's text written one line at a time from g.edges()."""
+    lines = ["graph G {"]
+    for v, label in enumerate(g.labels or ()):
+        quoted = label.replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  {v} [label="{quoted}"];')
+    lines += [f"  {u} -- {v};" for u, v in g.edges()]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+# sha256 of to_dot's text on json_cases, taken while to_dot still wrote
+# one Python line per edge.  The unlabeled graphs without edges all read
+# "graph G {\n}\n".
+TO_DOT_SHA256 = {
+    "tri:2,3,1": "542f9e65b9a42a7fe5aafb7e995c1cde0b4f0b27aff7df0e82fd40010059087e",
+    "zn:8": "95f32d7b0c075b9a1fc65ad54e6021ea47a3459c523aae521b6847052c12b600",
+    "tri:2,2,2": "2554b5f352b8be0ba185eba8a728240277b94496b097f684f0f5b52144de618c",
+    "tri:3,2,1": "46372e05c674709b5e5b6d6a93e124566302705b240d938a3064075f04f35baf",
+    "tri:2,3,2": "a21f82cf546c152e74d86c38b672d67236fdae9f3c9a181539b3e8a61e607928",
+    "edgeless-4": "94ee019dd2435ac8630ce5e10bdc37256b6afe3bb90aa6ef27f76687ba01a907",
+    "one-vertex": "94ee019dd2435ac8630ce5e10bdc37256b6afe3bb90aa6ef27f76687ba01a907",
+    "empty": "94ee019dd2435ac8630ce5e10bdc37256b6afe3bb90aa6ef27f76687ba01a907",
+    "H(4,3)-unlabeled": "cfb4be300f2de32fb5e92d3803aaa3886d369182ecdbc0cc7ee4b955a0068c07",
+    "K5": "2078cec139839b567c6005d4f96af6ddc52731514b5059dee32d84cd1ed612b6",
+    "odd-labels": "0bf91deae71d9d67c747bc2b2b4112dfc5b5bb93876789d791b7c8a7407c4c77",
+    "edgeless-labeled": "8a42b57e4f86e2c9f361c1403357860e95b688f1639bdb10bf69cbe2f57ef140",
+}
+
+
+def test_to_dot_bytes_are_pinned():
+    """to_dot writes the bytes of one line per edge from g.edges(), pinned:
+    ring graphs, labels that need escapes, no labels, no edges, and graphs
+    of one vertex and of none."""
+    got = {}
+    for name, g in json_cases():
+        text = to_dot(g)
+        assert text == dot_reference(g), name
+        got[name] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == TO_DOT_SHA256
+
+
 @pytest.mark.parametrize("text", ["0 -1\n", "0 7\n"])
 def test_edge_list_rejects_endpoints_outside_the_vertex_range(text):
     with pytest.raises(ValueError, match="vertex ind"):

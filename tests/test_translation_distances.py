@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from uct import (DisconnectedGraph, Graph, NotTranslationInvariant, RingSpec,
                  all_pairs_distances, cayley_triametral_triple,
                  translation_distances, triametral_triple, unitary_cayley)
-from uct.tri_ring import difference_reader, difference_rows, tuple_codes
+from uct.tri_ring import difference_reader, tuple_codes
 
 # Every triangular spec of at most 1024 vertices that the test suite or
 # the benchmark's verify workload runs, q = 2 (disconnected) ones included.
@@ -26,8 +26,8 @@ LARGE_SPECS = ["tri:3,2,2"]
 
 
 def difference_table(spec):
-    """The whole V x V table of x - y, every row of difference_rows."""
-    return difference_rows(spec, range(spec.order))
+    """The whole V x V table of x - y, every row of difference_reader's codes."""
+    return difference_reader(spec)(range(spec.order))
 
 
 def reader(table, diff):

@@ -12,14 +12,14 @@ from hypothesis import strategies as st
 
 from uct import (DimensionMismatch, FieldTooLarge, RingSpec, RingTooLarge,
                  TriMatrix, constructors, decode, diagonal_of, encode,
-                 enumerate_ring, from_parts, graph_core, is_unit, make_field,
-                 mat_det, mat_sub, strict_upper_of)
+                 enumerate_ring, finite_field, from_parts, graph_core,
+                 is_unit, make_field, mat_det, mat_sub, strict_upper_of)
 from uct.finite_field import power_exceeds
 from uct.theorem_checker import check_prop0
 from uct.tri_ring import (DEFAULT_VERTEX_CAP, diagonal_slots,
-                          difference_reader, difference_rows,
-                          entry_digit_matrix, strict_upper_slots, tuple_codes,
-                          unit_mask, upper_positions, window_digits)
+                          difference_reader, entry_digit_matrix,
+                          strict_upper_slots, tuple_codes, unit_mask,
+                          upper_positions, window_digits)
 
 
 def tri(field, n, entries):
@@ -200,14 +200,14 @@ ALL_TRI_SPECS = ["tri:2,2,1", "tri:3,2,1", "tri:4,2,1", "tri:2,3,1",
 
 @pytest.mark.parametrize("text", ALL_TRI_SPECS + ["tri:2,17,1"])
 def test_difference_codes_match_mat_sub(text):
-    """difference_rows against mat_sub on the TriMatrix values, every
-    column: every row up to 256 elements, else the first, second, middle
-    and last rows and four more."""
+    """difference_reader's codes against mat_sub on the TriMatrix values,
+    every column: every row up to 256 elements, else the first, second,
+    middle and last rows and four more."""
     spec = RingSpec.parse(text)
     v = spec.order
     rows = (range(v) if v <= 256 else
             sorted({0, 1, v // 2, v - 1, *random.Random(v).sample(range(v), 4)}))
-    diff = difference_rows(spec, rows)
+    diff = difference_reader(spec)(rows)
     assert diff.dtype == np.min_scalar_type(v - 1)
     assert diff.shape == (len(rows), v)
     elems = enumerate_ring(spec)
@@ -240,19 +240,19 @@ def test_prop0_unit_count_is_the_definitional_count(text):
 
 @pytest.mark.parametrize("text", ALL_TRI_SPECS)
 def test_difference_codes_match_entrywise_sub_table(text):
-    """Every row of difference_rows, asked for as np.arange(V) and as one
-    slice, against the entrywise reference."""
+    """Every row of difference_reader's codes, asked for as np.arange(V)
+    and as one slice, against the entrywise reference."""
     spec = RingSpec.parse(text)
     want = entrywise_difference_codes(spec).astype(np.min_scalar_type(spec.order - 1))
     for rows in (np.arange(spec.order), slice(None)):
-        diff = difference_rows(spec, rows)
+        diff = difference_reader(spec)(rows)
         assert diff.dtype == want.dtype and diff.tobytes() == want.tobytes()
 
 
 def test_difference_codes_zn():
     for m, dtype in [(12, np.uint8), (256, np.uint8), (257, np.uint16),
                      (4093, np.uint16)]:
-        diff = difference_rows(RingSpec.integers_mod(m), np.arange(m))
+        diff = difference_reader(RingSpec.integers_mod(m))(np.arange(m))
         idx = np.arange(m, dtype=np.int64)
         assert diff.dtype == dtype
         assert np.array_equal(diff, np.subtract.outer(idx, idx) % m)
@@ -264,20 +264,20 @@ def test_difference_rows_in_any_order(text):
     asked for; no rows give a 0 x V array."""
     spec = RingSpec.parse(text)
     v = spec.order
-    table = difference_rows(spec, range(v))
+    table = difference_reader(spec)(range(v))
     rows = [v - 1, 0, 3, 3, 1, v - 1, 2]
-    assert np.array_equal(difference_rows(spec, rows), table[rows])
-    assert np.array_equal(difference_rows(spec, np.array(rows[::-1])),
+    assert np.array_equal(difference_reader(spec)(rows), table[rows])
+    assert np.array_equal(difference_reader(spec)(np.array(rows[::-1])),
                           table[rows[::-1]])
     for empty in ([], np.array([], dtype=np.int64), slice(0, 0)):
-        diff = difference_rows(spec, empty)
+        diff = difference_reader(spec)(empty)
         assert diff.shape == (0, v) and diff.dtype == table.dtype
 
 
 @pytest.mark.parametrize("text", ["zn:2", "zn:3", "zn:12", "zn:256", "zn:257",
                                   "zn:4093", *ALL_TRI_SPECS, "tri:2,17,1"])
 def test_difference_rows_of_table(text):
-    """difference_rows(spec, rows, of=t) is t read at the difference codes,
+    """difference_reader(spec, t)(rows) is t read at the difference codes,
     in t's dtype, for bool, uint8 and uint16 tables and rows asked for as
     slices, unsorted and repeated arrays and no rows at all.  The specs
     include digit splits inside one entry's k digits and halves of one
@@ -292,8 +292,8 @@ def test_difference_rows_of_table(text):
                 rng.integers(0, v, 17), [], slice(0, 0))
     for t in tables:
         for rows in row_sets:
-            got = difference_rows(spec, rows, of=t)
-            want = t[difference_rows(spec, rows)]
+            got = difference_reader(spec, t)(rows)
+            want = t[difference_reader(spec)(rows)]
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want), (text, t.dtype, rows)
 
@@ -303,7 +303,7 @@ def test_difference_rows_of_wrong_length_raises(text):
     spec = RingSpec.parse(text)
     for size in (spec.order - 1, spec.order + 1, 0):
         with pytest.raises(ValueError):
-            difference_rows(spec, slice(None), of=np.zeros(size, dtype=bool))
+            difference_reader(spec, np.zeros(size, dtype=bool))(slice(None))
 
 
 @pytest.mark.parametrize("rows", [[-1], [0, 27], [27], np.array([[0, 1]]),
@@ -315,7 +315,7 @@ def test_difference_rows_outside_the_ring_raise(rows):
     dtype are rejected, so no code outside 0..V-1 reaches a reader."""
     spec = RingSpec.parse("tri:2,3,1")
     with pytest.raises(ValueError):
-        difference_rows(spec, rows)
+        difference_reader(spec)(rows)
     read = difference_reader(spec, np.zeros(spec.order, dtype=bool))
     with pytest.raises(ValueError):
         read(rows)
@@ -386,7 +386,7 @@ def test_difference_codes_peak_memory():
     spec = RingSpec.parse("tri:3,2,2")
     tracemalloc.start()
     try:
-        diff = difference_rows(spec, graph_core.row_blocks(spec.order)[1])
+        diff = difference_reader(spec)(graph_core.row_blocks(spec.order)[1])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -456,6 +456,7 @@ def test_digit_matrix_is_vectorized_consistently():
     codes = digits.astype(np.int64) @ (2 ** np.arange(6, dtype=np.int64))
     assert (codes == np.arange(64)).all()
     # One digit expansion: the digit matrix is tuple_codes over n(n+1)/2
-    # entries, and the Hamming constructors use the same function.
+    # entries, and the field tables and the Hamming constructors use the
+    # same function.
     assert np.array_equal(digits, tuple_codes(6, 2))
-    assert constructors.tuple_codes is tuple_codes
+    assert constructors.tuple_codes is finite_field.tuple_codes is tuple_codes
