@@ -13,8 +13,13 @@ intp (see row_counts).
 Components, root depths, the two-coloring and the complete-bipartite
 parts come from one BFS per component over rows read through a callable
 (see bfs_forest).  All-pairs distances come from one level-synchronous
-BFS out of every vertex at once over packed bitset frontiers, each level
-ORing the frontier rows of every vertex's neighbours; graphs that may
+BFS out of every vertex at once over packed bitset frontiers.  Each level
+ORs the frontier rows of every vertex's neighbours in blocks of at most
+512 KB of gathered words, so a block stays in cache; a block's neighbour
+table is stored degree-major, so the OR runs over contiguous slabs, and
+the block is masked by the pairs not yet reached as it is written (see
+_gather_expand).  Level numbers are kept in bit planes and unpacked by
+Horner's rule, from the top plane down, with no shift.  Graphs that may
 have too many levels for that (a diameter in the hundreds) get one scipy
 search per source instead.
 Distances are returned as hop counts in the smallest unsigned dtype that
@@ -300,8 +305,12 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
 # equal time at 1.5-4.9 words per vertex, mostly 2-3, counting true levels;
 # the bound is up to twice the true count.
 _LEVEL_WORDS_PER_VERTEX = 3
-# Bytes of gathered frontier words one block of _gather_expand holds.
-_EXPAND_BLOCK_BYTES = 8 << 20
+# Bytes of gathered frontier words one block of _gather_expand holds, so
+# that a block stays in a 4 MB L2 cache.  _all_sources_bfs on
+# hamming_graph(12, 2) and hamming_graph(6, 4) (V = 4096, 2 cores, best of
+# 7) took 65 / 43 ms at 64 KB, 51 / 33 ms at 256 KB, 51 / 31 ms at 512 KB
+# and 1 MB, and 57-58 / 35-36 ms at 2 to 8 MB.
+_EXPAND_BLOCK_BYTES = 512 << 10
 _WORD = np.dtype("<u8")  # bit j of word w is vertex 64 * w + j
 
 
@@ -366,11 +375,14 @@ def _all_sources_bfs(adj: np.ndarray) -> np.ndarray:
     current level of the BFS from s.  Distances are symmetric, so row s is
     also the frontier of source s, and one level is frontier @ adjacency
     (the OR of the neighbours' frontier rows, see _gather_expand), masked by
-    the pairs not yet reached.  Level 1 is the packed adjacency itself.
+    the pairs not yet reached block by block inside the expand step.  Level
+    1 is the packed adjacency itself.
 
     Each level's pairs are ORed into the bit planes of the level number,
     so the distances are unpacked once per bit plane, not once per level,
-    one row block at a time (see row_blocks).
+    one row block at a time (see row_blocks), by Horner's rule from the
+    top plane down: block = block + block, then block |= the plane's bits,
+    with no shift.
     """
     v = adj.shape[0]
     words = -(-v // 64)
@@ -396,14 +408,14 @@ def _all_sources_bfs(adj: np.ndarray) -> np.ndarray:
             break
         if expand is None:  # built on first use: no table when diameter <= 1
             expand = _gather_expand(*_neighbours(adj))
-        front = expand(front)
-        front &= unreached
+        front = expand(front, unreached)
     hops = np.zeros((v, v), dtype=_hop_dtype(level))
     split = unreached.any()  # some pairs lie in different components
     for rows in row_blocks(v):
         block = hops[rows]
-        for bit, plane in enumerate(planes):
-            block |= np.left_shift(_unpack(plane[rows], v), bit, dtype=hops.dtype)
+        for plane in reversed(planes):  # Horner: block = 2 * block | plane
+            np.add(block, block, out=block)
+            block |= _unpack(plane[rows], v)
         if split:
             block[_unpack(unreached[rows], v).view(bool)] = _unreachable(hops)
     return hops
@@ -463,15 +475,18 @@ def _neighbours(adj: np.ndarray):
 
 
 def _gather_expand(indptr, indices):
-    """Expand step ORing together the frontier rows of each vertex's
-    neighbours, given as the neighbour lists of _neighbours.
+    """Expand step expand(front, unreached): the OR of the frontier rows of
+    each vertex's neighbours, given as the neighbour lists of _neighbours,
+    ANDed with that vertex's row of unreached.
 
     Vertices go in blocks of falling degree, each at most
     _EXPAND_BLOCK_BYTES of gathered words and no vertex under half the
     block's top degree.  Inside a block every neighbour list is padded to
     the top degree with repeats of its last neighbour, which OR leaves
-    unchanged, so one block reduces as a rows x degree x words array.
-    Vertices without neighbours get no block and stay 0.
+    unchanged, and the table is stored degree-major (top degree x rows), so
+    one block reduces a degree x rows x words array over its first axis:
+    each OR runs over a contiguous rows x words slab.  Vertices without
+    neighbours get no block and stay 0.
     """
     row_bytes = 8 * -(-(len(indptr) - 1) // 64)
     degree = np.diff(indptr)
@@ -485,14 +500,16 @@ def _gather_expand(indptr, indices):
         falling = degree[order[start:start + room]]
         stop = start + int(np.count_nonzero(2 * falling >= top))
         rows = order[start:stop]
-        slot = np.minimum(np.arange(top), degree[rows][:, None] - 1)
-        blocks.append((rows, indices[indptr[rows][:, None] + slot]))
+        slot = np.minimum(np.arange(top)[:, None], degree[rows] - 1)
+        blocks.append((rows, indices[indptr[rows] + slot]))  # top x rows
         start = stop
 
-    def expand(front):
+    def expand(front, unreached):
         out = np.zeros_like(front)
         for rows, table in blocks:
-            out[rows] = np.bitwise_or.reduce(front[table], axis=1)
+            hit = np.bitwise_or.reduce(front[table], axis=0)
+            hit &= unreached[rows]
+            out[rows] = hit
         return out
     return expand
 

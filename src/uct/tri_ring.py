@@ -209,13 +209,15 @@ def enumerate_ring(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> list:
     """Every ring element exactly once, in canonical-encoding order.
 
     Triangular rings yield TriMatrix values (element at position i decodes
-    encoding i); Z_n yields the residues 0..n-1.
+    encoding i), one per row of entry_digit_matrix; Z_n yields the residues
+    0..n-1.
     """
     _check_order(spec, cap)
     if spec.kind == "zn":
         return list(range(spec.modulus))
     f = spec.field()
-    return [decode(f, spec.n, e) for e in range(spec.order)]
+    return [TriMatrix(f, spec.n, tuple(row))
+            for row in entry_digit_matrix(spec, cap).tolist()]
 
 
 def entry_digit_matrix(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> np.ndarray:

@@ -10,6 +10,7 @@ import random
 import re
 import sys
 import tracemalloc
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -362,6 +363,60 @@ def test_all_sources_bfs_matches_scipy(adj):
         assert np.array_equal(d == np.iinfo(d.dtype).max,
                               label[:, None] != label)
     assert not d.flags.writeable
+
+
+@st.composite
+def skewed_graphs(draw):
+    """Symmetric bool adjacencies on V % 64 != 0 vertices whose degrees
+    range from 0 to about V: a few hubs joined to nearly every vertex, a
+    sparse rest and a share of isolated vertices."""
+    v = draw(st.integers(min_value=1, max_value=300).filter(lambda n: n % 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    hub = rng.random(v) < draw(st.floats(min_value=0, max_value=0.1))
+    density = np.where(hub[:, None] | hub, 0.95,
+                       draw(st.floats(min_value=0, max_value=0.05)))
+    kept = rng.random(v) >= draw(st.floats(min_value=0, max_value=0.3))
+    adj = np.triu(rng.random((v, v)) < density, 1) & kept[:, None] & kept
+    return adj | adj.T
+
+
+def assert_scipy_distances(adj):
+    """_all_sources_bfs(adj) against scipy, values, marks and dtype; returns
+    the distances."""
+    expected = csgraph.shortest_path(csr_matrix(adj), directed=False,
+                                     unweighted=True)
+    longest = int(expected.max(where=np.isfinite(expected), initial=0))
+    d = _all_sources_bfs(adj)
+    assert d.dtype == hop_dtype(longest)
+    assert np.array_equal(as_scipy(d), expected)
+    return d
+
+
+@pytest.mark.parametrize("block_bytes", [1, graph_core._EXPAND_BLOCK_BYTES])
+@settings(max_examples=40, deadline=None)
+@given(skewed_graphs())
+def test_expand_blocks_of_one_row_and_of_the_default_size(block_bytes, adj):
+    """At 1 byte every expand block holds one vertex, so every block
+    boundary of the degree-major tables and of the unreached mask is
+    crossed; at the default size the blocks split only where the degree
+    halves or the block is full."""
+    with unittest.mock.patch.object(graph_core, "_EXPAND_BLOCK_BYTES",
+                                    block_bytes):
+        assert_scipy_distances(adj)
+
+
+@pytest.mark.parametrize("diameter_", [1, 2, 3, 4, 7, 8, 15, 16, 63, 64, 127,
+                                       128, 150])
+def test_bit_planes_unpack_at_every_bit_length(diameter_):
+    """Paths, and spiders of three legs where the diameter is even, whose
+    diameters cross each change of the level's bit length up to the 8
+    planes of a uint8 result: Horner's rule must take the planes from the
+    top one down."""
+    graphs = [path_graph(diameter_ + 1)]
+    if diameter_ % 2 == 0:
+        graphs.append(spider_graph(3, diameter_ // 2))
+    for g in graphs:
+        assert int(assert_scipy_distances(g.adjacency).max()) == diameter_
 
 
 @pytest.mark.parametrize("make, n, levels", [

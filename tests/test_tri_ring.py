@@ -198,6 +198,16 @@ ALL_TRI_SPECS = ["tri:2,2,1", "tri:3,2,1", "tri:4,2,1", "tri:2,3,1",
                  "tri:2,3,2", "tri:2,2,3", "tri:3,2,2", "tri:2,2,4"]
 
 
+@pytest.mark.parametrize("text", ALL_TRI_SPECS)
+def test_enumerate_ring_decodes_every_encoding(text):
+    """enumerate_ring reads the rows of entry_digit_matrix; element e must
+    be decode(e), the scalar digit expansion of its encoding."""
+    spec = RingSpec.parse(text)
+    f = spec.field()
+    assert enumerate_ring(spec) == [decode(f, spec.n, e)
+                                    for e in range(spec.order)]
+
+
 @pytest.mark.parametrize("text", ALL_TRI_SPECS + ["tri:2,17,1"])
 def test_difference_codes_match_mat_sub(text):
     """difference_reader's codes against mat_sub on the TriMatrix values,
