@@ -14,6 +14,9 @@ and its antipodal graph A(H(n, q)) share one rule, the number of
 coordinates in which two tuples differ (1 for H, n for A(H)), read from
 two half tables, q^floor(n/2) and q^ceil(n/2) on a side.  The product's
 rule, semistrong_rows, reads any rows without building the product.
+Labels (digit tuples "d0,d1,...", indices, "g|h" pairs) are passed as a
+callable, so they are made and formatted on their first read, not when
+the graph is built.
 diagonal_quotient keeps its own field-subtraction rule, so comparing it
 with antipodal_hamming_direct compares two independent constructions.
 """
@@ -23,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GraphTooLarge
-from .graph_core import Graph
+from .graph_core import Graph, deferred_labels
 from .tri_ring import (DEFAULT_VERTEX_CAP, RingSpec, difference_reader,
                        entry_digit_matrix, tuple_codes, unit_mask)
 
@@ -43,8 +46,10 @@ def unitary_cayley(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     all-diagonal-entries-differ rule on every pair.
     """
     mask = unit_mask(spec, cap)
-    labels = (range(spec.modulus) if spec.kind == "zn"
-              else _digit_labels(entry_digit_matrix(spec, cap)))
+
+    def labels():
+        return (range(spec.modulus) if spec.kind == "zn"
+                else _digit_labels(entry_digit_matrix(spec, cap)))
     return Graph.from_rows(len(mask), difference_reader(spec, mask, cap),
                            labels=labels, cap=cap)
 
@@ -82,7 +87,8 @@ def _differ_graph(n: int, q: int, count: int, cap: int) -> Graph:
         x_hi, x_lo = np.divmod(np.arange(s.start, s.stop), len(lo))
         differ = hi[x_hi][:, :, None] + lo[x_lo][:, None, :]
         return np.equal(differ, count, out=differ.view(bool)).reshape(len(x_lo), v)
-    return Graph.from_rows(v, rows, labels=_digit_labels(tuple_codes(n, q)), cap=cap)
+    return Graph.from_rows(v, rows, labels=lambda: _digit_labels(tuple_codes(n, q)),
+                           cap=cap)
 
 
 def _tuple_count(n: int, q: int, cap: int) -> int:
@@ -99,7 +105,7 @@ def complete_graph(m: int, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     if m < 1:
         raise ValueError("need at least one vertex")
     return Graph.from_rows(m, lambda s: np.arange(m)[s, None] != np.arange(m),
-                           labels=range(m), cap=cap)
+                           labels=lambda: range(m), cap=cap)
 
 
 def complete_bipartite(a: int, b: int, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
@@ -107,7 +113,8 @@ def complete_bipartite(a: int, b: int, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     if a < 1 or b < 1:
         raise ValueError("both parts must be nonempty")
     return Graph.from_rows(a + b, lambda s: (np.arange(a + b)[s, None] < a)
-                           != (np.arange(a + b) < a), labels=range(a + b), cap=cap)
+                           != (np.arange(a + b) < a), labels=lambda: range(a + b),
+                           cap=cap)
 
 
 def semistrong_rows(g: Graph, h: Graph):
@@ -125,9 +132,13 @@ def semistrong_rows(g: Graph, h: Graph):
 
 
 def semistrong_product(g: Graph, h: Graph, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
-    """The graph of semistrong_rows(g, h); labels are made after the cap check."""
-    labels = (None if g.labels is None or h.labels is None
-              else (f"{gl}|{hl}" for gl in g.labels for hl in h.labels))
+    """The graph of semistrong_rows(g, h); its labels "gl|hl", None when
+    either factor has none, are made on their first read."""
+    g_labels, h_labels = deferred_labels(g), deferred_labels(h)
+
+    def labels():
+        gl, hl = g_labels(), h_labels()
+        return None if gl is None or hl is None else [f"{x}|{y}" for x in gl for y in hl]
     return Graph.from_rows(g.vertex_count * h.vertex_count, semistrong_rows(g, h),
                            labels=labels, cap=cap)
 
@@ -149,4 +160,5 @@ def diagonal_quotient(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     nonzero = spec.field().sub_table != 0
     t = tuple_codes(spec.n, q)
     return Graph.from_rows(v, lambda s: np.logical_and.reduce(
-        [nonzero[col[s, None], col] for col in t.T]), labels=_digit_labels(t), cap=cap)
+        [nonzero[col[s, None], col] for col in t.T]),
+        labels=lambda: _digit_labels(tuple_codes(spec.n, q)), cap=cap)

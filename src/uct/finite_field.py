@@ -52,22 +52,6 @@ def power_exceeds(base: int, exponent: int, bound: int) -> bool:
     return base > 1 and base ** min(exponent, bound.bit_length()) > bound
 
 
-def base_digits(value: int, base: int, width: int) -> list[int]:
-    """Base-`base` digits of `value`, least significant first, padded to `width`."""
-    out = []
-    for _ in range(width):
-        value, r = divmod(value, base)
-        out.append(r)
-    return out
-
-
-def digits_to_int(digits, base: int) -> int:
-    v = 0
-    for d in reversed(list(digits)):
-        v = v * base + d
-    return v
-
-
 def tuple_codes(length: int, base: int) -> np.ndarray:
     """base**length x length array of digit tuples in encoding order
     (first coordinate least significant)."""

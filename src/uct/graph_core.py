@@ -8,7 +8,11 @@ power-of-two stride (see _is_symmetric), so every pair is compared at
 memory speed at any V, powers of two included, where a full transpose
 would stride.  Row counts (degrees, neighbour-list lengths) are summed
 as bytes into the smallest unsigned dtype that holds V and widened to
-intp (see row_counts).
+intp (see row_counts).  Labels are formatted on first read: builders and
+the graphs made from another (antipodal, induced_subgraph) pass a
+callable that makes them, which Graph.labels calls once, on its first
+read (see deferred_labels), so a check that compares adjacency formats
+none.
 
 Components, root depths, the two-coloring and the complete-bipartite
 parts come from one BFS per component over rows read through a callable
@@ -61,7 +65,11 @@ class Graph:
     Immutable after construction: the adjacency array is read-only and
     expensive derived data (the BFS forest behind components and the
     two-coloring, distances, bitset rows) is cached on first use.  Labels
-    are optional opaque strings kept for export.
+    are optional opaque strings kept for export.  A sequence (any iterable)
+    of labels is formatted with str and counted at construction; a
+    zero-argument callable returning one (or None) is kept as it is and
+    called, formatted and counted on the first read of .labels, so a
+    builder formats no label that nobody reads.
     """
 
     def __init__(self, adjacency, labels=None, cap: int = DEFAULT_VERTEX_CAP):
@@ -94,11 +102,7 @@ class Graph:
             raise ValueError("adjacency must be symmetric")
         adj.flags.writeable = False
         self._adj = adj
-        if labels is not None:
-            labels = tuple(str(x) for x in labels)
-            if len(labels) != v:
-                raise ValueError("label count must match vertex count")
-        self._labels = labels
+        self._labels = labels if callable(labels) else _formatted(labels, v)
         self._cache = {}
 
     @classmethod
@@ -136,6 +140,10 @@ class Graph:
 
     @property
     def labels(self):
+        """The labels as a tuple of strings, or None; deferred labels are
+        made, formatted and counted here on the first read."""
+        if callable(self._labels):
+            self._labels = _formatted(self._labels(), self.vertex_count)
         return self._labels
 
     def degrees(self) -> np.ndarray:
@@ -178,12 +186,38 @@ class Graph:
 
     def induced_subgraph(self, vertices) -> "Graph":
         vs = np.array(list(vertices), dtype=np.intp)
-        labels = None if self._labels is None else [self._labels[v] for v in vs]
+        source = deferred_labels(self)
+
+        def labels():
+            full = source()
+            return None if full is None else [full[v] for v in vs.tolist()]
         return Graph.from_rows(len(vs), lambda s: self._adj[np.ix_(vs[s], vs)],
                                labels=labels, cap=max(len(vs), 1))
 
     def __repr__(self):
         return f"Graph(V={self.vertex_count}, E={self.edge_count()})"
+
+
+def _formatted(labels, v: int):
+    """labels (any iterable, or None) as a tuple of strings, checked to hold
+    one label per vertex of a v-vertex graph."""
+    if labels is None:
+        return None
+    labels = tuple(str(x) for x in labels)
+    if len(labels) != v:
+        raise ValueError("label count must match vertex count")
+    return labels
+
+
+def deferred_labels(g: Graph):
+    """A zero-argument callable returning g.labels, for a graph made from g
+    to pass on as its own deferred labels: it holds what g's labels are
+    made from but not g, so the new graph does not keep g alive, and it
+    formats nothing until called."""
+    labels, v = g._labels, g.vertex_count
+    if callable(labels):
+        return lambda: _formatted(labels(), v)
+    return lambda: labels
 
 
 # Side of the square tiles _is_symmetric compares: a 256 x 256 bool tile and
@@ -736,7 +770,7 @@ def antipodal(g: Graph) -> Graph:
     d = all_pairs_distances(g)
     adj = d == _connected_diameter(d, "antipodal graph")
     np.fill_diagonal(adj, False)  # diam 0 would otherwise put loops
-    return Graph(adj, labels=g.labels, cap=max(g.vertex_count, 1))
+    return Graph(adj, labels=deferred_labels(g), cap=max(g.vertex_count, 1))
 
 
 # -- isomorphism oracle ---------------------------------------------------

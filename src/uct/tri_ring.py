@@ -22,9 +22,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatch, FieldTooLarge, RingTooLarge
-from .finite_field import (DEFAULT_FIELD_CAP, FieldTable, base_digits,
-                           digits_to_int, is_prime, make_field, power_exceeds,
-                           tuple_codes)
+from .finite_field import (DEFAULT_FIELD_CAP, FieldTable, is_prime, make_field,
+                           power_exceeds, tuple_codes)
 
 DEFAULT_VERTEX_CAP = 1 << 16
 HARD_VERTEX_CAP = 1 << 20
@@ -108,11 +107,18 @@ def from_parts(field: FieldTable, n: int, strict_upper, diagonal) -> TriMatrix:
 
 def encode(a: TriMatrix) -> int:
     """Canonical integer encoding (entry sequence as base-q digits, LSD first)."""
-    return digits_to_int(a.entries, a.field.q)
+    code = 0
+    for e in reversed(a.entries):
+        code = code * a.field.q + e
+    return code
 
 
 def decode(field: FieldTable, n: int, code: int) -> TriMatrix:
-    return TriMatrix(field, n, tuple(base_digits(code, field.q, n * (n + 1) // 2)))
+    entries = []
+    for _ in range(n * (n + 1) // 2):
+        code, e = divmod(code, field.q)
+        entries.append(e)
+    return TriMatrix(field, n, tuple(entries))
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -400,3 +401,71 @@ def test_quotient_needs_triangular_spec():
     with pytest.raises(ValueError):
         diagonal_quotient(RingSpec.integers_mod(8))
 
+
+
+# -- labels ------------------------------------------------------------------------
+
+def digit_labels(length, base):
+    """The labels "d0,d1,..." of the base-`base` tuples of the given
+    length in encoding order, by plain loops."""
+    out = []
+    for t in vertex_tuples(length, base, base ** length):
+        out.append(",".join(str(d) for d in t))
+    return tuple(out)
+
+
+def index_labels(count):
+    return tuple(str(x) for x in range(count))
+
+
+def test_builders_format_no_label_until_read():
+    """Until .labels is read, hamming_graph(10, 2), unitary_cayley(tri:4,2,1)
+    and antipodal of hamming_graph(8, 2) (2304 vertices, every graph held)
+    hold a few dozen new allocator blocks between them, not one string per
+    vertex; read, the labels are the digit tuples."""
+    spec = RingSpec.parse("tri:4,2,1")
+
+    def build():
+        base = hamming_graph(8, 2)
+        return [hamming_graph(10, 2), unitary_cayley(spec), base, antipodal(base)]
+    build()  # fills the caches a build reads (field and window tables)
+    before = sys.getallocatedblocks()
+    graphs = build()
+    held = sys.getallocatedblocks() - before
+    assert held < 200, held
+    h, g, base, a = graphs
+    assert h.labels == digit_labels(10, 2)
+    assert g.labels == digit_labels(10, 2)  # T_4(GF(2)) has 10 entries
+    assert a.labels == base.labels == digit_labels(8, 2)
+
+
+def test_every_builder_labels_match_a_loop_reference():
+    """Each builder's labels, read after the build, against plain loops;
+    antipodal and induced_subgraph pass on their input's labels whether
+    or not those were read, and unlabeled graphs stay unlabeled."""
+    assert unitary_cayley(RingSpec.parse("tri:2,3,1")).labels == digit_labels(3, 3)
+    assert unitary_cayley(RingSpec.parse("tri:2,2,2")).labels == digit_labels(3, 4)
+    assert unitary_cayley(RingSpec.integers_mod(12)).labels == index_labels(12)
+    assert complete_graph(5).labels == index_labels(5)
+    assert complete_bipartite(2, 3).labels == index_labels(5)
+    assert diagonal_quotient(RingSpec.parse("tri:2,3,1")).labels == digit_labels(2, 3)
+    assert diagonal_quotient(RingSpec.parse("tri:3,2,1")).labels == digit_labels(3, 2)
+    want = []
+    for gl in index_labels(2):
+        for hl in digit_labels(2, 3):
+            want.append(gl + "|" + hl)
+    assert semistrong_product(complete_graph(2), hamming_graph(2, 3)).labels == tuple(want)
+    unread, read = hamming_graph(3, 2), hamming_graph(3, 2)
+    read.labels
+    for h in (unread, read):
+        assert antipodal(h).labels == digit_labels(3, 2)
+        want = []
+        for v in (5, 0, 7):
+            want.append(digit_labels(3, 2)[v])
+        assert h.induced_subgraph([5, 0, 7]).labels == tuple(want)
+    bare = Graph(hamming_graph(2, 3).adjacency)
+    assert bare.labels is None
+    assert antipodal(bare).labels is None
+    assert bare.induced_subgraph([0, 4]).labels is None
+    assert semistrong_product(complete_graph(2), bare).labels is None
+    assert semistrong_product(bare, complete_graph(2)).labels is None

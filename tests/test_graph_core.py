@@ -130,6 +130,37 @@ def test_graph_rejects_bad_adjacency():
         Graph(np.zeros((2, 2), dtype=bool), labels=["a"])
 
 
+def test_label_count_is_checked_at_construction_or_on_first_read():
+    """Labels given as a sequence or a generator are counted when the graph
+    is built; labels given as a callable are made, formatted and counted
+    once, on the first read of .labels, and a wrong count raises there."""
+    a = cycle_graph(3).adjacency
+    wrong = (lambda: ["a", "b"], lambda: ("a", "b", "c", "d"), lambda: range(2),
+             lambda: (str(x) for x in range(4)))
+    for labels in wrong:
+        with pytest.raises(ValueError):
+            Graph(a, labels=labels())
+        with pytest.raises(ValueError):
+            Graph.from_rows(3, lambda s: a[s], labels=labels())
+        with pytest.raises(ValueError):
+            Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)], labels=labels())
+        g = Graph(a, labels=labels)
+        with pytest.raises(ValueError):
+            g.labels
+        with pytest.raises(ValueError):
+            g.induced_subgraph([0, 1]).labels
+    calls = []
+
+    def labels():
+        calls.append(1)
+        return range(10, 13)
+    g = Graph(a, labels=labels)
+    assert calls == []
+    assert g.labels == ("10", "11", "12") and g.labels is g.labels
+    assert calls == [1]
+    assert Graph(a, labels=lambda: None).labels is None
+
+
 @st.composite
 def symmetric_matrices(draw, max_vertices=300):
     """Random symmetric loop-free bool matrices of 0..max_vertices vertices."""
