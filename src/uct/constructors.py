@@ -9,7 +9,9 @@ Tuples are encoded base-q with the first coordinate least significant,
 matching the matrix entry encoding in tri_ring.  Ring graphs are Cayley
 graphs of (R, +) and are built from that definition: a unit mask over the
 elements, read at x - y a row block at a time by one difference_reader, a
-gather of contiguous chunks of its window table.  H(n, q)
+gather of contiguous chunks of its window table.  The mask is checked to
+miss 0 and to be closed under negation, which makes the graph simple
+with no V x V pass.  H(n, q)
 and its antipodal graph A(H(n, q)) share one rule, the number of
 coordinates in which two tuples differ (1 for H, n for A(H)), read from
 two half tables, q^floor(n/2) and q^ceil(n/2) on a side.  The product's
@@ -42,16 +44,26 @@ def unitary_cayley(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     Adjacency is tri_ring.difference_reader with of=tri_ring.unit_mask: the
     unit rule (gcd for Z_n, a nonzero determinant for T_n) is evaluated once
     per element, not once per pair, and the reader's window table is built
-    once.  check_prop1 compares the triangular graphs with the
-    all-diagonal-entries-differ rule on every pair.
+    once.  The graph is a Cayley graph of (R, +), so two O(V) facts about
+    the mask make it simple, and are checked before any row is filled: 0
+    is not a unit (no loops), and row 0 of the reader, mask[-y], equals
+    mask[y] (U = -U, so adj[x, y] = mask[x - y] = mask[y - x]).  A mask
+    that fails either raises ValueError, and the V x V loop and symmetry
+    checks of Graph.from_rows are skipped.  check_prop1 and check_theorem3
+    compare the triangular graphs with independent rules on every pair.
     """
     mask = unit_mask(spec, cap)
+    if mask[0]:
+        raise ValueError(f"0 is a unit of {spec}: loops are not allowed")
+    read = difference_reader(spec, mask, cap)
+    if not np.array_equal(read(slice(0, 1))[0], mask):
+        raise ValueError(f"the units of {spec} are not closed under negation: "
+                         "adjacency must be symmetric")
 
     def labels():
         return (range(spec.modulus) if spec.kind == "zn"
                 else _digit_labels(entry_digit_matrix(spec, cap)))
-    return Graph.from_rows(len(mask), difference_reader(spec, mask, cap),
-                           labels=labels, cap=cap)
+    return Graph._from_simple_rows(len(mask), read, labels, cap)
 
 
 def hamming_graph(length: int, q: int, cap: int = DEFAULT_VERTEX_CAP) -> Graph:

@@ -2,13 +2,16 @@
 
 Every Graph is built one way (Graph.from_rows): a row block at a time into
 an array no caller holds, so builders pass a row rule and Graph(a) copies
-a.  It then checks symmetry one 256 x 256 tile pair at a time, each mirror
-tile first copied into one reused buffer whose rows are padded off a
-power-of-two stride (see _is_symmetric), so every pair is compared at
-memory speed at any V, powers of two included, where a full transpose
-would stride.  Row counts (degrees, neighbour-list lengths) are summed
-as bytes into the smallest unsigned dtype that holds V and widened to
-intp (see row_counts).  Labels are formatted on first read: builders and
+a.  Every Graph is then checked for loops and symmetry, except the ring
+graphs of constructors.unitary_cayley, which proves both from its unit
+mask in O(V) (see Graph._from_simple_rows).  Symmetry is checked one
+256 x 256 tile pair at a time, each mirror tile first copied into one
+reused buffer whose rows are padded off a power-of-two stride (see
+_is_symmetric), so every pair is compared at memory speed at any V,
+powers of two included, where a full transpose would stride.  Row
+counts (degrees, neighbour-list lengths) are summed as bytes into the
+smallest unsigned dtype that holds V and widened to intp (see
+row_counts).  Labels are formatted on first read: builders and
 the graphs made from another (antipodal, induced_subgraph) pass a
 callable that makes them, which Graph.labels calls once, on its first
 read (see deferred_labels), so a check that compares adjacency formats
@@ -31,11 +34,13 @@ holds the largest finite distance plus one (uint8 up to a diameter of
 254), with that dtype's maximum marking pairs in different components;
 widen them before adding two, since a sum can overflow the dtype.  Graphs
 whose adjacency depends only on the difference of the endpoints in an
-additive group (Cayley graphs) get theirs as one length-V vector d0 from
-the BFS out of vertex 0: d(x, y) = d0[x - y] (see translation_distances,
-which checks every pair against row 0 of the adjacency read at x - y by a
-caller's reader), and their triameter is searched over the triples
-through vertex 0 (see cayley_triametral_triple), reading d0 at x - y.
+additive group (Cayley graphs) get theirs as one length-V vector d0, the
+depths of the BFS out of vertex 0 (see distances_from_0): d(x, y) =
+d0[x - y].  translation_distances first checks every pair against row 0
+of the adjacency read at x - y by a caller's reader; the ring checks,
+whose graphs are Cayley by construction, skip that pass.  The triameter
+is searched over the triples through vertex 0 (see
+cayley_triametral_triple), reading d0 at x - y.
 Passes over V x V pairs hold one row block at a time (see row_blocks).
 Diameter, triameter and antipodal graphs are only defined for connected
 graphs and raise DisconnectedGraph otherwise.
@@ -87,7 +92,16 @@ class Graph:
         g._fill(vertex_count, rows, labels, cap)
         return g
 
-    def _fill(self, v, rows, labels, cap):
+    @classmethod
+    def _from_simple_rows(cls, vertex_count, rows, labels, cap):
+        """from_rows without the loop and symmetry checks, for a caller that
+        has proved its rows loop-free and symmetric (unitary_cayley, from
+        its unit mask)."""
+        g = cls.__new__(cls)
+        g._fill(vertex_count, rows, labels, cap, False)
+        return g
+
+    def _fill(self, v, rows, labels, cap, checked=True):
         if v > cap:
             raise GraphTooLarge(f"{v} vertices exceed the cap of {cap}")
         adj = np.empty((v, v), dtype=bool)
@@ -96,9 +110,9 @@ class Graph:
             if block.shape != adj[s].shape:
                 raise ValueError(f"rows({s}) must be a {adj[s].shape} array")
             adj[s] = block
-        if np.diagonal(adj).any():
+        if checked and np.diagonal(adj).any():
             raise ValueError("loops are not allowed")
-        if not _is_symmetric(adj):
+        if checked and not _is_symmetric(adj):
             raise ValueError("adjacency must be symmetric")
         adj.flags.writeable = False
         self._adj = adj
@@ -559,19 +573,36 @@ def translation_distances(g: Graph, read) -> np.ndarray:
     d(x, y) = d(x - y, 0); NotTranslationInvariant is raised otherwise.  d0
     has the format of all_pairs_distances (hop counts in the smallest
     unsigned dtype with room for a mark above them, on the vertices outside
-    0's component; widen before adding).
+    0's component; widen before adding), and is distances_from_0(g).  A
+    graph that is Cayley by construction may call distances_from_0 itself:
+    the ring checks do, and this function is their reference.
     """
-    adj = g.adjacency
-    v = g.vertex_count
-    if v == 0:
+    if g.vertex_count == 0:
         raise ValueError("translation distances need V >= 1")
-    for rows in row_blocks(v):
+    _check_translation_invariance(g, read)
+    return distances_from_0(g)
+
+
+def _check_translation_invariance(g: Graph, read) -> None:
+    """Raise NotTranslationInvariant unless adj[x, y] == read([x])[0, y] on
+    every pair, read a row block at a time: the V x V pass of
+    translation_distances."""
+    adj = g.adjacency
+    for rows in row_blocks(g.vertex_count):
         block = np.asarray(read(rows))
         if block.shape != adj[rows].shape:
             raise ValueError("read(rows) must give V entries per row")
         if not np.array_equal(block, adj[rows]):
             raise NotTranslationInvariant(
                 "adjacency is not invariant under the given translations")
+
+
+def distances_from_0(g: Graph) -> np.ndarray:
+    """Hop distances from vertex 0, read-only, in translation_distances'
+    format: the depths of g's cached BFS forest on vertex 0's component,
+    whose BFS starts at 0, and the unreachable mark elsewhere.  Only the
+    caller knows whether d(x, y) = d0[x - y]: translation_distances checks
+    it, and a ring graph holds it by construction."""
     _, label, depth, _ = _forest(g)
     reached = label == 0  # vertex 0 roots the first component's BFS
     dtype = _hop_dtype(int(depth.max(where=reached, initial=0)))

@@ -4,11 +4,13 @@ graphs of upper-triangular matrix rings, with re-checkable certificates.
 Every check takes a RingSpec, measures the built graph, compares against
 the claimed value, and returns a Verdict; the checks of one spec share
 one RingInstance, and a suite runs its specs one after another.  Ring
-checks read a table at x - y (the adjacency's row 0 to check translation
-invariance, d0 for the triameter) through tri_ring.difference_reader,
-whose window table is built once per table.  Claims conditional on the
-field size are gated: the two-element-field claims raise WrongField for
-q > 2 and vice versa.
+checks read a table at x - y (d0, for the triameter) through
+tri_ring.difference_reader, whose window table is built once per table.
+A ring graph is Cayley by construction (unitary_cayley checks U = -U and
+0 not in U on its unit mask), so d0 is read off the components' BFS
+forest with no V x V translation-invariance pass.  Claims conditional on
+the field size are gated: the two-element-field claims raise WrongField
+for q > 2 and vice versa.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from .errors import UctError, WrongField
 from .finite_field import is_prime
 from .graph_core import (ISO_ORACLE_CAP, bfs_forest, cayley_triametral_triple,
                          complete_bipartite_parts, connected_components,
-                         is_bipartite, is_complete_bipartite, iso_check,
-                         labeled_equal, largest_finite_distance, max_clique,
-                         row_blocks, row_counts, translation_distances)
+                         distances_from_0, is_bipartite, is_complete_bipartite,
+                         iso_check, labeled_equal, largest_finite_distance,
+                         max_clique, row_blocks, row_counts)
 from .tri_ring import (DEFAULT_VERTEX_CAP, RingSpec, diagonal_slots,
                        difference_reader, encode, entry_digit_matrix,
                        from_parts, strict_upper_slots, unit_mask)
@@ -90,10 +92,11 @@ class RingInstance:
     @cached_property
     def d0(self) -> np.ndarray:
         """Hop distances from vertex 0, read-only: d(x, y) = d0[x - y]
-        (see graph_core.translation_distances, uint8 up to a diameter of
-        254); widen before adding them."""
-        g = self.graph
-        return translation_distances(g, self.reader(g.adjacency[0]))
+        (uint8 up to a diameter of 254); widen before adding them.  The
+        depths of the graph's cached BFS forest (graph_core.distances_from_0):
+        the graph is Cayley by construction, so the V x V invariance pass
+        of graph_core.translation_distances, its reference, is not run."""
+        return distances_from_0(self.graph)
 
 
 CHECKS = {}

@@ -16,7 +16,7 @@ from uct import (Graph, GraphTooLarge, RingSpec, RingTooLarge,
                  diameter, hamming_graph, is_complete_bipartite, iso_check,
                  labeled_equal, semistrong_product, semistrong_rows,
                  unitary_cayley)
-from uct import graph_core
+from uct import constructors, graph_core
 from uct.tri_ring import (decode, diagonal_of, enumerate_ring, is_unit, mat_sub,
                           tuple_codes)
 
@@ -125,6 +125,42 @@ def test_cayley_ring_too_large():
     # The order check comes before any modulus-sized work.
     with pytest.raises(RingTooLarge):
         unitary_cayley(RingSpec.integers_mod(10**15))
+
+
+def drop_unit_5(mask):
+    mask[5] = False  # 7 = -5 stays a unit of Z_12
+
+
+def make_0_a_unit(mask):
+    mask[0] = True
+
+
+@pytest.mark.parametrize("text, mutate, match, row_reads", [
+    ("zn:12", drop_unit_5, "symmetric", [slice(0, 1)]),
+    ("tri:2,3,1", make_0_a_unit, "loops", []),
+])
+def test_cayley_rejects_a_mask_that_is_not_simple(monkeypatch, text, mutate,
+                                                   match, row_reads):
+    """unitary_cayley skips Graph's V x V loop and symmetry checks, so its
+    O(V) mask checks must catch a unit mask that is not closed under
+    negation, or that holds 0, before any row block is filled: no read
+    but the negation check's read of row 0."""
+    real_mask, real_reader = constructors.unit_mask, constructors.difference_reader
+    reads = []
+
+    def mutated_mask(spec, cap):
+        mask = real_mask(spec, cap).copy()
+        mutate(mask)
+        return mask
+
+    def counting_reader(spec, of, cap):
+        read = real_reader(spec, of, cap)
+        return lambda rows: reads.append(rows) or read(rows)
+    monkeypatch.setattr(constructors, "unit_mask", mutated_mask)
+    monkeypatch.setattr(constructors, "difference_reader", counting_reader)
+    with pytest.raises(ValueError, match=match):
+        unitary_cayley(RingSpec.parse(text))
+    assert reads == row_reads
 
 
 def test_cayley_labels_are_entry_digits():

@@ -335,10 +335,36 @@ def test_suite_builds_each_graph_once_and_difference_rows_by_block(monkeypatch):
     verdicts = run_suite([T23, T22])
     assert all(v.passed for v in verdicts)
     assert graphs == ["tri:2,3,1", "tri:2,2,1"]
-    # T23's unit mask, adjacency row 0 and d0; T22's unit mask.
-    assert tables == [("tri:2,3,1", "bool"), ("tri:2,3,1", "bool"),
-                      ("tri:2,3,1", "uint8"), ("tri:2,2,1", "bool")]
+    # T23's unit mask and d0; T22's unit mask.  Adjacency row 0 is not
+    # read: d0 needs no translation-invariance pass on a ring graph.
+    assert tables == [("tri:2,3,1", "bool"), ("tri:2,3,1", "uint8"),
+                      ("tri:2,2,1", "bool")]
     assert len(entries) > 2 * 27 // 3 and max(entries) <= 3 * 27
+
+
+def test_ring_path_runs_no_dense_symmetry_or_invariance_pass(monkeypatch):
+    """The ring graph is proved simple from its unit mask and d0 read off
+    the BFS forest: no symmetry check of a ring-sized adjacency and no
+    translation-invariance pass, on a q = 2 and a q > 2 spec.  (The
+    comparison graphs of theorem3 and the quotient check, of m or q^n
+    vertices, are generic Graphs and keep their symmetry check; T33's 729
+    vertices are above the isomorphism oracle's cap, so no product graph
+    of the ring's size is built.)"""
+    real_symmetric = graph_core._is_symmetric
+
+    def refuse_ring_sized(adj):
+        if len(adj) in (T32.order, T33.order):
+            raise AssertionError("symmetry check of a ring-sized adjacency")
+        return real_symmetric(adj)
+
+    def refuse(*args):
+        raise AssertionError("translation-invariance pass")
+    monkeypatch.setattr(graph_core, "_is_symmetric", refuse_ring_sized)
+    monkeypatch.setattr(graph_core, "_check_translation_invariance", refuse)
+    verdicts = run_suite([T32, T33])
+    assert len(verdicts) == 12 and all(v.passed for v in verdicts)
+    ring = tc.RingInstance(T33)
+    assert int(ring.d0.max()) == 2
 
 
 def test_suite_reads_no_all_pairs_distances(monkeypatch):

@@ -2,16 +2,20 @@
 triameter through vertex 0) against the generic all-pairs BFS and
 triameter search it replaces for ring graphs.  Both read a table at x - y
 through a reader: difference_reader for ring specs, and here also the
-rows of a whole difference table."""
+rows of a whole difference table.  The ring checks skip the dense
+symmetry and translation checks, which are Cayley by construction; those
+checks are run here on the ring graphs as references."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_tri_ring import ALL_TRI_SPECS
 from uct import (DisconnectedGraph, Graph, NotTranslationInvariant, RingSpec,
-                 all_pairs_distances, cayley_triametral_triple,
+                 all_pairs_distances, cayley_triametral_triple, graph_core,
                  translation_distances, triametral_triple, unitary_cayley)
+from uct.theorem_checker import RingInstance
 from uct.tri_ring import difference_reader, tuple_codes
 
 # Every triangular spec of at most 1024 vertices that the test suite or
@@ -60,6 +64,20 @@ def test_matches_generic_distances(text):
     assert_matches_generic(g.adjacency, difference_table(spec), np.uint8)
     d0 = translation_distances(g, difference_reader(spec, g.adjacency[0]))
     assert np.array_equal(d0, all_pairs_distances(Graph(g.adjacency))[0])
+
+
+@pytest.mark.parametrize("text", ALL_TRI_SPECS
+                         + [f"zn:{m}" for m in range(2, 65)] + ["zn:4096"])
+def test_ring_graphs_pass_the_dense_references(text):
+    """unitary_cayley proves its graph simple from the unit mask, and
+    RingInstance.d0 reads the BFS forest with no invariance pass; on the
+    stored adjacency the V x V symmetry check holds, the diagonal is
+    empty, and d0 is translation_distances' d0, dtype and bytes."""
+    ring = RingInstance(RingSpec.parse(text))
+    adj = ring.graph.adjacency
+    assert graph_core._is_symmetric(adj) and not np.diagonal(adj).any()
+    want = translation_distances(ring.graph, ring.reader(adj[0]))
+    assert ring.d0.dtype == want.dtype and ring.d0.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("m, step, dtype", [(600, 2, np.uint8),
