@@ -42,6 +42,8 @@ whose graphs are Cayley by construction, skip that pass.  The triameter
 is searched over the triples through vertex 0 (see
 cayley_triametral_triple), reading d0 at x - y.
 Passes over V x V pairs hold one row block at a time (see row_blocks).
+The maximum clique is an exact branch and bound over Python-int bitset
+rows, built for each search, from a first-fit warm start (see max_clique).
 Diameter, triameter and antipodal graphs are only defined for connected
 graphs and raise DisconnectedGraph otherwise.
 The isomorphism oracle (iso_check) searches the quotients by classes of
@@ -69,7 +71,7 @@ class Graph:
 
     Immutable after construction: the adjacency array is read-only and
     expensive derived data (the BFS forest behind components and the
-    two-coloring, distances, bitset rows) is cached on first use.  Labels
+    two-coloring, distances) is cached on first use.  Labels
     are optional opaque strings kept for export.  A sequence (any iterable)
     of labels is formatted with str and counted at construction; a
     zero-argument callable returning one (or None) is kept as it is and
@@ -189,14 +191,13 @@ class Graph:
 
     def neighbor_masks(self):
         """Adjacency rows as python-int bitsets (bit v set <=> edge to v),
-        packed one row_blocks block at a time."""
-        if "masks" not in self._cache:
-            masks = []
-            for s in row_blocks(self.vertex_count):
-                packed = np.packbits(self._adj[s], axis=1, bitorder="little")
-                masks += [int.from_bytes(row.tobytes(), "little") for row in packed]
-            self._cache["masks"] = masks
-        return self._cache["masks"]
+        packed one row_blocks block at a time.  Not cached: the ints take
+        V^2 / 8 bytes, so they live only as long as the caller holds them."""
+        masks = []
+        for s in row_blocks(self.vertex_count):
+            packed = np.packbits(self._adj[s], axis=1, bitorder="little")
+            masks += [int.from_bytes(row.tobytes(), "little") for row in packed]
+        return masks
 
     def induced_subgraph(self, vertices) -> "Graph":
         vs = np.array(list(vertices), dtype=np.intp)
@@ -676,29 +677,24 @@ def triameter(g: Graph) -> int:
 
 def max_clique(g: Graph) -> list:
     """An exact maximum clique, via branch and bound with greedy-colouring
-    upper bounds on bitset candidate sets."""
+    upper bounds on bitset candidate sets.
+
+    The warm start is first-fit: from a maximum-degree vertex, append the
+    lowest-index common neighbour until none is left (one mask read per
+    vertex appended).  On the ring graphs of uct it is already maximum (the
+    q scalar matrices of T_n(GF(q)); 0..p-1 in Z_n, p the least prime
+    factor of n) and the first colouring bounds the search at its size, so
+    the search returns after that one colouring."""
     v = g.vertex_count
     if v == 0:
         return []
     masks = g.neighbor_masks()
 
-    # Greedy warm start from a maximum-degree vertex.
-    degs = g.degrees()
-    cur = int(np.argmax(degs))
-    best = [cur]
-    cand = masks[cur]
+    best = [int(np.argmax(g.degrees()))]
+    cand = masks[best[0]]
     while cand:
-        pick = best_bit = None
-        rest = cand
-        while rest:
-            bit = rest & -rest
-            u = bit.bit_length() - 1
-            score = (masks[u] & cand).bit_count()
-            if pick is None or score > pick:
-                pick, best_bit = score, u
-            rest ^= bit
-        best.append(best_bit)
-        cand &= masks[best_bit]
+        best.append((cand & -cand).bit_length() - 1)
+        cand &= masks[best[-1]]
 
     def color_order(cand_mask):
         # Greedy colouring: vertices listed colour class by colour class,

@@ -19,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csgraph, csr_matrix
 
+from test_tri_ring import ALL_TRI_SPECS
 from uct import (DisconnectedGraph, Graph, GraphTooLarge,
                  GraphTooLargeForOracle, RingSpec, all_pairs_distances,
                  antipodal, antipodal_hamming_direct, clique_number,
@@ -617,6 +618,50 @@ def test_clique_hand_values():
     assert clique_number(complete_bipartite(4, 4)) == 2
     assert clique_number(cycle_graph(5)) == 2
     assert clique_number(path_graph(1)) == 1
+    # First-fit from vertex 0 (the one of largest degree) stops at {0, 1};
+    # the branch and bound must still find the K5 through the K4.
+    g = Graph.from_edges(6, [(0, u) for u in range(1, 6)]
+                         + list(itertools.combinations(range(2, 6), 2)))
+    assert max_clique(g) == [0, 2, 3, 4, 5]
+    assert clique_number(g) == 5
+
+
+def test_max_clique_reads_each_mask_a_bounded_number_of_times(monkeypatch):
+    """On K_V the first-fit warm start is already maximum and the first
+    colouring bounds the search, so max_clique reads O(V) masks; a warm
+    start that scores every candidate reads about V^2 / 2."""
+    class CountingList(list):
+        reads = 0
+
+        def __getitem__(self, i):
+            CountingList.reads += 1
+            return super().__getitem__(i)
+
+    masks = Graph.neighbor_masks
+    monkeypatch.setattr(Graph, "neighbor_masks", lambda g: CountingList(masks(g)))
+    v = 1024
+    assert max_clique(complete_graph(v)) == list(range(v))
+    assert CountingList.reads <= 4 * v, CountingList.reads
+
+
+def first_fit_clique(g):
+    """The clique from vertex 0 that takes the lowest-index common
+    neighbour until none is left, read off the adjacency."""
+    adj = g.adjacency
+    clique, cand = [0], adj[0].copy()
+    while cand.any():
+        clique.append(int(np.argmax(cand)))
+        cand &= adj[clique[-1]]
+    return clique
+
+
+@pytest.mark.parametrize("text", ALL_TRI_SPECS + [f"zn:{n}" for n in range(2, 65)])
+def test_max_clique_of_a_ring_graph_is_its_first_fit_clique(text):
+    """The found_clique bytes of the clique verdict: on every ring graph
+    max_clique returns the first-fit clique from 0 (the q scalar matrices
+    of T_n(GF(q)), 0..p-1 in Z_n for the least prime factor p of n)."""
+    g = unitary_cayley(RingSpec.parse(text))
+    assert max_clique(g) == first_fit_clique(g)
 
 
 def test_max_clique_is_a_clique():
