@@ -6,16 +6,15 @@ be tested as labeled-graph equality instead of isomorphism search.  Every
 builder passes Graph.from_rows a rule for a block of rows, so none holds
 an adjacency array of its own.
 Tuples are encoded base-q with the first coordinate least significant,
-matching the matrix entry encoding in tri_ring.  Ring graphs are Cayley
-graphs of (R, +) and are built from that definition: a unit mask over the
-elements, read at x - y a row block at a time by one difference_reader, a
-gather of contiguous chunks of its window table.  The mask is checked to
-miss 0 and to be closed under negation, which makes the graph simple
-with no V x V pass.  H(n, q)
-and its antipodal graph A(H(n, q)) share one rule, the number of
-coordinates in which two tuples differ (1 for H, n for A(H)), read from
-two half tables, q^floor(n/2) and q^ceil(n/2) on a side.  The product's
-rule, semistrong_rows, reads any rows without building the product.
+matching the matrix entry encoding in tri_ring.  Ring graphs and H(n, q)
+and its antipodal graph A(H(n, q)) are Cayley graphs of a group Z_m**count
+and are built from that definition by one builder, _cayley_graph: a mask
+over the elements (the units of R; the tuples with 1 or with all n digits
+nonzero), read at x - y a row block at a time by one tri_ring.group_reader,
+a gather of contiguous chunks of its window table.  The mask is checked
+to miss 0 and to be closed under negation, which makes the graph simple
+with no V x V pass.  The product's rule, semistrong_rows, reads any rows
+without building the product.
 Labels (digit tuples "d0,d1,...", indices, "g|h" pairs) are passed as a
 callable, so they are made and formatted on their first read, not when
 the graph is built.
@@ -29,41 +28,44 @@ import numpy as np
 
 from .errors import GraphTooLarge
 from .graph_core import Graph, deferred_labels
-from .tri_ring import (DEFAULT_VERTEX_CAP, RingSpec, difference_reader,
-                       entry_digit_matrix, tuple_codes, unit_mask)
+from .finite_field import power_exceeds
+from .tri_ring import (DEFAULT_VERTEX_CAP, RingSpec, entry_digit_matrix,
+                       group_reader, tuple_codes, unit_mask)
 
 
 def _digit_labels(digits: np.ndarray) -> list:
     return [",".join(map(str, row)) for row in digits.tolist()]
 
 
+def _cayley_graph(group, mask, labels, cap: int) -> Graph:
+    """Cay(Z_m**count, S) for group = (m, count) and S the elements where
+    the boolean `mask` over the base-m encodings (first digit least
+    significant) is set: edge xy iff mask[x - y], read a row block at a
+    time by one tri_ring.group_reader.  Two O(V) facts make it simple, and
+    are checked before any row is filled: mask[0] is False (no loops), and
+    row 0 of the reader, mask[-y], equals mask[y] (S = -S, so adj[x, y] =
+    mask[x - y] = mask[y - x]).  A mask that fails either raises
+    ValueError, and Graph's V x V loop and symmetry checks are skipped."""
+    if mask[0]:
+        raise ValueError("the mask holds 0: loops are not allowed")
+    read = group_reader(group, mask)
+    if not np.array_equal(read(slice(0, 1))[0], mask):
+        raise ValueError("the mask is not closed under negation: "
+                         "adjacency must be symmetric")
+    return Graph._from_simple_rows(len(mask), read, labels, cap)
+
+
 def unitary_cayley(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     """The unitary Cayley graph of the ring: vertices in canonical encoding
-    order, edge xy iff x - y is a unit.
-
-    Adjacency is tri_ring.difference_reader with of=tri_ring.unit_mask: the
-    unit rule (gcd for Z_n, a nonzero determinant for T_n) is evaluated once
-    per element, not once per pair, and the reader's window table is built
-    once.  The graph is a Cayley graph of (R, +), so two O(V) facts about
-    the mask make it simple, and are checked before any row is filled: 0
-    is not a unit (no loops), and row 0 of the reader, mask[-y], equals
-    mask[y] (U = -U, so adj[x, y] = mask[x - y] = mask[y - x]).  A mask
-    that fails either raises ValueError, and the V x V loop and symmetry
-    checks of Graph.from_rows are skipped.  check_prop1 and check_theorem3
-    compare the triangular graphs with independent rules on every pair.
-    """
-    mask = unit_mask(spec, cap)
-    if mask[0]:
-        raise ValueError(f"0 is a unit of {spec}: loops are not allowed")
-    read = difference_reader(spec, mask, cap)
-    if not np.array_equal(read(slice(0, 1))[0], mask):
-        raise ValueError(f"the units of {spec} are not closed under negation: "
-                         "adjacency must be symmetric")
-
+    order, edge xy iff x - y is a unit.  It is _cayley_graph of (R, +) =
+    spec.group with tri_ring.unit_mask, so the unit rule (gcd for Z_n, a
+    nonzero determinant for T_n) is evaluated once per element, not once
+    per pair.  check_prop1 and check_theorem3 compare the triangular
+    graphs with independent rules on every pair."""
     def labels():
         return (range(spec.modulus) if spec.kind == "zn"
                 else _digit_labels(entry_digit_matrix(spec, cap)))
-    return Graph._from_simple_rows(len(mask), read, labels, cap)
+    return _cayley_graph(spec.group, unit_mask(spec, cap), labels, cap)
 
 
 def hamming_graph(length: int, q: int, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
@@ -80,37 +82,23 @@ def antipodal_hamming_direct(n: int, q: int, cap: int = DEFAULT_VERTEX_CAP) -> G
 
 def _differ_graph(n: int, q: int, count: int, cap: int) -> Graph:
     """The n-tuples over 0..q-1, adjacent iff they differ in exactly `count`
-    coordinates: lo[x_lo, y_lo] + hi[x_hi, y_hi] for the low floor(n/2) and
-    high ceil(n/2) digits, lo and hi the Kronecker sums of J_q - I_q over
-    that many coordinates."""
-    v = _tuple_count(n, q, cap)
-    if n == 1:  # K_q, whose one-coordinate half table would be a second q x q array
-        return complete_graph(q, cap)
-    ne = 1 - np.eye(q, dtype=np.uint8)
-
-    def table(k):  # one more coordinate, most significant, per step
-        t = np.zeros((1, 1), dtype=np.uint8)
-        for _ in range(k):
-            t = (ne[:, None, :, None] + t[None, :, None, :]).reshape(q * len(t), -1)
-        return t
-    lo, hi = table(n // 2), table(n - n // 2)
-
-    def rows(s):
-        x_hi, x_lo = np.divmod(np.arange(s.start, s.stop), len(lo))
-        differ = hi[x_hi][:, :, None] + lo[x_lo][:, None, :]
-        return np.equal(differ, count, out=differ.view(bool)).reshape(len(x_lo), v)
-    return Graph.from_rows(v, rows, labels=lambda: _digit_labels(tuple_codes(n, q)),
-                           cap=cap)
+    coordinates: _cayley_graph of Z_q**n with the mask "exactly `count`
+    nonzero digits", since x_j - y_j is nonzero in Z_q exactly when
+    x_j != y_j, for every q, prime or not."""
+    _tuple_count(n, q, cap)
+    weight = np.count_nonzero(tuple_codes(n, q), axis=1)
+    return _cayley_graph((q, n), weight == count,
+                         lambda: _digit_labels(tuple_codes(n, q)), cap)
 
 
 def _tuple_count(n: int, q: int, cap: int) -> int:
-    """q**n, the number of n-tuples over 0..q-1, after checking n, q and the cap."""
+    """q**n, the number of n-tuples over 0..q-1, after checking n, q and the
+    cap; a count above the cap is never formed."""
     if n < 1 or q < 2:
         raise ValueError("need tuple length n >= 1 and alphabet size q >= 2")
-    v = q ** n
-    if v > cap:
-        raise GraphTooLarge(f"q**n = {v} exceeds the cap of {cap}")
-    return v
+    if power_exceeds(q, n, cap):
+        raise GraphTooLarge(f"{q}**{n} tuples exceed the cap of {cap}")
+    return q ** n
 
 
 def complete_graph(m: int, cap: int = DEFAULT_VERTEX_CAP) -> Graph:

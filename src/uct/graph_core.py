@@ -2,13 +2,14 @@
 
 Every Graph is built one way (Graph.from_rows): a row block at a time into
 an array no caller holds, so builders pass a row rule and Graph(a) copies
-a.  Every Graph is then checked for loops and symmetry, except the ring
-graphs of constructors.unitary_cayley, which proves both from its unit
-mask in O(V) (see Graph._from_simple_rows).  Symmetry is checked one
-256 x 256 tile pair at a time, each mirror tile first copied into one
-reused buffer whose rows are padded off a power-of-two stride (see
-_is_symmetric), so every pair is compared at memory speed at any V,
-powers of two included, where a full transpose would stride.  Row
+a.  Every Graph is then checked for loops and symmetry, except the Cayley
+graphs of constructors._cayley_graph (ring graphs, H(n, q) and A(H(n, q))),
+which proves both from its connection-set mask in O(V) (see
+Graph._from_simple_rows).  Symmetry is checked one 256 x 256 tile pair at
+a time, each mirror tile first copied into one reused buffer whose rows
+are padded off a power-of-two stride (see _is_symmetric), so every pair
+is compared at memory speed at any V, powers of two included, where a
+full transpose would stride.  Row
 counts (degrees, neighbour-list lengths) are summed as bytes into the
 smallest unsigned dtype that holds V and widened to intp (see
 row_counts).  Labels are formatted on first read: builders and
@@ -96,9 +97,9 @@ class Graph:
 
     @classmethod
     def _from_simple_rows(cls, vertex_count, rows, labels, cap):
-        """from_rows without the loop and symmetry checks, for a caller that
-        has proved its rows loop-free and symmetric (unitary_cayley, from
-        its unit mask)."""
+        """from_rows without the loop and symmetry checks, for the one caller
+        that proves its rows loop-free and symmetric: constructors._cayley_graph,
+        from the mask of its connection set."""
         g = cls.__new__(cls)
         g._fill(vertex_count, rows, labels, cap, False)
         return g

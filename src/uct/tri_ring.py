@@ -8,9 +8,10 @@ listed row by row with the diagonal included,
 and the canonical integer encoding reads that sequence as base-q digits,
 first entry least significant.  The encoding is a bijection between
 T_n(F) and 0..q**(n(n+1)/2)-1; exported graphs and all structural maps
-depend on it.  difference_reader is the one place x - y is formed; it reads
-a per-element table (the unit mask, say) there, as a gather of contiguous
-chunks of one window table W built once per table (see difference_reader).
+depend on it.  group_reader is the one place x - y is formed, in any group
+Z_m**count (a ring's (R, +), or the tuples of a Hamming graph); it reads a
+per-element table (the unit mask, say) there, as a gather of contiguous
+chunks of one window table W built once per table (see group_reader).
 """
 
 from __future__ import annotations
@@ -190,10 +191,16 @@ class RingSpec:
         return self.p ** self.k
 
     @property
+    def group(self) -> tuple:
+        """(m, count): (R, +) is Z_m**count, added digit-wise."""
+        if self.kind == "zn":
+            return self.modulus, 1
+        return self.p, self.k * self.n * (self.n + 1) // 2
+
+    @property
     def order(self) -> int:
-        if self.kind == "tri":
-            return self.q ** (self.n * (self.n + 1) // 2)
-        return self.modulus
+        m, count = self.group
+        return m ** count
 
     def field(self) -> FieldTable:
         if self.kind != "tri":
@@ -235,66 +242,67 @@ def entry_digit_matrix(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> np.ndar
     return tuple_codes(spec.n * (spec.n + 1) // 2, spec.q)
 
 
-# Bytes of one chunk of difference_reader's gather that window_digits aims
+# Bytes of one chunk of group_reader's gather that window_digits aims
 # for.  Filling tri:4,3,1's rows (59049 x 59049, p = 3) took 1.49, 1.21,
 # 1.12 and 1.12 s at chunks of 81, 243, 729 and 2187 bytes (2 cores), and
 # tri:2,37,1's 1.13 s at 37 bytes and 0.79 s at 1369.
 _CHUNK_BYTES = 512
 
 
-def window_digits(spec: RingSpec, itemsize: int = 1) -> int:
-    """L, the low base-m digits of difference_reader's split for a table of
-    `itemsize` bytes per entry: the fewest whose chunk m**L * itemsize
-    reaches _CHUNK_BYTES, but no more than keep the reader's window table
-    (order * m**L entries) within order**2 / 16 entries; at least 1 (a
-    table of (order / m) * (2m - 1) entries), and all of Z_n's one digit."""
-    m, count = _digit_base(spec)
+def window_digits(group, itemsize: int = 1) -> int:
+    """L, the low base-m digits of group_reader's split of Z_m**count,
+    group = (m, count), for a table of `itemsize` bytes per entry: the
+    fewest whose chunk m**L * itemsize reaches _CHUNK_BYTES, but no more
+    than keep the reader's window table (m**(count + L) entries) within
+    m**(2 count) / 16 entries; at least 1 (a table of m**(count - 1) *
+    (2m - 1) entries), and all of Z_n's one digit."""
+    m, count = group
     low = 1
     while (low < count and m ** low * itemsize < _CHUNK_BYTES
-           and 16 * m ** (low + 1) <= spec.order):
+           and 16 * m ** (low + 1) <= m ** count):
         low += 1
     return low
 
 
-def _digit_base(spec: RingSpec):
-    """(m, count): (R, +) is Z_m**count, added digit-wise."""
-    if spec.kind == "zn":
-        return spec.modulus, 1
-    return spec.p, spec.k * spec.n * (spec.n + 1) // 2
-
-
 def difference_reader(spec: RingSpec, of=None, cap: int = DEFAULT_VERTEX_CAP):
-    """The function read(rows): the len(rows) x order array of the
-    length-order table `of` read at x - y, for x in rows (a slice or a
-    sequence of encodings) and every y, in of's dtype.  The default `of`
-    is the encodings themselves in the smallest unsigned dtype (uint8 up
-    to 256 elements, uint16 up to 2**16), so read(rows) holds the codes
-    of x - y.  A caller reading many row blocks of one table keeps the
-    reader, so its window table is built once.
-
-    (R, +) is Z_m, or Z_p**D for T_n(GF(p^k)) (D = k*n(n+1)/2 base-p digits,
-    added digit-wise).  The digits split into the low L = window_digits and
-    the rest, so x - y is hi[x_hi, y_hi] * m**L + lo[x_lo, y_lo], hi and lo
-    the difference tables of Z_m**(count - L) and Z_m**L.  The reader first
-    builds W = of.reshape(-1, m**L)[:, lo], so W[h, l] is `of` at every
-    element whose high part is h and whose low parts are row l of lo; row x
-    is then W[hi[x_hi], x_lo], a gather of contiguous chunks of m**L
-    entries.  A difference table's rows are Kronecker sums of one
-    cyclic-table row (x_j - y_j) mod m per digit x_j of x, each new digit
-    the most significant, and cyclic-table rows are windows of one
-    length-(2m - 1) ramp; so for L = 1 (Z_n always) the table is `of` read
-    at the ramp and W a view of its windows.  The reader's `table`
-    attribute is the array W was made from.
-    """
+    """group_reader of the ring's (R, +) = spec.group: Z_m, or Z_p**D for
+    T_n(GF(p^k)) (D = k*n(n+1)/2 base-p digits, added digit-wise)."""
     _check_order(spec, cap)
-    v = spec.order
+    return group_reader(spec.group, of)
+
+
+def group_reader(group, of=None):
+    """The function read(rows) over Z_m**count, group = (m, count), whose
+    elements are encoded base m, first digit least significant: the
+    len(rows) x m**count array of the table `of` (one entry per element)
+    read at x - y, for x in rows (a slice or a sequence of encodings) and
+    every y, in of's dtype.  The default `of` is the encodings themselves
+    in the smallest unsigned dtype (uint8 up to 256 elements, uint16 up to
+    2**16), so read(rows) holds the codes of x - y.  A caller reading many
+    row blocks of one table keeps the reader, so its window table is
+    built once.
+
+    The digits split into the low L = window_digits and the rest, so x - y
+    is hi[x_hi, y_hi] * m**L + lo[x_lo, y_lo], hi and lo the difference
+    tables of Z_m**(count - L) and Z_m**L.  The reader first builds
+    W = of.reshape(-1, m**L)[:, lo], so W[h, l] is `of` at every element
+    whose high part is h and whose low parts are row l of lo; row x is then
+    W[hi[x_hi], x_lo], a gather of contiguous chunks of m**L entries.  A
+    difference table's rows are Kronecker sums of one cyclic-table row
+    (x_j - y_j) mod m per digit x_j of x, each new digit the most
+    significant, and cyclic-table rows are windows of one length-(2m - 1)
+    ramp; so for L = 1 (Z_n always) the table is `of` read at the ramp and
+    W a view of its windows.  The reader's `table` attribute is the array
+    W was made from.
+    """
+    m, count = group
+    v = m ** count
     if of is None:
         of = np.arange(v, dtype=np.min_scalar_type(v - 1))
     elif len(of) != v:
         raise ValueError(f"of must have {v} entries, got {len(of)}")
     of = np.asarray(of)
-    m, count = _digit_base(spec)
-    low = window_digits(spec, of.itemsize)
+    low = window_digits(group, of.itemsize)
     size = m ** low
     ramp = (np.arange(m - 1, -m, -1) % m).astype(np.min_scalar_type(v - 1))
     cyclic = sliding_window_view(ramp, m)[::-1]  # [i, j] = ramp[m - 1 - i + j]

@@ -135,17 +135,29 @@ def make_0_a_unit(mask):
     mask[0] = True
 
 
+def hold_0_and_an_axis(mask):
+    mask[[0, 1, 2]] = True  # (0, 0), (1, 0) and (2, 0) = -(1, 0)
+
+
+def hold_1_0_alone(mask):
+    mask[1] = True  # (1, 0) without (2, 0) = -(1, 0)
+
+
 @pytest.mark.parametrize("text, mutate, match, row_reads", [
     ("zn:12", drop_unit_5, "symmetric", [slice(0, 1)]),
     ("tri:2,3,1", make_0_a_unit, "loops", []),
+    ("Z_3^2", hold_0_and_an_axis, "loops", []),
+    ("Z_3^2", hold_1_0_alone, "symmetric", [slice(0, 1)]),
 ])
 def test_cayley_rejects_a_mask_that_is_not_simple(monkeypatch, text, mutate,
                                                    match, row_reads):
-    """unitary_cayley skips Graph's V x V loop and symmetry checks, so its
-    O(V) mask checks must catch a unit mask that is not closed under
-    negation, or that holds 0, before any row block is filled: no read
-    but the negation check's read of row 0."""
-    real_mask, real_reader = constructors.unit_mask, constructors.difference_reader
+    """The Cayley builder skips Graph's V x V loop and symmetry checks, so
+    its O(V) mask checks must catch a mask that is not closed under
+    negation, or that holds 0, before any row block is filled: no read but
+    the negation check's read of row 0.  Ring graphs reach it through
+    unitary_cayley with a mutated unit mask; Z_3^2 (encodings x0 + 3 x1),
+    the group of H(2, 3), through the builder itself."""
+    real_mask, real_reader = constructors.unit_mask, constructors.group_reader
     reads = []
 
     def mutated_mask(spec, cap):
@@ -153,13 +165,18 @@ def test_cayley_rejects_a_mask_that_is_not_simple(monkeypatch, text, mutate,
         mutate(mask)
         return mask
 
-    def counting_reader(spec, of, cap):
-        read = real_reader(spec, of, cap)
+    def counting_reader(group, of):
+        read = real_reader(group, of)
         return lambda rows: reads.append(rows) or read(rows)
     monkeypatch.setattr(constructors, "unit_mask", mutated_mask)
-    monkeypatch.setattr(constructors, "difference_reader", counting_reader)
+    monkeypatch.setattr(constructors, "group_reader", counting_reader)
     with pytest.raises(ValueError, match=match):
-        unitary_cayley(RingSpec.parse(text))
+        if text == "Z_3^2":
+            mask = np.zeros(9, dtype=bool)
+            mutate(mask)
+            constructors._cayley_graph((3, 2), mask, None, 9)
+        else:
+            unitary_cayley(RingSpec.parse(text))
     assert reads == row_reads
 
 
@@ -237,8 +254,14 @@ def test_kronecker_builders_match_the_coordinate_rule(n):
 
 
 def test_hamming_too_large():
+    """The cap is checked without forming q**n: 3**(10**4) has too many
+    digits to print, and a longer length would take seconds to form."""
     with pytest.raises(GraphTooLarge):
         hamming_graph(17, 2)
+    with pytest.raises(GraphTooLarge):
+        hamming_graph(10**4, 3)
+    with pytest.raises(GraphTooLarge):
+        antipodal_hamming_direct(10**4, 3)
     with pytest.raises(ValueError):
         hamming_graph(0, 2)
     with pytest.raises(ValueError):

@@ -12,12 +12,13 @@ import pytest
 import uct.constructors as constructors
 import uct.graph_core as graph_core
 import uct.theorem_checker as tc
+import uct.tri_ring as tri_ring
 from uct import (RingSpec, WrongField, all_pairs_distances,
                  antipodal_hamming_direct, check_clique,
                  check_connectivity_and_diameter, check_prop0, check_prop1,
                  check_quotient, check_theorem1, check_theorem3,
                  check_triameter, check_zn_oracles, complete_graph,
-                 connected_components, run_check, run_suite,
+                 connected_components, hamming_graph, run_check, run_suite,
                  semistrong_product, unitary_cayley)
 from uct.graph_core import Graph
 from uct.theorem_checker import (DEFAULT_SUITE_SPECS, checks_for, report_json,
@@ -307,19 +308,22 @@ def _diag_of_label(label):
 # -- one instance per spec -----------------------------------------------------
 
 def test_suite_builds_each_graph_once_and_difference_rows_by_block(monkeypatch):
-    """Each spec's graph is built once, each table read at x - y gets one
-    difference_reader, so one window table, and every x - y row the suite
-    forms comes one row block at a time: no read asks for more entries than
-    _ROW_BLOCK_ENTRIES (3 rows of T23's 27 vertices here)."""
+    """Each spec's graph is built once, each of its tables read at x - y
+    gets one group_reader, so one window table, and every x - y row the
+    suite forms comes one row block at a time: no read asks for more
+    entries than _ROW_BLOCK_ENTRIES (3 rows of T23's 27 vertices here).
+    Every reader is counted: the ring's, through difference_reader, and
+    the Cayley builds', which include A(H(n, q)) for theorem3 and for the
+    quotient check."""
     graphs, tables, entries = [], [], []
 
     def counting_graphs(spec, cap):
         graphs.append(str(spec))
         return real_graph(spec, cap)
 
-    def counting_reader(spec, of=None, cap=tc.DEFAULT_VERTEX_CAP):
-        read = real_reader(spec, of, cap)
-        tables.append((str(spec), of.dtype.name))
+    def counting_reader(group, of=None):
+        read = real_reader(group, of)
+        tables.append((group, of.dtype.name))
 
         def counted(rows):
             block = read(rows)
@@ -327,29 +331,32 @@ def test_suite_builds_each_graph_once_and_difference_rows_by_block(monkeypatch):
             return block
         return counted
 
-    real_graph, real_reader = tc.unitary_cayley, tc.difference_reader
+    real_graph, real_reader = tc.unitary_cayley, tri_ring.group_reader
     monkeypatch.setattr(graph_core, "_ROW_BLOCK_ENTRIES", 3 * 27)
     monkeypatch.setattr(tc, "unitary_cayley", counting_graphs)
-    monkeypatch.setattr(tc, "difference_reader", counting_reader)
-    monkeypatch.setattr(constructors, "difference_reader", counting_reader)
+    monkeypatch.setattr(tri_ring, "group_reader", counting_reader)
+    monkeypatch.setattr(constructors, "group_reader", counting_reader)
     verdicts = run_suite([T23, T22])
     assert all(v.passed for v in verdicts)
     assert graphs == ["tri:2,3,1", "tri:2,2,1"]
-    # T23's unit mask and d0; T22's unit mask.  Adjacency row 0 is not
-    # read: d0 needs no translation-invariance pass on a ring graph.
-    assert tables == [("tri:2,3,1", "bool"), ("tri:2,3,1", "uint8"),
-                      ("tri:2,2,1", "bool")]
+    # T23's unit mask and d0, then A(H(2, 3)) over Z_3^2 for theorem3 and
+    # for the quotient check; T22's unit mask and A(H(2, 2)) for the
+    # quotient check.  Adjacency row 0 is not read: d0 needs no
+    # translation-invariance pass on a ring graph.
+    assert tables == [((3, 3), "bool"), ((3, 3), "uint8"), ((3, 2), "bool"),
+                      ((3, 2), "bool"), ((2, 3), "bool"), ((2, 2), "bool")]
     assert len(entries) > 2 * 27 // 3 and max(entries) <= 3 * 27
 
 
 def test_ring_path_runs_no_dense_symmetry_or_invariance_pass(monkeypatch):
     """The ring graph is proved simple from its unit mask and d0 read off
     the BFS forest: no symmetry check of a ring-sized adjacency and no
-    translation-invariance pass, on a q = 2 and a q > 2 spec.  (The
-    comparison graphs of theorem3 and the quotient check, of m or q^n
-    vertices, are generic Graphs and keep their symmetry check; T33's 729
-    vertices are above the isomorphism oracle's cap, so no product graph
-    of the ring's size is built.)"""
+    translation-invariance pass, on a q = 2 and a q > 2 spec.  (Of the
+    comparison graphs of theorem3 and the quotient check, A(H(n, q)) is a
+    Cayley graph too, and K_m and the quotient, of m and q^n vertices,
+    keep their symmetry check; T33's 729 vertices are above the
+    isomorphism oracle's cap, so no product graph of the ring's size is
+    built.)"""
     real_symmetric = graph_core._is_symmetric
 
     def refuse_ring_sized(adj):
@@ -365,6 +372,21 @@ def test_ring_path_runs_no_dense_symmetry_or_invariance_pass(monkeypatch):
     assert len(verdicts) == 12 and all(v.passed for v in verdicts)
     ring = tc.RingInstance(T33)
     assert int(ring.d0.max()) == 2
+
+
+def test_hamming_builders_run_no_dense_symmetry_pass(monkeypatch):
+    """H(12, 2) and A(H(6, 4)) are Cayley graphs of Z_2^12 and Z_4^6, proved
+    simple from their masks: no symmetry check of their 4096-vertex
+    adjacency."""
+    real_symmetric = graph_core._is_symmetric
+
+    def refuse_4096(adj):
+        if len(adj) == 4096:
+            raise AssertionError("symmetry check of a 4096-vertex adjacency")
+        return real_symmetric(adj)
+    monkeypatch.setattr(graph_core, "_is_symmetric", refuse_4096)
+    for g in (hamming_graph(12, 2), antipodal_hamming_direct(6, 4)):
+        assert g.vertex_count == 4096
 
 
 def test_suite_reads_no_all_pairs_distances(monkeypatch):

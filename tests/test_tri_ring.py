@@ -342,7 +342,7 @@ def test_window_digits(text, low):
     (2^9 on tri:5,2,1), longer where one digit more is the first to reach
     it (37^2, 3^6), shorter where the window table would pass V^2 / 16."""
     spec = RingSpec.parse(text)
-    assert window_digits(spec) == low
+    assert window_digits(spec.group) == low
     if text in ("tri:2,2,3", "tri:2,3,2"):
         assert low % spec.k
 
@@ -356,8 +356,9 @@ def test_window_table_stays_within_its_bound(text):
     v = spec.order
     m, count = (spec.modulus, 1) if spec.kind == "zn" else (
         spec.p, spec.k * spec.n * (spec.n + 1) // 2)
+    assert spec.group == (m, count) and m ** count == v
     for t in (np.zeros(v, dtype=bool), np.zeros(v, dtype=np.uint16)):
-        low = window_digits(spec, t.itemsize)
+        low = window_digits((m, count), t.itemsize)
         table = difference_reader(spec, t).table
         assert table.dtype == t.dtype
         if low == 1:
