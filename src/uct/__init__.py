@@ -12,19 +12,17 @@ certificate.
 
 from .errors import (DimensionMismatch, DisconnectedGraph, FieldTooLarge,
                      GraphTooLarge, GraphTooLargeForOracle, NotPrime,
-                     NotTranslationInvariant, RingTooLarge, UctError,
-                     WrongField, ZeroInverse)
+                     RingTooLarge, UctError, WrongField, ZeroInverse)
 from .finite_field import (DEFAULT_FIELD_CAP, FieldTable, field_add,
                            field_inv, field_mul, field_sub, make_field)
 from .tri_ring import (DEFAULT_VERTEX_CAP, HARD_VERTEX_CAP, RingSpec,
                        TriMatrix, decode, diagonal_of, encode, enumerate_ring,
                        from_parts, is_unit, mat_det, mat_sub, strict_upper_of)
-from .graph_core import (Graph, all_pairs_distances, antipodal,
-                         cayley_triametral_triple, clique_number,
+from .graph_core import (Graph, all_pairs_distances, antipodal, clique_number,
                          complete_bipartite_parts, connected_components,
-                         diameter, is_bipartite, is_complete_bipartite,
-                         iso_check, labeled_equal, max_clique,
-                         translation_distances, triameter, triametral_triple)
+                         diameter, distance_rows, is_bipartite,
+                         is_complete_bipartite, iso_check, labeled_equal,
+                         max_clique, triameter, triametral_triple)
 from .constructors import (antipodal_hamming_direct, complete_bipartite,
                            complete_graph, diagonal_quotient, hamming_graph,
                            semistrong_product, semistrong_rows, unitary_cayley)

@@ -24,11 +24,11 @@ import sys
 from .errors import (FieldTooLarge, GraphTooLarge, GraphTooLargeForOracle,
                      RingTooLarge, UctError, WrongField)
 from .finite_field import make_field
-from .graph_core import cayley_triametral_triple, clique_number, connected_components
+from .graph_core import (clique_number, connected_components, diameter,
+                         triameter)
 from .graphio import dump_json, to_dot, to_edge_list
 from .constructors import unitary_cayley
-from .theorem_checker import (CHECKS, RingInstance, checks_for, report_json,
-                              run_check, run_suite)
+from .theorem_checker import CHECKS, checks_for, report_json, run_check, run_suite
 from .tri_ring import DEFAULT_VERTEX_CAP, HARD_VERTEX_CAP, RingSpec
 
 EXIT_OK = 0
@@ -141,15 +141,13 @@ def cmd_build(args) -> int:
 
 def cmd_invariants(args) -> int:
     cap = _resolve_cap(args)
-    ring = RingInstance(RingSpec.parse(args.spec), cap)
-    g = ring.graph
+    g = unitary_cayley(RingSpec.parse(args.spec), cap)
     degrees = g.degrees()
     comps = connected_components(g)
     connected = len(comps) == 1
     if connected:
-        diam = int(ring.d0.max())
-        triam = (cayley_triametral_triple(ring.d0, ring.reader(ring.d0))[0]
-                 if g.vertex_count >= 3
+        diam = diameter(g)
+        triam = (triameter(g) if g.vertex_count >= 3
                  else "undefined: fewer than 3 vertices")
     else:
         diam = triam = "undefined: disconnected"

@@ -45,14 +45,16 @@ def _cayley_graph(group, mask, labels, cap: int) -> Graph:
     are checked before any row is filled: mask[0] is False (no loops), and
     row 0 of the reader, mask[-y], equals mask[y] (S = -S, so adj[x, y] =
     mask[x - y] = mask[y - x]).  A mask that fails either raises
-    ValueError, and Graph's V x V loop and symmetry checks are skipped."""
+    ValueError, and Graph's V x V loop and symmetry checks are skipped.
+    The graph keeps its group (see Graph._cayley), so its distances are
+    read off the BFS from 0 at x - y (see graph_core.distance_rows)."""
     if mask[0]:
         raise ValueError("the mask holds 0: loops are not allowed")
     read = group_reader(group, mask)
     if not np.array_equal(read(slice(0, 1))[0], mask):
         raise ValueError("the mask is not closed under negation: "
                          "adjacency must be symmetric")
-    return Graph._from_simple_rows(len(mask), read, labels, cap)
+    return Graph._cayley(group, read, labels, cap)
 
 
 def unitary_cayley(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> Graph:

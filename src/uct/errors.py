@@ -33,10 +33,6 @@ class DisconnectedGraph(UctError):
     """Operation only defined for connected graphs."""
 
 
-class NotTranslationInvariant(UctError):
-    """Adjacency is not a function of the vertex difference."""
-
-
 class GraphTooLargeForOracle(UctError):
     """Generic isomorphism search is capped at small graphs."""
 

@@ -8,9 +8,10 @@ significant digit first:
 
 so index 0 is the additive identity and index 1 the multiplicative
 identity.  Addition and subtraction act digit by digit mod p, so
-(GF(p^k), +) is Z_p^k read base p (tri_ring.difference_reader relies
-on it).  tuple_codes is the one digit expansion, of field elements here
-and of ring entries in tri_ring.
+(GF(p^k), +) is Z_p^k read base p (RingSpec.group relies on it, so
+tri_ring.group_reader forms a ring's x - y digit by digit).  tuple_codes
+is the one digit expansion, of field elements here and of ring entries
+in tri_ring.
 
 The modulus is the first monic degree-k polynomial, in the encoding
 order of its lower coefficients, whose quotient ring has no zero

@@ -4,8 +4,8 @@ Every Graph is built one way (Graph.from_rows): a row block at a time into
 an array no caller holds, so builders pass a row rule and Graph(a) copies
 a.  Every Graph is then checked for loops and symmetry, except the Cayley
 graphs of constructors._cayley_graph (ring graphs, H(n, q) and A(H(n, q))),
-which proves both from its connection-set mask in O(V) (see
-Graph._from_simple_rows).  Symmetry is checked one 256 x 256 tile pair at
+which proves both from its connection-set mask in O(V) and keeps its
+group (see Graph._cayley).  Symmetry is checked one 256 x 256 tile pair at
 a time, each mirror tile first copied into one reused buffer whose rows
 are padded off a power-of-two stride (see _is_symmetric), so every pair
 is compared at memory speed at any V, powers of two included, where a
@@ -20,8 +20,13 @@ none.
 
 Components, root depths, the two-coloring and the complete-bipartite
 parts come from one BFS per component over rows read through a callable
-(see bfs_forest).  All-pairs distances come from one level-synchronous
-BFS out of every vertex at once over packed bitset frontiers.  Each level
+(see bfs_forest).  A Cayley graph's distances are d(x, y) = d0[x - y],
+d0 the depths of that BFS out of vertex 0 (see distances_from_0), read at
+x - y a row block at a time by tri_ring.group_reader (see distance_rows):
+distance_rows, all_pairs_distances, diameter and triametral_triple read
+them, the triameter searched over the triples through vertex 0 only.
+Other graphs' all-pairs distances come from one level-synchronous BFS out
+of every vertex at once over packed bitset frontiers.  Each level
 ORs the frontier rows of every vertex's neighbours in blocks of at most
 512 KB of gathered words, so a block stays in cache; a block's neighbour
 table is stored degree-major, so the OR runs over contiguous slabs, and
@@ -33,15 +38,7 @@ search per source instead.
 Distances are returned as hop counts in the smallest unsigned dtype that
 holds the largest finite distance plus one (uint8 up to a diameter of
 254), with that dtype's maximum marking pairs in different components;
-widen them before adding two, since a sum can overflow the dtype.  Graphs
-whose adjacency depends only on the difference of the endpoints in an
-additive group (Cayley graphs) get theirs as one length-V vector d0, the
-depths of the BFS out of vertex 0 (see distances_from_0): d(x, y) =
-d0[x - y].  translation_distances first checks every pair against row 0
-of the adjacency read at x - y by a caller's reader; the ring checks,
-whose graphs are Cayley by construction, skip that pass.  The triameter
-is searched over the triples through vertex 0 (see
-cayley_triametral_triple), reading d0 at x - y.
+widen them before adding two, since a sum can overflow the dtype.
 Passes over V x V pairs hold one row block at a time (see row_blocks).
 The maximum clique is an exact branch and bound over Python-int bitset
 rows, built for each search, from a first-fit warm start (see max_clique).
@@ -60,9 +57,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (DisconnectedGraph, GraphTooLarge, GraphTooLargeForOracle,
-                     NotTranslationInvariant)
-from .tri_ring import DEFAULT_VERTEX_CAP
+from .errors import DisconnectedGraph, GraphTooLarge, GraphTooLargeForOracle
+from .tri_ring import DEFAULT_VERTEX_CAP, group_reader
 
 ISO_ORACLE_CAP = 512
 
@@ -96,15 +92,21 @@ class Graph:
         return g
 
     @classmethod
-    def _from_simple_rows(cls, vertex_count, rows, labels, cap):
-        """from_rows without the loop and symmetry checks, for the one caller
-        that proves its rows loop-free and symmetric: constructors._cayley_graph,
-        from the mask of its connection set."""
+    def _cayley(cls, group, rows, labels, cap):
+        """from_rows for a Cayley graph of group = (m, count), Z_m**count, on
+        its V = m**count elements, for the one caller that proves its rows
+        loop-free and symmetric from the mask of its connection set:
+        constructors._cayley_graph.  The loop and symmetry checks are
+        skipped, and the graph keeps the group as _group, so distance_rows,
+        all_pairs_distances, diameter and triametral_triple read d0 at
+        x - y (see distance_rows).  Every other Graph has _group None,
+        Graph(g.adjacency) included."""
+        m, count = group
         g = cls.__new__(cls)
-        g._fill(vertex_count, rows, labels, cap, False)
+        g._fill(m ** count, rows, labels, cap, group)
         return g
 
-    def _fill(self, v, rows, labels, cap, checked=True):
+    def _fill(self, v, rows, labels, cap, group=None):
         if v > cap:
             raise GraphTooLarge(f"{v} vertices exceed the cap of {cap}")
         adj = np.empty((v, v), dtype=bool)
@@ -113,12 +115,13 @@ class Graph:
             if block.shape != adj[s].shape:
                 raise ValueError(f"rows({s}) must be a {adj[s].shape} array")
             adj[s] = block
-        if checked and np.diagonal(adj).any():
+        if group is None and np.diagonal(adj).any():
             raise ValueError("loops are not allowed")
-        if checked and not _is_symmetric(adj):
+        if group is None and not _is_symmetric(adj):
             raise ValueError("adjacency must be symmetric")
         adj.flags.writeable = False
         self._adj = adj
+        self._group = group
         self._labels = labels if callable(labels) else _formatted(labels, v)
         self._cache = {}
 
@@ -328,16 +331,22 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
     np.iinfo(d.dtype).max, marks pairs in different components.  Widen
     before adding distances: a sum of two can overflow the dtype.
 
-    One level-synchronous BFS from all sources at once (see
-    _all_sources_bfs), unless the graph may have more levels than that
-    pays for (see _LEVEL_WORDS_PER_VERTEX); then one scipy search per
-    source (see _per_source_distances).
+    A Cayley graph's are filled from distance_rows one row block at a
+    time.  Any other graph's come from one level-synchronous BFS from all
+    sources at once (see _all_sources_bfs), unless the graph may have more
+    levels than that pays for (see _LEVEL_WORDS_PER_VERTEX); then from one
+    scipy search per source (see _per_source_distances).
     """
     if "dist" not in g._cache:
         v = g.vertex_count
         # d(x, y) <= d(x, root) + d(root, y) <= 2 * the root's eccentricity
         levels = 2 * int(_forest(g)[2].max()) if v else 0
-        if levels * -(-v // 64) <= _LEVEL_WORDS_PER_VERTEX * v:
+        if g._group is not None:
+            read = distance_rows(g)
+            d = np.empty((v, v), dtype=read.table.dtype)
+            for s in row_blocks(v):
+                d[s] = read(s)
+        elif levels * -(-v // 64) <= _LEVEL_WORDS_PER_VERTEX * v:
             d = _all_sources_bfs(g.adjacency)
         else:
             d = _per_source_distances(g.adjacency, levels)
@@ -372,17 +381,17 @@ def _hop_dtype(longest: int) -> np.dtype:
 
 
 def _unreachable(d: np.ndarray) -> int:
-    """The entry of distances from all_pairs_distances or
-    translation_distances that marks pairs in different components."""
+    """The entry of distances from all_pairs_distances, distance_rows or
+    distances_from_0 that marks pairs in different components."""
     return int(np.iinfo(d.dtype).max)
 
 
 def largest_finite_distance(d: np.ndarray) -> int:
     """The largest distance between two vertices of one component in a
     distance matrix of all_pairs_distances, or in the distances d0 from
-    vertex 0 of translation_distances (0 when there are no entries).  The
-    components of a Cayley graph are translates of one another, so for d0
-    that is the largest over every component as well."""
+    vertex 0 of distances_from_0 (0 when there are no entries).  The
+    components of a Cayley graph are translates of one another, so for its
+    d0 that is the largest over every component as well."""
     top = int(d.max()) if d.size else 0
     if top == _unreachable(d):
         top = int(d.max(where=d != top, initial=0))
@@ -564,47 +573,11 @@ def _gather_expand(indptr, indices):
     return expand
 
 
-def translation_distances(g: Graph, read) -> np.ndarray:
-    """Hop distances from vertex 0 of a Cayley graph: a read-only length-V
-    vector d0 with d(x, y) = d0[x - y].
-
-    read(rows) gives row 0 of the adjacency read at x - y in the underlying
-    group, for x in a slice of rows and every y (see
-    tri_ring.difference_reader with of=adj[0]).  Every pair is checked to
-    satisfy adj[x, y] == adj[0, x - y] first, a row block at a time, so
-    d(x, y) = d(x - y, 0); NotTranslationInvariant is raised otherwise.  d0
-    has the format of all_pairs_distances (hop counts in the smallest
-    unsigned dtype with room for a mark above them, on the vertices outside
-    0's component; widen before adding), and is distances_from_0(g).  A
-    graph that is Cayley by construction may call distances_from_0 itself:
-    the ring checks do, and this function is their reference.
-    """
-    if g.vertex_count == 0:
-        raise ValueError("translation distances need V >= 1")
-    _check_translation_invariance(g, read)
-    return distances_from_0(g)
-
-
-def _check_translation_invariance(g: Graph, read) -> None:
-    """Raise NotTranslationInvariant unless adj[x, y] == read([x])[0, y] on
-    every pair, read a row block at a time: the V x V pass of
-    translation_distances."""
-    adj = g.adjacency
-    for rows in row_blocks(g.vertex_count):
-        block = np.asarray(read(rows))
-        if block.shape != adj[rows].shape:
-            raise ValueError("read(rows) must give V entries per row")
-        if not np.array_equal(block, adj[rows]):
-            raise NotTranslationInvariant(
-                "adjacency is not invariant under the given translations")
-
-
 def distances_from_0(g: Graph) -> np.ndarray:
-    """Hop distances from vertex 0, read-only, in translation_distances'
-    format: the depths of g's cached BFS forest on vertex 0's component,
-    whose BFS starts at 0, and the unreachable mark elsewhere.  Only the
-    caller knows whether d(x, y) = d0[x - y]: translation_distances checks
-    it, and a ring graph holds it by construction."""
+    """Hop distances from vertex 0, a read-only vector in the format of
+    all_pairs_distances: the depths of g's cached BFS forest on vertex 0's
+    component, whose BFS starts at 0, and the unreachable mark elsewhere.
+    On a Cayley graph d(x, y) = d0[x - y] (see distance_rows)."""
     _, label, depth, _ = _forest(g)
     reached = label == 0  # vertex 0 roots the first component's BFS
     dtype = _hop_dtype(int(depth.max(where=reached, initial=0)))
@@ -621,8 +594,26 @@ def _connected_diameter(d: np.ndarray, op: str) -> int:
     return diam
 
 
+def distance_rows(g: Graph):
+    """The function rows -> the len(rows) x V hop distances from the
+    vertices `rows` (a slice or a sequence of indices) to every vertex, in
+    the format of all_pairs_distances.
+
+    A Cayley graph (see Graph._cayley) has d(x, y) = d0[x - y], d0 =
+    distances_from_0(g): translation by -y is an automorphism.  Its rows are
+    d0 read at x - y by tri_ring.group_reader, whose window table is built
+    here, once per call, and no V x V array is formed.  Any other graph's
+    are rows of all_pairs_distances(g).  Not cached: a caller keeps the
+    function only while it reads rows."""
+    if g._group is not None:
+        return group_reader(g._group, distances_from_0(g))
+    d = all_pairs_distances(g)
+    return lambda rows: d[rows]
+
+
 def diameter(g: Graph) -> int:
-    return _connected_diameter(all_pairs_distances(g), "diameter")
+    d = all_pairs_distances(g) if g._group is None else distances_from_0(g)
+    return _connected_diameter(d, "diameter")
 
 
 def triametral_triple(g: Graph):
@@ -630,20 +621,17 @@ def triametral_triple(g: Graph):
 
     Exact maximum of d(u,v)+d(u,w)+d(v,w) over unordered triples.  Pairs
     that cannot beat the current best are skipped, and the search stops
-    as soon as the 3*diam upper bound is attained.
+    as soon as the 3*diam upper bound is attained.  On a Cayley graph only
+    the triples (0, b, c) are searched, reading the rows of distance_rows:
+    translation carries the lexicographically first triametral triple onto
+    one through 0.
     """
-    d = all_pairs_distances(g)
-    return _triametral_search(d, lambda x, s: d[x, s:], len(d) - 2)
-
-
-def cayley_triametral_triple(d0: np.ndarray, read):
-    """triametral_triple of a Cayley graph (see translation_distances) over
-    the triples (0, b, c) only: translation carries the lexicographically
-    first triametral triple onto one through 0.  read(rows) gives d0 read
-    at x - y for x in rows and every y (see tri_ring.difference_reader with
-    of=d0), so d(x, y) = read([x])[0, y]; only the rows the search reads
-    are formed."""
-    return _triametral_search(d0, lambda x, s: read(slice(x, x + 1))[0, s:], 1)
+    if g._group is None:
+        d = all_pairs_distances(g)
+        return _triametral_search(d, lambda x, s: d[x, s:], len(d) - 2)
+    read = distance_rows(g)
+    return _triametral_search(distances_from_0(g),
+                              lambda x, s: read(slice(x, x + 1))[0, s:], 1)
 
 
 def _triametral_search(d: np.ndarray, row, firsts: int):

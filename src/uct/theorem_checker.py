@@ -3,14 +3,13 @@ graphs of upper-triangular matrix rings, with re-checkable certificates.
 
 Every check takes a RingSpec, measures the built graph, compares against
 the claimed value, and returns a Verdict; the checks of one spec share
-one RingInstance, and a suite runs its specs one after another.  Ring
-checks read a table at x - y (d0, for the triameter) through
-tri_ring.difference_reader, whose window table is built once per table.
-A ring graph is Cayley by construction (unitary_cayley checks U = -U and
-0 not in U on its unit mask), so d0 is read off the components' BFS
-forest with no V x V translation-invariance pass.  Claims conditional on
-the field size are gated: the two-element-field claims raise WrongField
-for q > 2 and vice versa.
+one RingInstance, and a suite runs its specs one after another.  A ring
+graph is Cayley by construction (unitary_cayley checks U = -U and 0 not
+in U on its unit mask) and keeps its group, so its distances are the
+depths d0 of the components' BFS forest read at x - y
+(graph_core.distance_rows), with no V x V distance array.  Claims
+conditional on the field size are gated: the two-element-field claims
+raise WrongField for q > 2 and vice versa.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import json
 import random
 import time
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -28,14 +27,14 @@ from .constructors import (antipodal_hamming_direct, complete_graph,
                            semistrong_rows, unitary_cayley)
 from .errors import UctError, WrongField
 from .finite_field import is_prime
-from .graph_core import (ISO_ORACLE_CAP, bfs_forest, cayley_triametral_triple,
-                         complete_bipartite_parts, connected_components,
-                         distances_from_0, is_bipartite, is_complete_bipartite,
-                         iso_check, labeled_equal, largest_finite_distance,
-                         max_clique, row_blocks, row_counts)
-from .tri_ring import (DEFAULT_VERTEX_CAP, RingSpec, diagonal_slots,
-                       difference_reader, encode, entry_digit_matrix,
-                       from_parts, strict_upper_slots, unit_mask)
+from .graph_core import (ISO_ORACLE_CAP, bfs_forest, complete_bipartite_parts,
+                         connected_components, distance_rows, distances_from_0,
+                         is_bipartite, is_complete_bipartite, iso_check,
+                         labeled_equal, largest_finite_distance, max_clique,
+                         row_blocks, row_counts, triametral_triple)
+from .tri_ring import (DEFAULT_VERTEX_CAP, RingSpec, diagonal_slots, encode,
+                       entry_digit_matrix, from_parts, strict_upper_slots,
+                       unit_mask)
 
 
 @dataclass
@@ -67,14 +66,12 @@ class Verdict:
 class RingInstance:
     """One spec's unitary Cayley graph and the data derived from it, each
     built on first use and shared by the spec's checks.  An int spec is
-    the modulus of Z_n.  reader(t) is tri_ring.difference_reader of the
-    ring for a length-V table t, the function rows -> t read at x - y, and
-    the ring's distances are d(x, y) = d0[x - y]."""
+    the modulus of Z_n.  The graph keeps its group, so graph_core reads
+    its distances as d(x, y) = d0[x - y] (see graph_core.distance_rows)."""
 
     def __init__(self, spec, cap: int = DEFAULT_VERTEX_CAP):
         self.spec = RingSpec.integers_mod(spec) if isinstance(spec, int) else spec
         self.cap = cap
-        self.reader = partial(difference_reader, self.spec, cap=cap)
 
     @cached_property
     def graph(self):
@@ -88,15 +85,6 @@ class RingInstance:
     @cached_property
     def diagonal(self) -> np.ndarray:
         return self.digits[:, list(diagonal_slots(self.spec.n))]
-
-    @cached_property
-    def d0(self) -> np.ndarray:
-        """Hop distances from vertex 0, read-only: d(x, y) = d0[x - y]
-        (uint8 up to a diameter of 254); widen before adding them.  The
-        depths of the graph's cached BFS forest (graph_core.distances_from_0):
-        the graph is Cayley by construction, so the V x V invariance pass
-        of graph_core.translation_distances, its reference, is not run."""
-        return distances_from_0(self.graph)
 
 
 CHECKS = {}
@@ -219,7 +207,7 @@ def check_connectivity_and_diameter(ring: RingInstance):
     (diagonal avoiding both, zero off-diagonal) adjacent to both."""
     spec, g = ring.spec, ring.graph
     comps = connected_components(g)
-    diam = largest_finite_distance(ring.d0)
+    diam = largest_finite_distance(distances_from_0(g))
 
     certificate = {}
     adj = g.adjacency
@@ -250,9 +238,10 @@ def check_triameter(ring: RingInstance):
     """q > 2: the triameter is exactly 6.  Also verifies the diagonal-matrix
     witness triple diag(a,a,...), diag(a,b,...), diag(a,c,...) attains
     2+2+2."""
-    spec, d0 = ring.spec, ring.d0
-    distances = ring.reader(d0)  # distances([x])[0, y] = d(x, y)
-    value, triple = cayley_triametral_triple(d0, distances)
+    spec, g = ring.spec, ring.graph
+    value, triple = triametral_triple(g)
+    # built after the search's own reader is gone, so one window table at a time
+    distances = distance_rows(g)  # distances([x])[0, y] = d(x, y)
 
     a, b, c = 0, 1, 2
     d1 = _diagonal_matrix_encoding(spec, [a] * spec.n)

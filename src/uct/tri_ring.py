@@ -264,13 +264,6 @@ def window_digits(group, itemsize: int = 1) -> int:
     return low
 
 
-def difference_reader(spec: RingSpec, of=None, cap: int = DEFAULT_VERTEX_CAP):
-    """group_reader of the ring's (R, +) = spec.group: Z_m, or Z_p**D for
-    T_n(GF(p^k)) (D = k*n(n+1)/2 base-p digits, added digit-wise)."""
-    _check_order(spec, cap)
-    return group_reader(spec.group, of)
-
-
 def group_reader(group, of=None):
     """The function read(rows) over Z_m**count, group = (m, count), whose
     elements are encoded base m, first digit least significant: the

@@ -26,16 +26,16 @@ from uct import (DisconnectedGraph, Graph, GraphTooLarge,
                  complete_bipartite, complete_bipartite_parts, complete_graph,
                  connected_components, diameter, hamming_graph, is_bipartite,
                  is_complete_bipartite, iso_check, labeled_equal, max_clique,
-                 semistrong_product, translation_distances, triameter,
-                 triametral_triple, unitary_cayley)
+                 semistrong_product, triameter, triametral_triple,
+                 unitary_cayley)
 from uct import graph_core
-from uct.graph_core import (_all_sources_bfs, largest_finite_distance,
-                            twin_classes, two_coloring)
+from uct.graph_core import (_all_sources_bfs, distances_from_0,
+                            largest_finite_distance, twin_classes,
+                            two_coloring)
 from uct.graphio import (dump_json, from_json_envelope, read_edge_list,
                          to_dot, to_edge_list, to_json_envelope)
 from uct.theorem_checker import RingInstance
-from uct.tri_ring import (diagonal_slots, difference_reader,
-                          entry_digit_matrix)
+from uct.tri_ring import diagonal_slots, entry_digit_matrix
 
 
 def path_graph(n):
@@ -518,7 +518,8 @@ def test_distances_take_one_byte_per_pair():
     assert d.dtype == np.uint8 and d.nbytes == 4096 * 4096
     ring = RingInstance(RingSpec.parse("tri:2,3,2"))
     v = ring.graph.vertex_count
-    assert ring.d0.dtype == np.uint8 and ring.d0.shape == (v,)
+    d0 = distances_from_0(ring.graph)
+    assert d0.dtype == np.uint8 and d0.shape == (v,)
 
 
 def test_per_source_route_holds_no_float_matrix():
@@ -557,9 +558,10 @@ def test_neighbor_masks_pack_one_row_block_at_a_time(monkeypatch):
 
 
 def test_level_route_unpacks_its_bit_planes_in_row_blocks():
-    """H(12, 2): a 16.8 MB uint8 result whose four bit planes are unpacked
-    a row block at a time, not as whole 4096 x 4096 arrays (63 MB peak)."""
-    g = hamming_graph(12, 2)
+    """H(12, 2), read as a plain adjacency so that it takes the level BFS:
+    a 16.8 MB uint8 result whose four bit planes are unpacked a row block
+    at a time, not as whole 4096 x 4096 arrays (63 MB peak)."""
+    g = Graph(hamming_graph(12, 2).adjacency)
     graph_core._forest(g)  # the forest behind the level bound
     tracemalloc.start()
     try:
@@ -865,10 +867,11 @@ def test_neighbour_lists_match_scipy(adj, block_entries):
 
 
 def test_dense_traversals_build_no_sparse_form(monkeypatch):
-    """Components, the two-coloring, the complete-bipartite test and the
-    Cayley BFS from 0 read the dense rows only.  all_pairs_distances builds
-    the neighbour lists once on either route, and only the per-source
-    route wraps them in a scipy matrix."""
+    """Components, the two-coloring, the complete-bipartite test and every
+    distance of a Cayley graph (read off its BFS from 0) read the dense
+    rows only.  all_pairs_distances builds the neighbour lists once on
+    either generic route, and only the per-source route wraps them in a
+    scipy matrix."""
     lists, matrices = [], []
     neighbours = graph_core._neighbours
 
@@ -891,11 +894,11 @@ def test_dense_traversals_build_no_sparse_form(monkeypatch):
         assert not lists and not matrices
         all_pairs_distances(g)
         assert len(lists) == 1 and len(matrices) == per_source
-    spec = RingSpec.parse("tri:2,3,1")
-    g = unitary_cayley(spec)
+    g = unitary_cayley(RingSpec.parse("tri:2,3,1"))
     lists.clear()
     matrices.clear()
-    translation_distances(g, difference_reader(spec, g.adjacency[0]))
+    all_pairs_distances(g)
+    triametral_triple(g)
     connected_components(g)
     two_coloring(g)
     is_complete_bipartite(g)

@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import uct.cli as cli
 import uct.constructors as constructors
 import uct.graph_core as graph_core
 import uct.theorem_checker as tc
@@ -312,9 +313,9 @@ def test_suite_builds_each_graph_once_and_difference_rows_by_block(monkeypatch):
     gets one group_reader, so one window table, and every x - y row the
     suite forms comes one row block at a time: no read asks for more
     entries than _ROW_BLOCK_ENTRIES (3 rows of T23's 27 vertices here).
-    Every reader is counted: the ring's, through difference_reader, and
-    the Cayley builds', which include A(H(n, q)) for theorem3 and for the
-    quotient check."""
+    Every reader is counted: the distances', through
+    graph_core.distance_rows, and the Cayley builds', which include
+    A(H(n, q)) for theorem3 and for the quotient check."""
     graphs, tables, entries = [], [], []
 
     def counting_graphs(spec, cap):
@@ -336,28 +337,37 @@ def test_suite_builds_each_graph_once_and_difference_rows_by_block(monkeypatch):
     monkeypatch.setattr(tc, "unitary_cayley", counting_graphs)
     monkeypatch.setattr(tri_ring, "group_reader", counting_reader)
     monkeypatch.setattr(constructors, "group_reader", counting_reader)
+    monkeypatch.setattr(graph_core, "group_reader", counting_reader)
     verdicts = run_suite([T23, T22])
     assert all(v.passed for v in verdicts)
     assert graphs == ["tri:2,3,1", "tri:2,2,1"]
-    # T23's unit mask and d0, then A(H(2, 3)) over Z_3^2 for theorem3 and
-    # for the quotient check; T22's unit mask and A(H(2, 2)) for the
-    # quotient check.  Adjacency row 0 is not read: d0 needs no
-    # translation-invariance pass on a ring graph.
-    assert tables == [((3, 3), "bool"), ((3, 3), "uint8"), ((3, 2), "bool"),
-                      ((3, 2), "bool"), ((2, 3), "bool"), ((2, 2), "bool")]
+    # T23's unit mask; d0 for triametral_triple's search and again, after
+    # that reader is gone, for the triameter check's witness reads; then
+    # A(H(2, 3)) over Z_3^2 for theorem3 and for the quotient check; T22's
+    # unit mask and A(H(2, 2)) for the quotient check.  Adjacency row 0 is
+    # not read: a ring graph is Cayley by construction.
+    assert tables == [((3, 3), "bool"), ((3, 3), "uint8"), ((3, 3), "uint8"),
+                      ((3, 2), "bool"), ((3, 2), "bool"), ((2, 3), "bool"),
+                      ((2, 2), "bool")]
     assert len(entries) > 2 * 27 // 3 and max(entries) <= 3 * 27
 
 
-def test_ring_path_runs_no_dense_symmetry_or_invariance_pass(monkeypatch):
-    """The ring graph is proved simple from its unit mask and d0 read off
-    the BFS forest: no symmetry check of a ring-sized adjacency and no
-    translation-invariance pass, on a q = 2 and a q > 2 spec.  (Of the
-    comparison graphs of theorem3 and the quotient check, A(H(n, q)) is a
-    Cayley graph too, and K_m and the quotient, of m and q^n vertices,
-    keep their symmetry check; T33's 729 vertices are above the
-    isomorphism oracle's cap, so no product graph of the ring's size is
-    built.)"""
+def test_ring_path_runs_no_dense_symmetry_or_invariance_pass(monkeypatch,
+                                                            capsys):
+    """The ring graph is proved simple from its unit mask and its distances
+    are read off the BFS forest at x - y: the suite on a q = 2 and a q > 2
+    spec and `uct invariants` on the q > 2 one run no symmetry check of a
+    ring-sized adjacency, never enter either generic all-pairs route, and
+    leave no V x V distance array cached on a ring graph.  all_pairs_distances
+    of H(12, 2), a Cayley graph too, enters neither generic route either.
+    (Of the comparison graphs of theorem3 and the quotient check,
+    A(H(n, q)) is a Cayley graph too, and K_m and the quotient, of m and
+    q^n vertices, keep their symmetry check; T33's 729 vertices are above
+    the isomorphism oracle's cap, so no product graph of the ring's size
+    is built.)"""
     real_symmetric = graph_core._is_symmetric
+    real_graph = constructors.unitary_cayley
+    ring_graphs = []
 
     def refuse_ring_sized(adj):
         if len(adj) in (T32.order, T33.order):
@@ -365,13 +375,24 @@ def test_ring_path_runs_no_dense_symmetry_or_invariance_pass(monkeypatch):
         return real_symmetric(adj)
 
     def refuse(*args):
-        raise AssertionError("translation-invariance pass")
+        raise AssertionError("generic all-pairs distances")
+
+    def kept_graphs(spec, cap):
+        ring_graphs.append(real_graph(spec, cap))
+        return ring_graphs[-1]
     monkeypatch.setattr(graph_core, "_is_symmetric", refuse_ring_sized)
-    monkeypatch.setattr(graph_core, "_check_translation_invariance", refuse)
+    monkeypatch.setattr(graph_core, "_all_sources_bfs", refuse)
+    monkeypatch.setattr(graph_core, "_per_source_distances", refuse)
+    monkeypatch.setattr(tc, "unitary_cayley", kept_graphs)
+    monkeypatch.setattr(cli, "unitary_cayley", kept_graphs)
     verdicts = run_suite([T32, T33])
     assert len(verdicts) == 12 and all(v.passed for v in verdicts)
-    ring = tc.RingInstance(T33)
-    assert int(ring.d0.max()) == 2
+    assert cli.main(["invariants", "--spec", str(T33)]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert result["diameter"] == 2 and result["triameter"] == 6
+    assert len(ring_graphs) == 3
+    assert not any("dist" in g._cache for g in ring_graphs)
+    assert all_pairs_distances(hamming_graph(12, 2)).max() == 12
 
 
 def test_hamming_builders_run_no_dense_symmetry_pass(monkeypatch):
@@ -475,7 +496,8 @@ def test_ring_checks_hold_one_row_block_at_a_time(monkeypatch):
     monkeypatch.setattr(graph_core, "_ROW_BLOCK_ENTRIES", 1 << 16)
     ring = tc.RingInstance(RingSpec.parse("tri:3,2,2"))
     v = ring.graph.vertex_count
-    assert ring.d0.shape == (v,) and ring.diagonal.shape == (v, 3)
+    d0 = graph_core.distances_from_0(ring.graph)
+    assert d0.shape == (v,) and ring.diagonal.shape == (v, 3)
     for name, bound in (("prop1", v * v / 4), ("connectivity", v * v / 4),
                         ("triameter", v * v / 4), ("theorem3", v * v / 4)):
         tracemalloc.start()

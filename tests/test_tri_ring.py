@@ -17,7 +17,7 @@ from uct import (DimensionMismatch, FieldTooLarge, RingSpec, RingTooLarge,
 from uct.finite_field import power_exceeds
 from uct.theorem_checker import check_prop0
 from uct.tri_ring import (DEFAULT_VERTEX_CAP, diagonal_slots,
-                          difference_reader, entry_digit_matrix,
+                          entry_digit_matrix, group_reader,
                           strict_upper_slots, tuple_codes, unit_mask,
                           upper_positions, window_digits)
 
@@ -210,14 +210,14 @@ def test_enumerate_ring_decodes_every_encoding(text):
 
 @pytest.mark.parametrize("text", ALL_TRI_SPECS + ["tri:2,17,1"])
 def test_difference_codes_match_mat_sub(text):
-    """difference_reader's codes against mat_sub on the TriMatrix values,
-    every column: every row up to 256 elements, else the first, second,
-    middle and last rows and four more."""
+    """group_reader's codes of (R, +) against mat_sub on the TriMatrix
+    values, every column: every row up to 256 elements, else the first,
+    second, middle and last rows and four more."""
     spec = RingSpec.parse(text)
     v = spec.order
     rows = (range(v) if v <= 256 else
             sorted({0, 1, v // 2, v - 1, *random.Random(v).sample(range(v), 4)}))
-    diff = difference_reader(spec)(rows)
+    diff = group_reader(spec.group)(rows)
     assert diff.dtype == np.min_scalar_type(v - 1)
     assert diff.shape == (len(rows), v)
     elems = enumerate_ring(spec)
@@ -250,19 +250,19 @@ def test_prop0_unit_count_is_the_definitional_count(text):
 
 @pytest.mark.parametrize("text", ALL_TRI_SPECS)
 def test_difference_codes_match_entrywise_sub_table(text):
-    """Every row of difference_reader's codes, asked for as np.arange(V)
+    """Every row of group_reader's codes of (R, +), asked for as np.arange(V)
     and as one slice, against the entrywise reference."""
     spec = RingSpec.parse(text)
     want = entrywise_difference_codes(spec).astype(np.min_scalar_type(spec.order - 1))
     for rows in (np.arange(spec.order), slice(None)):
-        diff = difference_reader(spec)(rows)
+        diff = group_reader(spec.group)(rows)
         assert diff.dtype == want.dtype and diff.tobytes() == want.tobytes()
 
 
 def test_difference_codes_zn():
     for m, dtype in [(12, np.uint8), (256, np.uint8), (257, np.uint16),
                      (4093, np.uint16)]:
-        diff = difference_reader(RingSpec.integers_mod(m))(np.arange(m))
+        diff = group_reader(RingSpec.integers_mod(m).group)(np.arange(m))
         idx = np.arange(m, dtype=np.int64)
         assert diff.dtype == dtype
         assert np.array_equal(diff, np.subtract.outer(idx, idx) % m)
@@ -274,20 +274,20 @@ def test_difference_rows_in_any_order(text):
     asked for; no rows give a 0 x V array."""
     spec = RingSpec.parse(text)
     v = spec.order
-    table = difference_reader(spec)(range(v))
+    table = group_reader(spec.group)(range(v))
     rows = [v - 1, 0, 3, 3, 1, v - 1, 2]
-    assert np.array_equal(difference_reader(spec)(rows), table[rows])
-    assert np.array_equal(difference_reader(spec)(np.array(rows[::-1])),
+    assert np.array_equal(group_reader(spec.group)(rows), table[rows])
+    assert np.array_equal(group_reader(spec.group)(np.array(rows[::-1])),
                           table[rows[::-1]])
     for empty in ([], np.array([], dtype=np.int64), slice(0, 0)):
-        diff = difference_reader(spec)(empty)
+        diff = group_reader(spec.group)(empty)
         assert diff.shape == (0, v) and diff.dtype == table.dtype
 
 
 @pytest.mark.parametrize("text", ["zn:2", "zn:3", "zn:12", "zn:256", "zn:257",
                                   "zn:4093", *ALL_TRI_SPECS, "tri:2,17,1"])
 def test_difference_rows_of_table(text):
-    """difference_reader(spec, t)(rows) is t read at the difference codes,
+    """group_reader(spec.group, t)(rows) is t read at the difference codes,
     in t's dtype, for bool, uint8 and uint16 tables and rows asked for as
     slices, unsorted and repeated arrays and no rows at all.  The specs
     include digit splits inside one entry's k digits and halves of one
@@ -302,8 +302,8 @@ def test_difference_rows_of_table(text):
                 rng.integers(0, v, 17), [], slice(0, 0))
     for t in tables:
         for rows in row_sets:
-            got = difference_reader(spec, t)(rows)
-            want = t[difference_reader(spec)(rows)]
+            got = group_reader(spec.group, t)(rows)
+            want = t[group_reader(spec.group)(rows)]
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want), (text, t.dtype, rows)
 
@@ -313,7 +313,7 @@ def test_difference_rows_of_wrong_length_raises(text):
     spec = RingSpec.parse(text)
     for size in (spec.order - 1, spec.order + 1, 0):
         with pytest.raises(ValueError):
-            difference_reader(spec, np.zeros(size, dtype=bool))(slice(None))
+            group_reader(spec.group, np.zeros(size, dtype=bool))(slice(None))
 
 
 @pytest.mark.parametrize("rows", [[-1], [0, 27], [27], np.array([[0, 1]]),
@@ -325,8 +325,8 @@ def test_difference_rows_outside_the_ring_raise(rows):
     dtype are rejected, so no code outside 0..V-1 reaches a reader."""
     spec = RingSpec.parse("tri:2,3,1")
     with pytest.raises(ValueError):
-        difference_reader(spec)(rows)
-    read = difference_reader(spec, np.zeros(spec.order, dtype=bool))
+        group_reader(spec.group)(rows)
+    read = group_reader(spec.group, np.zeros(spec.order, dtype=bool))
     with pytest.raises(ValueError):
         read(rows)
 
@@ -359,7 +359,7 @@ def test_window_table_stays_within_its_bound(text):
     assert spec.group == (m, count) and m ** count == v
     for t in (np.zeros(v, dtype=bool), np.zeros(v, dtype=np.uint16)):
         low = window_digits((m, count), t.itemsize)
-        table = difference_reader(spec, t).table
+        table = group_reader(spec.group, t).table
         assert table.dtype == t.dtype
         if low == 1:
             assert table.size == v // m * (2 * m - 1)
@@ -375,7 +375,7 @@ def test_reader_builds_its_window_table_once(monkeypatch):
     time, far below the 1 MB table, which a rebuild per block would add."""
     monkeypatch.setattr(graph_core, "_ROW_BLOCK_ENTRIES", 1 << 16)
     spec = RingSpec.parse("tri:3,2,2")
-    read = difference_reader(spec, unit_mask(spec))
+    read = group_reader(spec.group, unit_mask(spec))
     assert read.table.nbytes == spec.order * 2 ** 8
     blocks = graph_core.row_blocks(spec.order)
     tracemalloc.start()
@@ -397,7 +397,7 @@ def test_difference_codes_peak_memory():
     spec = RingSpec.parse("tri:3,2,2")
     tracemalloc.start()
     try:
-        diff = difference_reader(spec)(graph_core.row_blocks(spec.order)[1])
+        diff = group_reader(spec.group)(graph_core.row_blocks(spec.order)[1])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
