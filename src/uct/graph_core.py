@@ -174,7 +174,7 @@ class Graph:
         return self._cache["degrees"]
 
     def edge_count(self) -> int:
-        return int(np.count_nonzero(self._adj)) // 2
+        return int(self.degrees().sum()) // 2
 
     def edges(self):
         """Iterate edges as (u, v) with u < v, in row-major order."""

@@ -86,6 +86,11 @@ class RingInstance:
     def diagonal(self) -> np.ndarray:
         return self.digits[:, list(diagonal_slots(self.spec.n))]
 
+    @cached_property
+    def antipodal_hamming(self):
+        """A(H(n, q)): theorem3's second factor and the quotient's reference."""
+        return antipodal_hamming_direct(self.spec.n, self.spec.q, self.cap)
+
 
 CHECKS = {}
 CLAIM_IDS = {}
@@ -204,28 +209,23 @@ def check_theorem1(ring: RingInstance):
 def check_connectivity_and_diameter(ring: RingInstance):
     """q > 2: the graph is connected with diameter exactly 2.  The
     certificate carries one non-adjacent pair and an explicit midpoint
-    (diagonal avoiding both, zero off-diagonal) adjacent to both."""
+    (diagonal avoiding both, zero off-diagonal) adjacent to both: 0 and its
+    first non-neighbour, the first such pair of a vertex-transitive graph."""
     spec, g = ring.spec, ring.graph
     comps = connected_components(g)
     diam = largest_finite_distance(distances_from_0(g))
 
     certificate = {}
     adj = g.adjacency
-    witness = None
-    for u in range(g.vertex_count):
-        others = np.nonzero(~adj[u])[0]
-        others = others[others > u]
-        if others.size:
-            witness = (u, int(others[0]))
-            break
-    if witness is not None:
-        da, db = ring.diagonal[witness[0]], ring.diagonal[witness[1]]
+    if not adj[0, 1:].all():
+        w = int(np.argmin(adj[0, 1:])) + 1
+        da, db = ring.diagonal[0], ring.diagonal[w]
         free = [next(e for e in range(spec.q) if e not in xy) for xy in zip(da, db)]
         mid = _diagonal_matrix_encoding(spec, free)
         certificate = {
-            "nonadjacent_pair": list(witness),
+            "nonadjacent_pair": [0, w],
             "midpoint": mid,
-            "midpoint_adjacent_to_both": bool(adj[mid, witness[0]] and adj[mid, witness[1]]),
+            "midpoint_adjacent_to_both": bool(adj[mid, 0] and adj[mid, w]),
         }
     expected = {"components": 1, "diameter": 2, "midpoint_ok": True}
     computed = {"components": len(comps), "diameter": diam,
@@ -264,14 +264,21 @@ def check_triameter(ring: RingInstance):
 @_check("clique", "clique.value")
 def check_clique(ring: RingInstance):
     """The clique number equals q: the q scalar matrices diag(a,...,a) are
-    pairwise adjacent (lower bound) and exact search finds nothing larger."""
+    pairwise adjacent, and no edge joins two vertices with the same first
+    diagonal entry (every pair checked), so those q classes cap omega at q.
+    Only if either fails does exact search (max_clique) decide."""
     spec, g = ring.spec, ring.graph
     q = spec.q
     scalars = [_diagonal_matrix_encoding(spec, [a] * spec.n) for a in range(q)]
     adj = g.adjacency
     scalars_adjacent = all(adj[x, y] for i, x in enumerate(scalars)
                            for y in scalars[i + 1:])
-    found = max_clique(g)
+    d1, independent = ring.diagonal[:, 0], True
+    for s in row_blocks(len(adj)):
+        eq = d1[s, None] == d1
+        eq &= adj[s]
+        independent &= not eq.any()
+    found = scalars if scalars_adjacent and independent else max_clique(g)
     expected = {"clique_number": q, "scalar_clique_ok": True}
     computed = {"clique_number": len(found), "scalar_clique_ok": scalars_adjacent}
     return expected, computed, {"scalar_clique": scalars, "found_clique": found}
@@ -302,7 +309,7 @@ def check_theorem3(ring: RingInstance, seed: int):
     spec, g, cap = ring.spec, ring.graph, ring.cap
     q, n = spec.q, spec.n
     m = q ** (n * (n - 1) // 2)
-    factors = complete_graph(m, cap), antipodal_hamming_direct(n, q, cap)
+    factors = complete_graph(m, cap), ring.antipodal_hamming
     rows = semistrong_rows(*factors)
     perm = theorem3_relabeling(ring)
     v = g.vertex_count
@@ -350,9 +357,8 @@ def check_quotient(ring: RingInstance):
     """The diagonal-class quotient equals the direct all-coordinates-differ
     Hamming companion, vertex for vertex (any q, including q = 2, where
     both are perfect matchings)."""
-    spec, cap = ring.spec, ring.cap
-    quotient = diagonal_quotient(spec, cap)
-    direct = antipodal_hamming_direct(spec.n, spec.q, cap)
+    quotient = diagonal_quotient(ring.spec, ring.cap)
+    direct = ring.antipodal_hamming
     equal = labeled_equal(quotient, direct) and quotient.labels == direct.labels
     return ({"labeled_equal": True}, {"labeled_equal": bool(equal)},
             {"vertices": quotient.vertex_count})

@@ -174,7 +174,7 @@ def test_field_axioms_exhaustive(p, k):
 
 @pytest.mark.parametrize("p,k", ALL_Q_UP_TO_64)
 def test_addition_is_digitwise_mod_p(p, k):
-    """The encoding contract tri_ring.difference_reader rests on: add and
+    """The encoding contract tri_ring.group_reader rests on: add and
     subtract act on the base-p digits of the indices one by one, mod p."""
     f = cached_field(p, k)
     for a in range(f.q):

@@ -34,7 +34,7 @@ from uct.graph_core import (_all_sources_bfs, distances_from_0,
                             two_coloring)
 from uct.graphio import (dump_json, from_json_envelope, read_edge_list,
                          to_dot, to_edge_list, to_json_envelope)
-from uct.theorem_checker import RingInstance
+from uct.theorem_checker import RingInstance, _diagonal_matrix_encoding
 from uct.tri_ring import diagonal_slots, entry_digit_matrix
 
 
@@ -661,9 +661,15 @@ def first_fit_clique(g):
 def test_max_clique_of_a_ring_graph_is_its_first_fit_clique(text):
     """The found_clique bytes of the clique verdict: on every ring graph
     max_clique returns the first-fit clique from 0 (the q scalar matrices
-    of T_n(GF(q)), 0..p-1 in Z_n for the least prime factor p of n)."""
-    g = unitary_cayley(RingSpec.parse(text))
-    assert max_clique(g) == first_fit_clique(g)
+    of T_n(GF(q)), which the clique check reports without a search, and
+    0..p-1 in Z_n for the least prime factor p of n)."""
+    spec = RingSpec.parse(text)
+    g = unitary_cayley(spec)
+    found = max_clique(g)
+    assert found == first_fit_clique(g)
+    if spec.kind == "tri":
+        assert found == [_diagonal_matrix_encoding(spec, [a] * spec.n)
+                         for a in range(spec.q)]
 
 
 def test_max_clique_is_a_clique():

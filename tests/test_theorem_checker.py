@@ -14,6 +14,7 @@ import uct.constructors as constructors
 import uct.graph_core as graph_core
 import uct.theorem_checker as tc
 import uct.tri_ring as tri_ring
+from test_tri_ring import ALL_TRI_SPECS
 from uct import (RingSpec, WrongField, all_pairs_distances,
                  antipodal_hamming_direct, check_clique,
                  check_connectivity_and_diameter, check_prop0, check_prop1,
@@ -82,6 +83,19 @@ def test_connectivity_midpoint_certificate_re_verifies():
     assert g.adjacency[mid, a] and g.adjacency[mid, b]
 
 
+@pytest.mark.parametrize("text", [t for t in ALL_TRI_SPECS
+                                  if RingSpec.parse(t).q > 2] + ["tri:2,11,1"])
+def test_connectivity_witness_is_the_first_nonadjacent_pair(text):
+    """The pair read from row 0 is the one a scan of every row u for a
+    non-neighbour above u finds first."""
+    spec = RingSpec.parse(text)
+    adj = unitary_cayley(spec).adjacency
+    first = next((u, int(w)) for u in range(len(adj))
+                 for w in np.flatnonzero(~adj[u]) if w > u)
+    v = check_connectivity_and_diameter(spec)
+    assert v.passed and v.certificate["nonadjacent_pair"] == list(first)
+
+
 def test_connectivity_requires_q_above_2():
     with pytest.raises(WrongField):
         check_connectivity_and_diameter(T22)
@@ -116,6 +130,44 @@ def test_clique_number_is_field_size(spec, omega):
     for i, x in enumerate(scalars):
         for y in scalars[i + 1:]:
             assert g.adjacency[x, y]
+
+
+def test_ring_clique_check_runs_no_clique_search(monkeypatch):
+    """The scalar clique and the first-diagonal-entry classes certify
+    omega = q: the suite never calls max_clique or builds bitset masks."""
+    def refuse(*args):
+        raise AssertionError("clique search on a ring graph")
+    monkeypatch.setattr(tc, "max_clique", refuse)
+    monkeypatch.setattr(Graph, "neighbor_masks", refuse)
+    verdicts = run_suite([T32, T33, RingSpec.parse("tri:3,2,2")])
+    assert len(verdicts) == 19 and all(v.passed for v in verdicts)
+
+
+@pytest.mark.parametrize("spec", [T23, T33])
+@pytest.mark.parametrize("mutation", ["edge_inside_a_class", "scalar_edge_dropped"])
+def test_clique_check_falls_back_to_exact_search(monkeypatch, spec, mutation):
+    """An edge from 0 to the first other vertex of its first-diagonal-entry
+    class, or no edge between the scalars diag(1, ...) and diag(2, ...):
+    one witness fails, so max_clique runs once and its clique is reported."""
+    ring = tc.RingInstance(spec)
+    adj = ring.graph.adjacency.copy()
+    if mutation == "edge_inside_a_class":
+        u, w = 0, int(np.flatnonzero(ring.diagonal[:, 0] == 0)[1])
+    else:
+        u, w = (tc._diagonal_matrix_encoding(spec, [a] * spec.n) for a in (1, 2))
+    adj[u, w] = adj[w, u] = mutation == "edge_inside_a_class"
+    mutated, calls = Graph(adj), []
+
+    def counted(g):
+        calls.append(g)
+        return graph_core.max_clique(g)
+    monkeypatch.setattr(tc, "unitary_cayley", lambda spec, cap: mutated)
+    monkeypatch.setattr(tc, "max_clique", counted)
+    v = check_clique(spec)
+    assert calls == [mutated]
+    expected = graph_core.max_clique(mutated)
+    assert v.computed["clique_number"] == len(expected)
+    assert v.certificate["found_clique"] == expected
 
 
 @pytest.mark.parametrize("spec,m,vertices", [(T23, 3, 27), (T24, 4, 64),
@@ -315,7 +367,7 @@ def test_suite_builds_each_graph_once_and_difference_rows_by_block(monkeypatch):
     entries than _ROW_BLOCK_ENTRIES (3 rows of T23's 27 vertices here).
     Every reader is counted: the distances', through
     graph_core.distance_rows, and the Cayley builds', which include
-    A(H(n, q)) for theorem3 and for the quotient check."""
+    A(H(n, q)), shared by theorem3 and the quotient check."""
     graphs, tables, entries = [], [], []
 
     def counting_graphs(spec, cap):
@@ -343,12 +395,11 @@ def test_suite_builds_each_graph_once_and_difference_rows_by_block(monkeypatch):
     assert graphs == ["tri:2,3,1", "tri:2,2,1"]
     # T23's unit mask; d0 for triametral_triple's search and again, after
     # that reader is gone, for the triameter check's witness reads; then
-    # A(H(2, 3)) over Z_3^2 for theorem3 and for the quotient check; T22's
-    # unit mask and A(H(2, 2)) for the quotient check.  Adjacency row 0 is
-    # not read: a ring graph is Cayley by construction.
+    # A(H(2, 3)) over Z_3^2, built once for theorem3 and the quotient check;
+    # T22's unit mask and A(H(2, 2)) for the quotient check.  Adjacency row
+    # 0 is not read: a ring graph is Cayley by construction.
     assert tables == [((3, 3), "bool"), ((3, 3), "uint8"), ((3, 3), "uint8"),
-                      ((3, 2), "bool"), ((3, 2), "bool"), ((2, 3), "bool"),
-                      ((2, 2), "bool")]
+                      ((3, 2), "bool"), ((2, 3), "bool"), ((2, 2), "bool")]
     assert len(entries) > 2 * 27 // 3 and max(entries) <= 3 * 27
 
 
@@ -492,14 +543,17 @@ def test_ring_checks_hold_one_row_block_at_a_time(monkeypatch):
     """With blocks of 16 rows and the graph, d0 and diagonal digits built,
     prop1, connectivity, the triameter and theorem3 each hold less than a
     quarter of a V x V bool array: theorem3 reads the product through its
-    row rule and builds no product graph above the oracle's cap."""
+    row rule and builds no product graph above the oracle's cap.  The
+    clique check holds less than a sixteenth, where bitset masks of every
+    row would take an eighth."""
     monkeypatch.setattr(graph_core, "_ROW_BLOCK_ENTRIES", 1 << 16)
     ring = tc.RingInstance(RingSpec.parse("tri:3,2,2"))
     v = ring.graph.vertex_count
     d0 = graph_core.distances_from_0(ring.graph)
     assert d0.shape == (v,) and ring.diagonal.shape == (v, 3)
     for name, bound in (("prop1", v * v / 4), ("connectivity", v * v / 4),
-                        ("triameter", v * v / 4), ("theorem3", v * v / 4)):
+                        ("triameter", v * v / 4), ("theorem3", v * v / 4),
+                        ("clique", v * v / 16)):
         tracemalloc.start()
         try:
             verdict = tc._measure(name, ring)
