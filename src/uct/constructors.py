@@ -2,19 +2,18 @@
 
 Vertex order is always the canonical encoding order of the underlying
 objects (ring elements, tuples, product pairs), so structural claims can
-be tested as labeled-graph equality instead of isomorphism search.  Every
-builder passes Graph.from_rows a rule for a block of rows, so none holds
-an adjacency array of its own.
+be tested as labeled-graph equality instead of isomorphism search.  No
+builder holds an adjacency array of its own.
 Tuples are encoded base-q with the first coordinate least significant,
 matching the matrix entry encoding in tri_ring.  Ring graphs and H(n, q)
 and its antipodal graph A(H(n, q)) are Cayley graphs of a group Z_m**count
-and are built from that definition by one builder, _cayley_graph: a mask
-over the elements (the units of R; the tuples with 1 or with all n digits
-nonzero), read at x - y a row block at a time by one tri_ring.group_reader,
-a gather of contiguous chunks of its window table.  The mask is checked
-to miss 0 and to be closed under negation, which makes the graph simple
-with no V x V pass.  The product's rule, semistrong_rows, reads any rows
-without building the product.
+and are built from that definition by Graph._cayley from a mask over the
+elements (the units of R; the tuples with 1 or with all n digits
+nonzero), which it proves simple in O(V) and keeps: their adjacency is
+read at x - y by one tri_ring.group_reader on its first read, and their
+edge counts and labeled comparisons come from the mask.  The other
+builders pass Graph.from_rows a rule for a block of rows; the product's
+rule, semistrong_rows, reads any rows without building the product.
 Labels (digit tuples "d0,d1,...", indices, "g|h" pairs) are passed as a
 callable, so they are made and formatted on their first read, not when
 the graph is built.
@@ -30,36 +29,16 @@ from .errors import GraphTooLarge
 from .graph_core import Graph, deferred_labels
 from .finite_field import power_exceeds
 from .tri_ring import (DEFAULT_VERTEX_CAP, RingSpec, entry_digit_matrix,
-                       group_reader, tuple_codes, unit_mask)
+                       tuple_codes, unit_mask)
 
 
 def _digit_labels(digits: np.ndarray) -> list:
     return [",".join(map(str, row)) for row in digits.tolist()]
 
 
-def _cayley_graph(group, mask, labels, cap: int) -> Graph:
-    """Cay(Z_m**count, S) for group = (m, count) and S the elements where
-    the boolean `mask` over the base-m encodings (first digit least
-    significant) is set: edge xy iff mask[x - y], read a row block at a
-    time by one tri_ring.group_reader.  Two O(V) facts make it simple, and
-    are checked before any row is filled: mask[0] is False (no loops), and
-    row 0 of the reader, mask[-y], equals mask[y] (S = -S, so adj[x, y] =
-    mask[x - y] = mask[y - x]).  A mask that fails either raises
-    ValueError, and Graph's V x V loop and symmetry checks are skipped.
-    The graph keeps its group (see Graph._cayley), so its distances are
-    read off the BFS from 0 at x - y (see graph_core.distance_rows)."""
-    if mask[0]:
-        raise ValueError("the mask holds 0: loops are not allowed")
-    read = group_reader(group, mask)
-    if not np.array_equal(read(slice(0, 1))[0], mask):
-        raise ValueError("the mask is not closed under negation: "
-                         "adjacency must be symmetric")
-    return Graph._cayley(group, read, labels, cap)
-
-
 def unitary_cayley(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     """The unitary Cayley graph of the ring: vertices in canonical encoding
-    order, edge xy iff x - y is a unit.  It is _cayley_graph of (R, +) =
+    order, edge xy iff x - y is a unit.  It is Graph._cayley of (R, +) =
     spec.group with tri_ring.unit_mask, so the unit rule (gcd for Z_n, a
     nonzero determinant for T_n) is evaluated once per element, not once
     per pair.  check_prop1 and check_theorem3 compare the triangular
@@ -67,7 +46,7 @@ def unitary_cayley(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     def labels():
         return (range(spec.modulus) if spec.kind == "zn"
                 else _digit_labels(entry_digit_matrix(spec, cap)))
-    return _cayley_graph(spec.group, unit_mask(spec, cap), labels, cap)
+    return Graph._cayley(spec.group, unit_mask(spec, cap), labels, cap)
 
 
 def hamming_graph(length: int, q: int, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
@@ -84,12 +63,12 @@ def antipodal_hamming_direct(n: int, q: int, cap: int = DEFAULT_VERTEX_CAP) -> G
 
 def _differ_graph(n: int, q: int, count: int, cap: int) -> Graph:
     """The n-tuples over 0..q-1, adjacent iff they differ in exactly `count`
-    coordinates: _cayley_graph of Z_q**n with the mask "exactly `count`
+    coordinates: Graph._cayley of Z_q**n with the mask "exactly `count`
     nonzero digits", since x_j - y_j is nonzero in Z_q exactly when
     x_j != y_j, for every q, prime or not."""
     _tuple_count(n, q, cap)
     weight = np.count_nonzero(tuple_codes(n, q), axis=1)
-    return _cayley_graph((q, n), weight == count,
+    return Graph._cayley((q, n), weight == count,
                          lambda: _digit_labels(tuple_codes(n, q)), cap)
 
 

@@ -1,11 +1,18 @@
 """Immutable dense simple graphs and exact invariant algorithms.
 
-Every Graph is built one way (Graph.from_rows): a row block at a time into
-an array no caller holds, so builders pass a row rule and Graph(a) copies
-a.  Every Graph is then checked for loops and symmetry, except the Cayley
-graphs of constructors._cayley_graph (ring graphs, H(n, q) and A(H(n, q))),
-which proves both from its connection-set mask in O(V) and keeps its
-group (see Graph._cayley).  Symmetry is checked one 256 x 256 tile pair at
+A Graph is built one of two ways.  Graph.from_rows (and Graph(a), which
+copies a) writes a row block at a time into an array no caller holds, so
+builders pass a row rule, and checks it for loops and symmetry.
+Graph._cayley builds a Cayley graph of Z_m**count (ring graphs, H(n, q),
+A(H(n, q)) and the antipodal graph of any Cayley graph) from the mask of
+its connection set: it proves the graph simple from the mask in O(V) and
+keeps the group, the mask and a reader of mask[x - y], and fills its
+adjacency from that reader only on the first read of .adjacency.  Its
+edge count and its labeled comparison with another Cayley graph of the
+same group are read off the masks, and its antipodal graph is the Cayley
+graph of the mask d0 == diameter (see antipodal), so none of the three
+fills an adjacency.
+Symmetry is checked one 256 x 256 tile pair at
 a time, each mirror tile first copied into one reused buffer whose rows
 are padded off a power-of-two stride (see _is_symmetric), so every pair
 is compared at memory speed at any V, powers of two included, where a
@@ -66,7 +73,8 @@ ISO_ORACLE_CAP = 512
 class Graph:
     """Simple undirected graph over a dense boolean adjacency matrix.
 
-    Immutable after construction: the adjacency array is read-only and
+    Immutable after construction: the adjacency array is read-only (a
+    Cayley graph's is filled on its first read; see Graph._cayley) and
     expensive derived data (the BFS forest behind components and the
     two-coloring, distances) is cached on first use.  Labels
     are optional opaque strings kept for export.  A sequence (any iterable)
@@ -92,38 +100,54 @@ class Graph:
         return g
 
     @classmethod
-    def _cayley(cls, group, rows, labels, cap):
-        """from_rows for a Cayley graph of group = (m, count), Z_m**count, on
-        its V = m**count elements, for the one caller that proves its rows
-        loop-free and symmetric from the mask of its connection set:
-        constructors._cayley_graph.  The loop and symmetry checks are
-        skipped, and the graph keeps the group as _group, so distance_rows,
-        all_pairs_distances, diameter and triametral_triple read d0 at
-        x - y (see distance_rows).  Every other Graph has _group None,
-        Graph(g.adjacency) included."""
+    def _cayley(cls, group, mask, labels, cap):
+        """Cay(Z_m**count, S) for group = (m, count), on its V = m**count
+        elements encoded base m (first digit least significant), S the
+        elements where the boolean `mask` is set: edge xy iff mask[x - y],
+        read a row block at a time by one tri_ring.group_reader.
+
+        Two O(V) facts make it simple, and are checked here: mask[0] is
+        False (no loops), and row 0 of the reader, mask[-y], equals mask[y]
+        (S = -S, so adj[x, y] = mask[x - y] = mask[y - x]).  A mask that
+        fails either raises ValueError, and Graph's V x V loop and symmetry
+        checks are skipped.  The graph keeps the group, its own read-only
+        copy of the mask and the reader; .adjacency is filled from the
+        reader on its first read, and the reader dropped.  So edge_count
+        and labeled_equal answer from the mask, antipodal builds the Cayley
+        graph of d0 == diameter, and distance_rows, all_pairs_distances,
+        diameter and triametral_triple read d0 at x - y (see
+        distance_rows).  Every other Graph has
+        _group None, Graph(g.adjacency) included."""
         m, count = group
         g = cls.__new__(cls)
-        g._fill(m ** count, rows, labels, cap, group)
+        g._start(m ** count, labels, cap)
+        mask = np.array(mask, dtype=bool)
+        if mask[0]:
+            raise ValueError("the mask holds 0: loops are not allowed")
+        read = group_reader(group, mask)
+        if not np.array_equal(read(slice(0, 1))[0], mask):
+            raise ValueError("the mask is not closed under negation: "
+                             "adjacency must be symmetric")
+        mask.flags.writeable = False
+        g._group, g._mask, g._rows = group, mask, read
         return g
 
-    def _fill(self, v, rows, labels, cap, group=None):
+    def _start(self, v, labels, cap):
         if v > cap:
             raise GraphTooLarge(f"{v} vertices exceed the cap of {cap}")
-        adj = np.empty((v, v), dtype=bool)
-        for s in row_blocks(v):
-            block = np.asarray(rows(s))
-            if block.shape != adj[s].shape:
-                raise ValueError(f"rows({s}) must be a {adj[s].shape} array")
-            adj[s] = block
-        if group is None and np.diagonal(adj).any():
-            raise ValueError("loops are not allowed")
-        if group is None and not _is_symmetric(adj):
-            raise ValueError("adjacency must be symmetric")
-        adj.flags.writeable = False
-        self._adj = adj
-        self._group = group
+        self._v = v
+        self._adj = self._group = self._mask = self._rows = None
         self._labels = labels if callable(labels) else _formatted(labels, v)
         self._cache = {}
+
+    def _fill(self, v, rows, labels, cap):
+        self._start(v, labels, cap)
+        adj = _filled(v, rows)
+        if np.diagonal(adj).any():
+            raise ValueError("loops are not allowed")
+        if not _is_symmetric(adj):
+            raise ValueError("adjacency must be symmetric")
+        self._adj = adj
 
     @classmethod
     def from_edges(cls, vertex_count, edges, labels=None, cap=DEFAULT_VERTEX_CAP):
@@ -152,10 +176,14 @@ class Graph:
 
     @property
     def vertex_count(self) -> int:
-        return self._adj.shape[0]
+        return self._v
 
     @property
     def adjacency(self) -> np.ndarray:
+        """The read-only V x V bool array; a Cayley graph's is filled from
+        its reader on this first read, one row block at a time."""
+        if self._adj is None:
+            self._adj, self._rows = _filled(self._v, self._rows), None
         return self._adj
 
     @property
@@ -169,11 +197,15 @@ class Graph:
     def degrees(self) -> np.ndarray:
         """Row sums as a read-only intp array, cached on the graph."""
         if "degrees" not in self._cache:
-            self._cache["degrees"] = row_counts(self._adj)
+            self._cache["degrees"] = row_counts(self.adjacency)
             self._cache["degrees"].flags.writeable = False
         return self._cache["degrees"]
 
     def edge_count(self) -> int:
+        """Half the degree sum; a Cayley graph's is V * |S| / 2, read off
+        its mask with no row filled."""
+        if self._mask is not None:
+            return self._v * int(np.count_nonzero(self._mask)) // 2
         return int(self.degrees().sum()) // 2
 
     def edges(self):
@@ -185,10 +217,10 @@ class Graph:
         """Iterate the edges as index arrays (us, vs), us < vs, one
         row_blocks block of the upper triangle at a time; concatenated they
         are the edges in row-major order."""
-        v = self.vertex_count
+        v, adj = self.vertex_count, self.adjacency
         for s in row_blocks(v):
             upper = np.arange(v) > np.arange(s.start, s.stop)[:, None]
-            upper &= self._adj[s]
+            upper &= adj[s]
             us, vs = np.divmod(np.flatnonzero(upper), v)
             us += s.start
             yield us, vs
@@ -197,20 +229,20 @@ class Graph:
         """Adjacency rows as python-int bitsets (bit v set <=> edge to v),
         packed one row_blocks block at a time.  Not cached: the ints take
         V^2 / 8 bytes, so they live only as long as the caller holds them."""
-        masks = []
+        masks, adj = [], self.adjacency
         for s in row_blocks(self.vertex_count):
-            packed = np.packbits(self._adj[s], axis=1, bitorder="little")
+            packed = np.packbits(adj[s], axis=1, bitorder="little")
             masks += [int.from_bytes(row.tobytes(), "little") for row in packed]
         return masks
 
     def induced_subgraph(self, vertices) -> "Graph":
         vs = np.array(list(vertices), dtype=np.intp)
-        source = deferred_labels(self)
+        source, adj = deferred_labels(self), self.adjacency
 
         def labels():
             full = source()
             return None if full is None else [full[v] for v in vs.tolist()]
-        return Graph.from_rows(len(vs), lambda s: self._adj[np.ix_(vs[s], vs)],
+        return Graph.from_rows(len(vs), lambda s: adj[np.ix_(vs[s], vs)],
                                labels=labels, cap=max(len(vs), 1))
 
     def __repr__(self):
@@ -226,6 +258,19 @@ def _formatted(labels, v: int):
     if len(labels) != v:
         raise ValueError("label count must match vertex count")
     return labels
+
+
+def _filled(v, rows):
+    """The read-only v x v bool array whose rows s are rows(s), written one
+    row_blocks block at a time."""
+    adj = np.empty((v, v), dtype=bool)
+    for s in row_blocks(v):
+        block = np.asarray(rows(s))
+        if block.shape != adj[s].shape:
+            raise ValueError(f"rows({s}) must be a {adj[s].shape} array")
+        adj[s] = block
+    adj.flags.writeable = False
+    return adj
 
 
 def deferred_labels(g: Graph):
@@ -266,7 +311,12 @@ def _is_symmetric(adj: np.ndarray) -> bool:
 
 
 def labeled_equal(g: Graph, h: Graph) -> bool:
-    """Equality as labeled graphs: same adjacency matrix, vertex for vertex."""
+    """Equality as labeled graphs: same adjacency matrix, vertex for vertex.
+    Two Cayley graphs of one group are equal iff their masks are, since
+    adj[x, y] = mask[x - y]: no adjacency is filled.  Any other pair is
+    compared on the filled arrays."""
+    if g._group is not None and g._group == h._group:
+        return np.array_equal(g._mask, h._mask)
     return np.array_equal(g.adjacency, h.adjacency)
 
 
@@ -782,11 +832,22 @@ def is_complete_bipartite(g: Graph):
 
 
 def antipodal(g: Graph) -> Graph:
-    """Same vertices; edge uv iff d(u, v) equals the diameter of g."""
+    """Same vertices; edge uv iff d(u, v) equals the diameter of g.
+
+    A Cayley graph's is the Cayley graph of the same group whose mask is
+    d0 == diameter, 0 left out (d0 = distances_from_0, d(x, y) = d0[x - y]):
+    no V x V distances are read, and its adjacency is filled only when
+    read.  Any other graph's is read off all_pairs_distances."""
+    labels, cap = deferred_labels(g), max(g.vertex_count, 1)
+    if g._group is not None:
+        d0 = distances_from_0(g)
+        mask = d0 == _connected_diameter(d0, "antipodal graph")
+        mask[0] = False  # diam 0 would otherwise put a loop
+        return Graph._cayley(g._group, mask, labels, cap)
     d = all_pairs_distances(g)
     adj = d == _connected_diameter(d, "antipodal graph")
     np.fill_diagonal(adj, False)  # diam 0 would otherwise put loops
-    return Graph(adj, labels=deferred_labels(g), cap=max(g.vertex_count, 1))
+    return Graph(adj, labels=labels, cap=cap)
 
 
 # -- isomorphism oracle ---------------------------------------------------

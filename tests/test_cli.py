@@ -386,12 +386,10 @@ def test_huge_sizes_exit_3_without_arithmetic_on_them(argv):
     assert proc.stderr.startswith("error:")
 
 
-@pytest.mark.parametrize("argv", [["build", "--format", "text"],
-                                  ["invariants"]])
-def test_out_of_memory_exits_3(argv):
-    """An allocation the address-space limit refuses is a resource error:
-    exit 3 with one error line, not a traceback under exit 1.  T_3(GF(7))
-    has 117649 elements, so its bool adjacency alone needs 13.8 GB."""
+def run_tri_3_7_1_capped(argv):
+    """`uct ARGV --spec tri:3,7,1 --cap 1048576` in a subprocess whose
+    address space is limited to 1.5 GB.  T_3(GF(7)) has 117649 elements,
+    so its bool adjacency alone needs 13.8 GB."""
     limit = 1_500_000_000
 
     def cap_address_space():
@@ -399,12 +397,32 @@ def test_out_of_memory_exits_3(argv):
 
     src = os.path.dirname(os.path.dirname(uct.__file__))
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-m", "uct", *argv, "--spec",
+    return subprocess.run([sys.executable, "-m", "uct", *argv, "--spec",
                            "tri:3,7,1", "--cap", "1048576"], env=env,
                           capture_output=True, text=True, timeout=120,
                           preexec_fn=cap_address_space)
+
+
+@pytest.mark.parametrize("argv", [["verify", "--check", "prop0"],
+                                  ["invariants"]])
+def test_out_of_memory_exits_3(argv):
+    """An allocation the address-space limit refuses is a resource error:
+    exit 3 with one error line, not a traceback under exit 1.  prop0 and
+    the invariants count the degrees on every row of the adjacency, so
+    both fill it."""
+    proc = run_tri_3_7_1_capped(argv)
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr.splitlines() == [proc.stderr.strip()]
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
     assert "allocate" in proc.stderr or "out of memory" in proc.stderr
+
+
+def test_text_build_counts_edges_without_the_adjacency():
+    """`uct build --format text` prints the edge count, V * |U| / 2 off the
+    unit mask, under the same 1.5 GB limit: the 13.8 GB adjacency is
+    never filled."""
+    proc = run_tri_3_7_1_capped(["build", "--format", "text"])
+    assert proc.returncode == 0
+    assert proc.stdout == "ring tri:3,7,1\nvertices 117649\nedges 4358189556\n"
+    assert proc.stderr == "117649 vertices, 4358189556 edges\n"

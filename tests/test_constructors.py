@@ -157,7 +157,7 @@ def test_cayley_rejects_a_mask_that_is_not_simple(monkeypatch, text, mutate,
     the negation check's read of row 0.  Ring graphs reach it through
     unitary_cayley with a mutated unit mask; Z_3^2 (encodings x0 + 3 x1),
     the group of H(2, 3), through the builder itself."""
-    real_mask, real_reader = constructors.unit_mask, constructors.group_reader
+    real_mask, real_reader = constructors.unit_mask, graph_core.group_reader
     reads = []
 
     def mutated_mask(spec, cap):
@@ -169,12 +169,12 @@ def test_cayley_rejects_a_mask_that_is_not_simple(monkeypatch, text, mutate,
         read = real_reader(group, of)
         return lambda rows: reads.append(rows) or read(rows)
     monkeypatch.setattr(constructors, "unit_mask", mutated_mask)
-    monkeypatch.setattr(constructors, "group_reader", counting_reader)
+    monkeypatch.setattr(graph_core, "group_reader", counting_reader)
     with pytest.raises(ValueError, match=match):
         if text == "Z_3^2":
             mask = np.zeros(9, dtype=bool)
             mutate(mask)
-            constructors._cayley_graph((3, 2), mask, None, 9)
+            Graph._cayley((3, 2), mask, None, 9)
         else:
             unitary_cayley(RingSpec.parse(text))
     assert reads == row_reads
@@ -419,9 +419,10 @@ def test_row_blocked_builds_match_one_block(monkeypatch, entries):
 
 def test_builders_fill_the_graph_without_a_copy(monkeypatch):
     """With blocks of 16 rows, unitary_cayley, semistrong_product,
-    hamming_graph, antipodal_hamming_direct and Graph.induced_subgraph hold
-    the graph's own V x V bool array and one row block besides: no array
-    of their own and no copy of it (which would be 2 V^2 bytes)."""
+    hamming_graph, antipodal_hamming_direct and Graph.induced_subgraph,
+    their adjacency read (a Cayley graph's is filled on that first read),
+    hold the graph's own V x V bool array and one row block besides: no
+    array of their own and no copy of it (which would be 2 V^2 bytes)."""
     monkeypatch.setattr(graph_core, "_ROW_BLOCK_ENTRIES", 1 << 16)
     spec = RingSpec.parse("tri:3,2,2")
     k, a = complete_graph(64), antipodal_hamming_direct(3, 4)
@@ -435,7 +436,7 @@ def test_builders_fill_the_graph_without_a_copy(monkeypatch):
                          lambda: big.induced_subgraph(range(4, 4100)))):
         tracemalloc.start()
         try:
-            v = build().vertex_count
+            v = len(build().adjacency)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -443,17 +444,17 @@ def test_builders_fill_the_graph_without_a_copy(monkeypatch):
 
 
 def test_zn_cayley_holds_the_graph_and_one_row_block():
-    """unitary_cayley(zn:4093) reads the unit mask through one cyclic window:
-    the graph's V x V bool array and one row block, with no uint16 code
-    block of twice the block's size beside it."""
+    """unitary_cayley(zn:4093), its adjacency read, reads the unit mask
+    through one cyclic window: the graph's V x V bool array and one row
+    block, with no uint16 code block of twice the block's size beside it."""
     v = 4093
     tracemalloc.start()
     try:
-        g = unitary_cayley(RingSpec.integers_mod(v))
+        adj = unitary_cayley(RingSpec.integers_mod(v)).adjacency
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert g.vertex_count == v and peak < 1.6 * v * v, peak / (v * v)
+    assert adj.shape == (v, v) and peak < 1.6 * v * v, peak / (v * v)
 
 
 def test_quotient_needs_triangular_spec():

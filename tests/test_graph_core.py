@@ -544,7 +544,7 @@ def test_neighbor_masks_pack_one_row_block_at_a_time(monkeypatch):
     whole adjacency (2 V^2 / 8 at the peak); they equal each row's bits."""
     monkeypatch.setattr(graph_core, "_ROW_BLOCK_ENTRIES", 1 << 16)
     g = unitary_cayley(RingSpec.parse("tri:3,2,2"))
-    v = g.vertex_count
+    v = len(g.adjacency)  # filled on this first read, before the masks
     tracemalloc.start()
     try:
         masks = g.neighbor_masks()

@@ -15,13 +15,13 @@ import uct.graph_core as graph_core
 import uct.theorem_checker as tc
 import uct.tri_ring as tri_ring
 from test_tri_ring import ALL_TRI_SPECS
-from uct import (RingSpec, WrongField, all_pairs_distances,
+from uct import (RingSpec, WrongField, all_pairs_distances, antipodal,
                  antipodal_hamming_direct, check_clique,
                  check_connectivity_and_diameter, check_prop0, check_prop1,
                  check_quotient, check_theorem1, check_theorem3,
                  check_triameter, check_zn_oracles, complete_graph,
-                 connected_components, hamming_graph, run_check, run_suite,
-                 semistrong_product, unitary_cayley)
+                 connected_components, hamming_graph, labeled_equal,
+                 run_check, run_suite, semistrong_product, unitary_cayley)
 from uct.graph_core import Graph
 from uct.theorem_checker import (DEFAULT_SUITE_SPECS, checks_for, report_json,
                                  theorem3_relabeling)
@@ -388,7 +388,6 @@ def test_suite_builds_each_graph_once_and_difference_rows_by_block(monkeypatch):
     monkeypatch.setattr(graph_core, "_ROW_BLOCK_ENTRIES", 3 * 27)
     monkeypatch.setattr(tc, "unitary_cayley", counting_graphs)
     monkeypatch.setattr(tri_ring, "group_reader", counting_reader)
-    monkeypatch.setattr(constructors, "group_reader", counting_reader)
     monkeypatch.setattr(graph_core, "group_reader", counting_reader)
     verdicts = run_suite([T23, T22])
     assert all(v.passed for v in verdicts)
@@ -446,10 +445,7 @@ def test_ring_path_runs_no_dense_symmetry_or_invariance_pass(monkeypatch,
     assert all_pairs_distances(hamming_graph(12, 2)).max() == 12
 
 
-def test_hamming_builders_run_no_dense_symmetry_pass(monkeypatch):
-    """H(12, 2) and A(H(6, 4)) are Cayley graphs of Z_2^12 and Z_4^6, proved
-    simple from their masks: no symmetry check of their 4096-vertex
-    adjacency."""
+def refuse_4096_symmetry_checks(monkeypatch):
     real_symmetric = graph_core._is_symmetric
 
     def refuse_4096(adj):
@@ -457,8 +453,35 @@ def test_hamming_builders_run_no_dense_symmetry_pass(monkeypatch):
             raise AssertionError("symmetry check of a 4096-vertex adjacency")
         return real_symmetric(adj)
     monkeypatch.setattr(graph_core, "_is_symmetric", refuse_4096)
-    for g in (hamming_graph(12, 2), antipodal_hamming_direct(6, 4)):
-        assert g.vertex_count == 4096
+
+
+def test_hamming_builders_run_no_dense_symmetry_pass(monkeypatch):
+    """H(12, 2), A(H(6, 4)) and antipodal of H(6, 4) are Cayley graphs of
+    Z_2^12 and Z_4^6, proved simple from their masks: no symmetry check of
+    their 4096-vertex adjacency, built or filled."""
+    refuse_4096_symmetry_checks(monkeypatch)
+    for g in (hamming_graph(12, 2), antipodal_hamming_direct(6, 4),
+              antipodal(hamming_graph(6, 4))):
+        assert g.vertex_count == 4096 and g.adjacency.shape == (4096, 4096)
+
+
+def test_antipodal_hamming_cross_check_fills_neither_side(monkeypatch):
+    """antipodal(H(12, 2)) against A(H(12, 2)), as the library benchmark
+    checks it: labeled_equal compares the two masks and edge_count is
+    V * |S| / 2, so only H(12, 2)'s own adjacency is filled, once, for the
+    BFS forest behind d0, and no symmetry check runs."""
+    refuse_4096_symmetry_checks(monkeypatch)
+    real_filled, fills = graph_core._filled, []
+
+    def counted_filled(v, rows):
+        fills.append(v)
+        return real_filled(v, rows)
+    monkeypatch.setattr(graph_core, "_filled", counted_filled)
+    h = hamming_graph(12, 2)
+    anti, direct = antipodal(h), antipodal_hamming_direct(12, 2)
+    assert labeled_equal(anti, direct)
+    assert anti.edge_count() == direct.edge_count() == 4096 // 2
+    assert fills == [4096]
 
 
 def test_suite_reads_no_all_pairs_distances(monkeypatch):

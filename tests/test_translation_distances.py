@@ -1,11 +1,14 @@
 """The Cayley route against the generic route.  A graph built by
-constructors._cayley_graph (ring graphs, H(n, q), A(H(n, q))) keeps its
-group, and distance_rows, all_pairs_distances, diameter and
-triametral_triple read its BFS from 0 at x - y; Graph(g.adjacency) keeps
-no group, so the same calls on it run the generic all-pairs search and the
-search over every triple, the references here.  The ring and Hamming
-builders skip the dense symmetry check, which is run here as a
-reference."""
+Graph._cayley (ring graphs, H(n, q), A(H(n, q))) keeps its group and
+mask: distance_rows, all_pairs_distances, diameter and triametral_triple
+read its BFS from 0 at x - y, antipodal builds the Cayley graph of the
+mask d0 == diameter, edge_count is V * |S| / 2 and labeled_equal of two
+Cayley graphs of one group compares their masks.  Graph(g.adjacency)
+keeps no group, so the same calls on it run the generic all-pairs search,
+the search over every triple, the antipodal graph of the all-pairs
+distances, the degree sum and the dense compare, the references here.
+The ring and Hamming builders skip the dense symmetry check, which is run
+here as a reference."""
 
 import numpy as np
 import pytest
@@ -15,11 +18,11 @@ from scipy.sparse import csgraph, csr_matrix
 
 from test_tri_ring import ALL_TRI_SPECS
 from uct import (DisconnectedGraph, Graph, RingSpec, all_pairs_distances,
-                 antipodal_hamming_direct, constructors, diameter,
-                 distance_rows, graph_core, hamming_graph, triametral_triple,
-                 unitary_cayley)
+                 antipodal, antipodal_hamming_direct, diameter,
+                 distance_rows, graph_core, hamming_graph, labeled_equal,
+                 triametral_triple, unitary_cayley)
 from uct.graph_core import distances_from_0
-from uct.tri_ring import DEFAULT_VERTEX_CAP, tuple_codes
+from uct.tri_ring import DEFAULT_VERTEX_CAP, group_reader, tuple_codes
 
 # Every triangular spec of at most 1024 vertices that the test suite or
 # the benchmark's verify workload runs, q = 2 (disconnected) ones included.
@@ -43,17 +46,30 @@ def outcome(invariant, g):
 def assert_matches_generic(g, dtype=None, triple=True):
     """The Cayley route on g against the generic route on Graph(g.adjacency):
     all_pairs_distances' dtype and bytes, diameter (or DisconnectedGraph)
-    and, when `triple`, triametral_triple (or its error).  diameter and
-    triametral_triple of the Cayley graph cache no V x V distances."""
+    and, when `triple`, triametral_triple (or its error); edge_count, and
+    antipodal (or DisconnectedGraph), its adjacency and edge_count.
+    diameter, triametral_triple and antipodal of the Cayley graph cache no
+    V x V distances, and its antipodal graph is a Cayley graph of the same
+    group.  Returns antipodal's outcome on g."""
     generic = Graph(g.adjacency)
     assert g._group is not None and generic._group is None
+    assert g.edge_count() == generic.edge_count()
     for invariant in (diameter, triametral_triple)[:1 + triple]:
         assert outcome(invariant, g) == outcome(invariant, generic)
+    anti = outcome(antipodal, g)
     assert "dist" not in g._cache
     d, want = all_pairs_distances(g), all_pairs_distances(generic)
     assert not d.flags.writeable
     assert d.dtype == want.dtype == (dtype or want.dtype)
     assert d.tobytes() == want.tobytes()
+    reference = outcome(antipodal, generic)
+    if anti is DisconnectedGraph or reference is DisconnectedGraph:
+        assert anti is reference
+    else:
+        assert anti._group == g._group and reference._group is None
+        assert anti.edge_count() == reference.edge_count()
+        assert np.array_equal(anti.adjacency, reference.adjacency)
+    return anti
 
 
 @pytest.mark.parametrize("text", TRI_SPECS + ZN_SPECS + LARGE_SPECS)
@@ -83,7 +99,10 @@ def test_ring_graphs_pass_the_dense_references(text):
     g = unitary_cayley(RingSpec.parse(text))
     assert graph_core._is_symmetric(g.adjacency)
     assert not np.diagonal(g.adjacency).any()
-    assert_matches_generic(g)
+    anti = assert_matches_generic(g)
+    spec = RingSpec.parse(text)
+    if spec.kind == "tri" and spec.q == 2:  # 2**(n - 1) components
+        assert anti is DisconnectedGraph
 
 
 @pytest.mark.parametrize("n, q", [(1, 5), (3, 3), (4, 2), (2, 6), (12, 2),
@@ -116,7 +135,7 @@ def test_long_cycles_match_generic(m, step, dtype):
     whose diameter 256 needs uint16."""
     connection = np.zeros(m, dtype=bool)
     connection[[step, -step]] = True
-    g = constructors._cayley_graph((m, 1), connection, None, DEFAULT_VERTEX_CAP)
+    g = Graph._cayley((m, 1), connection, None, DEFAULT_VERTEX_CAP)
     assert_matches_generic(g, dtype)
 
 
@@ -156,14 +175,14 @@ def test_ring_graph_with_one_edge_removed_takes_the_generic_route(text, u):
 
 @st.composite
 def circulants(draw):
-    """A random Cayley graph of Z_m, m <= 40, built by _cayley_graph, and
+    """A random Cayley graph of Z_m, m <= 40, built by Graph._cayley, and
     its connection mask (closed under negation, missing 0)."""
     m = draw(st.integers(min_value=2, max_value=40))
     half = draw(st.sets(st.integers(min_value=1, max_value=m // 2)))
     mask = np.zeros(m, dtype=bool)
     for s in half:
         mask[s] = mask[-s % m] = True
-    return constructors._cayley_graph((m, 1), mask, None, DEFAULT_VERTEX_CAP)
+    return Graph._cayley((m, 1), mask, None, DEFAULT_VERTEX_CAP)
 
 
 @settings(max_examples=60, deadline=None)
@@ -174,7 +193,7 @@ def test_random_circulant_matches_generic(g):
 
 @st.composite
 def cayley_graphs_of_zq_power(draw):
-    """A random Cayley graph of Z_q^n built by _cayley_graph, its adjacency
+    """A random Cayley graph of Z_q^n built by Graph._cayley, its adjacency
     first checked against the connection set read at a difference table of
     the digit tuples of tuple_codes, x - y taken digit-wise mod q."""
     q = draw(st.integers(min_value=2, max_value=7))
@@ -186,7 +205,7 @@ def cayley_graphs_of_zq_power(draw):
     mask = np.zeros(q ** n, dtype=bool)
     for s in draw(st.sets(st.integers(min_value=1, max_value=q ** n - 1))):
         mask[s] = mask[negative[s]] = True
-    g = constructors._cayley_graph((q, n), mask, None, DEFAULT_VERTEX_CAP)
+    g = Graph._cayley((q, n), mask, None, DEFAULT_VERTEX_CAP)
     assert np.array_equal(g.adjacency, mask[diff])
     return g
 
@@ -206,3 +225,67 @@ def test_triameter_through_vertex_0_matches_generic(g):
     on disconnected graphs and graphs of fewer than 3 vertices."""
     assert (outcome(triametral_triple, g)
             == outcome(triametral_triple, Graph(g.adjacency)))
+
+
+def negation(group):
+    """The encoding of -z for each element z of Z_m**count: row 0 of the
+    reader of the encodings, 0 - y."""
+    return group_reader(group)(slice(0, 1))[0].astype(np.intp)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: unitary_cayley(RingSpec.parse("zn:12")),
+    lambda: unitary_cayley(RingSpec.parse("tri:2,3,1")),
+    lambda: unitary_cayley(RingSpec.parse("tri:3,2,1")),
+    lambda: hamming_graph(3, 3),
+    lambda: antipodal_hamming_direct(2, 6),
+])
+@pytest.mark.parametrize("out, into", [(True, False), (False, True),
+                                       (True, True)])
+def test_labeled_equal_sees_one_flipped_pair_on_both_routes(build, out, into):
+    """A Cayley graph against one whose mask has a symmetric pair {z, -z}
+    of S taken out, a pair {w, -w} outside S put in, or both, so that the
+    edge count stays: labeled_equal is False on the mask route and on the
+    dense compare of the Graph(g.adjacency) copies, and True on both for
+    an unflipped rebuild; edge_count follows |S| on both routes."""
+    g = build()
+    mask, negate = np.array(g._mask), negation(g._group)
+    z = int(np.flatnonzero(mask)[-1])
+    w = next(int(w) for w in np.flatnonzero(~mask)[1:]  # 0 is never in S
+             if (w == negate[w]) == (z == negate[z]))  # pairs of one size
+    size = len({z, int(negate[z])})
+    mask[[z, negate[z]]] = not out
+    mask[[w, negate[w]]] = into
+    flipped = Graph._cayley(g._group, mask, None, DEFAULT_VERTEX_CAP)
+    same = Graph._cayley(g._group, g._mask, None, DEFAULT_VERTEX_CAP)
+    assert not labeled_equal(g, flipped) and not labeled_equal(flipped, g)
+    assert not labeled_equal(Graph(g.adjacency), Graph(flipped.adjacency))
+    assert labeled_equal(g, same)
+    assert labeled_equal(Graph(g.adjacency), Graph(same.adjacency))
+    change = (into - out) * size * g.vertex_count // 2
+    assert flipped.edge_count() == g.edge_count() + change
+    assert flipped.edge_count() == Graph(flipped.adjacency).edge_count()
+
+
+def over(group, connection):
+    """Cay(Z_m**count, connection) for group = (m, count)."""
+    v = group[0] ** group[1]
+    return Graph._cayley(group, np.isin(np.arange(v), connection), None, v)
+
+
+@pytest.mark.parametrize("pair, equal", [
+    (lambda: (hamming_graph(4, 2), hamming_graph(2, 4)), False),
+    # C_8 as Z_8 with S = {1, 7}, and Z_2^3 with the same mask {1, 7}
+    (lambda: (over((8, 1), [1, 7]), over((2, 3), [1, 7])), False),
+    # K_4 as Z_4 and as Z_2^2
+    (lambda: (over((4, 1), [1, 2, 3]), over((2, 2), [1, 2, 3])), True),
+])
+def test_labeled_equal_of_two_groups_compares_the_adjacency(pair, equal):
+    """Cayley graphs of two groups of one order are compared on their
+    filled adjacency, not their masks: equal masks over Z_8 and Z_2^3 give
+    different graphs, and K_4 is the same graph over Z_4 and Z_2^2."""
+    g, h = pair()
+    assert g._group != h._group and g.vertex_count == h.vertex_count
+    assert labeled_equal(g, h) is equal
+    assert g._adj is not None and h._adj is not None
+    assert np.array_equal(g.adjacency, h.adjacency) is equal
