@@ -142,21 +142,20 @@ def cmd_build(args) -> int:
 def cmd_invariants(args) -> int:
     cap = _resolve_cap(args)
     g = unitary_cayley(RingSpec.parse(args.spec), cap)
-    degrees = g.degrees()
+    clique = clique_number(g)  # fills the adjacency first: the BFS then reads it
     comps = connected_components(g)
-    connected = len(comps) == 1
-    if connected:
+    if len(comps) == 1:
         diam = diameter(g)
         triam = (triameter(g) if g.vertex_count >= 3
                  else "undefined: fewer than 3 vertices")
     else:
         diam = triam = "undefined: disconnected"
     result = {
-        "degree": int(degrees.max()),
+        "degree": int(g.degrees().max()),
         "components": len(comps),
         "diameter": diam,
         "triameter": triam,
-        "clique": clique_number(g),
+        "clique": clique,
     }
     if args.format == "json":
         text = json.dumps(result, indent=2) + "\n"

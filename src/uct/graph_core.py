@@ -6,30 +6,29 @@ builders pass a row rule, and checks it for loops and symmetry.
 Graph._cayley builds a Cayley graph of Z_m**count (ring graphs, H(n, q),
 A(H(n, q)) and the antipodal graph of any Cayley graph) from the mask of
 its connection set: it proves the graph simple from the mask in O(V) and
-keeps the group, the mask and a reader of mask[x - y], and fills its
-adjacency from that reader only on the first read of .adjacency.  Its
-edge count and its labeled comparison with another Cayley graph of the
-same group are read off the masks, and its antipodal graph is the Cayley
-graph of the mask d0 == diameter (see antipodal), so none of the three
-fills an adjacency.
-Symmetry is checked one 256 x 256 tile pair at
-a time, each mirror tile first copied into one reused buffer whose rows
-are padded off a power-of-two stride (see _is_symmetric), so every pair
-is compared at memory speed at any V, powers of two included, where a
-full transpose would stride.  Row
-counts (degrees, neighbour-list lengths) are summed as bytes into the
-smallest unsigned dtype that holds V and widened to intp (see
-row_counts).  Labels are formatted on first read: builders and
+keeps the group, the mask and a reader of mask[x - y].  Graph.rows, the
+one row accessor, reads rows through that reader until the first read
+of .adjacency fills the adjacency from it.  Its degrees (|S| everywhere),
+edge count, labeled comparison with another Cayley graph of the same
+group and antipodal graph (the Cayley graph of d0 == diameter) are read
+off the masks, and its BFS forest reads Graph.rows: none fills an
+adjacency.  Symmetry is checked one 256 x 256 tile pair at a time, each
+mirror tile first copied into one reused buffer whose rows are padded
+off a power-of-two stride (see _is_symmetric), so every pair is compared
+at memory speed at any V, powers of two included, where a full transpose
+would stride.  Row counts (degrees, neighbour-list lengths) are summed
+as bytes into the smallest unsigned dtype that holds V and widened to
+intp (see row_counts).  Labels are formatted on first read: builders and
 the graphs made from another (antipodal, induced_subgraph) pass a
 callable that makes them, which Graph.labels calls once, on its first
 read (see deferred_labels), so a check that compares adjacency formats
 none.
 
 Components, root depths, the two-coloring and the complete-bipartite
-parts come from one BFS per component over rows read through a callable
-(see bfs_forest).  A Cayley graph's distances are d(x, y) = d0[x - y],
-d0 the depths of that BFS out of vertex 0 (see distances_from_0), read at
-x - y a row block at a time by tri_ring.group_reader (see distance_rows):
+parts come from one BFS per component over Graph.rows (see bfs_forest).
+A Cayley graph's distances are d(x, y) = d0[x - y], d0 the depths of
+that BFS out of vertex 0 (see distances_from_0), read at x - y a row
+block at a time by tri_ring.group_reader (see distance_rows):
 distance_rows, all_pairs_distances, diameter and triametral_triple read
 them, the triameter searched over the triples through vertex 0 only.
 Other graphs' all-pairs distances come from one level-synchronous BFS out
@@ -74,14 +73,16 @@ class Graph:
     """Simple undirected graph over a dense boolean adjacency matrix.
 
     Immutable after construction: the adjacency array is read-only (a
-    Cayley graph's is filled on its first read; see Graph._cayley) and
-    expensive derived data (the BFS forest behind components and the
-    two-coloring, distances) is cached on first use.  Labels
-    are optional opaque strings kept for export.  A sequence (any iterable)
-    of labels is formatted with str and counted at construction; a
-    zero-argument callable returning one (or None) is kept as it is and
-    called, formatted and counted on the first read of .labels, so a
-    builder formats no label that nobody reads.
+    Cayley graph's is filled on its first read; see Graph._cayley).
+    g.rows(s), s a slice or an index array, is the len(s) x V bool block of
+    rows s, for reading only: the stored rows, or a Cayley graph's read
+    through its reader while its adjacency is not filled.  Expensive
+    derived data (the BFS forest behind components and the two-coloring,
+    distances) is cached on first use.  Labels are optional opaque strings
+    kept for export.  A sequence (any iterable) of labels is formatted with
+    str and counted at construction; a zero-argument callable returning one
+    (or None) is kept as it is and called, formatted and counted on the
+    first read of .labels, so a builder formats no label that nobody reads.
     """
 
     def __init__(self, adjacency, labels=None, cap: int = DEFAULT_VERTEX_CAP):
@@ -110,14 +111,14 @@ class Graph:
         False (no loops), and row 0 of the reader, mask[-y], equals mask[y]
         (S = -S, so adj[x, y] = mask[x - y] = mask[y - x]).  A mask that
         fails either raises ValueError, and Graph's V x V loop and symmetry
-        checks are skipped.  The graph keeps the group, its own read-only
-        copy of the mask and the reader; .adjacency is filled from the
-        reader on its first read, and the reader dropped.  So edge_count
-        and labeled_equal answer from the mask, antipodal builds the Cayley
-        graph of d0 == diameter, and distance_rows, all_pairs_distances,
-        diameter and triametral_triple read d0 at x - y (see
-        distance_rows).  Every other Graph has
-        _group None, Graph(g.adjacency) included."""
+        checks are skipped.  The graph keeps the group and its own
+        read-only copy of the mask, and g.rows is the reader until the
+        first read of .adjacency fills it from the reader and drops it.  So
+        degrees, edge_count and labeled_equal answer from the mask, the BFS
+        forest reads g.rows, antipodal builds the Cayley graph of d0 ==
+        diameter, and distance_rows, all_pairs_distances, diameter and
+        triametral_triple read d0 at x - y (see distance_rows).  Every
+        other Graph has _group None, Graph(g.adjacency) included."""
         m, count = group
         g = cls.__new__(cls)
         g._start(m ** count, labels, cap)
@@ -129,14 +130,14 @@ class Graph:
             raise ValueError("the mask is not closed under negation: "
                              "adjacency must be symmetric")
         mask.flags.writeable = False
-        g._group, g._mask, g._rows = group, mask, read
+        g._group, g._mask, g.rows = group, mask, read
         return g
 
     def _start(self, v, labels, cap):
         if v > cap:
             raise GraphTooLarge(f"{v} vertices exceed the cap of {cap}")
         self._v = v
-        self._adj = self._group = self._mask = self._rows = None
+        self._adj = self._group = self._mask = self.rows = None
         self._labels = labels if callable(labels) else _formatted(labels, v)
         self._cache = {}
 
@@ -147,7 +148,7 @@ class Graph:
             raise ValueError("loops are not allowed")
         if not _is_symmetric(adj):
             raise ValueError("adjacency must be symmetric")
-        self._adj = adj
+        self._adj, self.rows = adj, adj.__getitem__
 
     @classmethod
     def from_edges(cls, vertex_count, edges, labels=None, cap=DEFAULT_VERTEX_CAP):
@@ -183,7 +184,8 @@ class Graph:
         """The read-only V x V bool array; a Cayley graph's is filled from
         its reader on this first read, one row block at a time."""
         if self._adj is None:
-            self._adj, self._rows = _filled(self._v, self._rows), None
+            self._adj = _filled(self._v, self.rows)
+            self.rows = self._adj.__getitem__
         return self._adj
 
     @property
@@ -195,17 +197,17 @@ class Graph:
         return self._labels
 
     def degrees(self) -> np.ndarray:
-        """Row sums as a read-only intp array, cached on the graph."""
+        """Row sums as a read-only intp array, cached on the graph; a Cayley
+        graph's are |S| at every vertex, read off its mask."""
         if "degrees" not in self._cache:
-            self._cache["degrees"] = row_counts(self.adjacency)
+            self._cache["degrees"] = (
+                row_counts(self.adjacency) if self._mask is None
+                else np.full(self._v, np.count_nonzero(self._mask), dtype=np.intp))
             self._cache["degrees"].flags.writeable = False
         return self._cache["degrees"]
 
     def edge_count(self) -> int:
-        """Half the degree sum; a Cayley graph's is V * |S| / 2, read off
-        its mask with no row filled."""
-        if self._mask is not None:
-            return self._v * int(np.count_nonzero(self._mask)) // 2
+        """Half the degree sum (V * |S| / 2 on a Cayley graph)."""
         return int(self.degrees().sum()) // 2
 
     def edges(self):
@@ -323,17 +325,15 @@ def labeled_equal(g: Graph, h: Graph) -> bool:
 def connected_components(g: Graph) -> list:
     """Vertex partition; components ordered by their smallest vertex index.
     The labelling is cached on the graph; every call returns fresh lists."""
-    count, label, _, _ = _forest(g)
-    comps = [[] for _ in range(count)]
-    for v, c in enumerate(label.tolist()):
-        comps[c].append(v)
-    return comps
+    label = _forest(g)[1]  # every label 0..count-1 has a vertex
+    members = np.split(np.argsort(label, kind="stable"), np.cumsum(np.bincount(label)))
+    return [c.tolist() for c in members[:-1]]
 
 
 def _forest(g: Graph):
-    """bfs_forest of g's adjacency rows, cached on g."""
+    """bfs_forest of g.rows, cached on g."""
     if "forest" not in g._cache:
-        g._cache["forest"] = bfs_forest(g.adjacency.__getitem__, g.adjacency.any(axis=1))
+        g._cache["forest"] = bfs_forest(g.rows, g.degrees() > 0)
     return g._cache["forest"]
 
 
@@ -545,8 +545,8 @@ def _unpack(rows: np.ndarray, v: int) -> np.ndarray:
                          bitorder="little")
 
 
-# Entries of a V-column array per row block: 4 MB of bool, 8 MB of uint16
-# difference codes or at most 32 MB of int64 nonzero positions.
+# Entries of a V-column array per row block: 4 MB of bool or at most 32 MB
+# of int64 nonzero positions.
 _ROW_BLOCK_ENTRIES = 1 << 22
 
 
@@ -816,7 +816,7 @@ def complete_bipartite_parts(g: Graph) -> list:
     ok = sizes.reshape(count, 2).all(axis=1)
     for s in row_blocks(g.vertex_count):
         wrong = part[s, None] ^ 1 == part
-        wrong ^= g.adjacency[s]
+        wrong ^= g.rows(s)
         ok[label[s][wrong.any(axis=1)]] = False
     members = np.split(np.argsort(part, kind="stable"), np.cumsum(sizes)[:-1])
     return [(members[2 * c].tolist(), members[2 * c + 1].tolist()) if ok[c] else None

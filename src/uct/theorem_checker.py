@@ -368,10 +368,11 @@ def check_quotient(ring: RingInstance):
 def check_zn_oracles(ring: RingInstance):
     """Known facts about C_{Z_n} used as independent regressions: complete
     for prime n, complete bipartite with equal parts for n = 2^s, bipartite
-    for even n, and always regular of degree |units|."""
+    for even n, and always regular of degree |units|, counted on every row
+    of g.rows a block at a time (g.degrees() reads the mask): no fill."""
     m, g = ring.spec.modulus, ring.graph
     units = int(unit_mask(ring.spec, ring.cap).sum())
-    degrees = g.degrees()
+    degrees = np.concatenate([row_counts(g.rows(s)) for s in row_blocks(m)])
 
     expected = {"degree": units}
     computed = {"degree": int(degrees.min()) if int(degrees.min()) == int(degrees.max())

@@ -403,13 +403,13 @@ def run_tri_3_7_1_capped(argv):
                           preexec_fn=cap_address_space)
 
 
-@pytest.mark.parametrize("argv", [["verify", "--check", "prop0"],
+@pytest.mark.parametrize("argv", [["verify", "--check", "prop1"],
                                   ["invariants"]])
 def test_out_of_memory_exits_3(argv):
     """An allocation the address-space limit refuses is a resource error:
-    exit 3 with one error line, not a traceback under exit 1.  prop0 and
-    the invariants count the degrees on every row of the adjacency, so
-    both fill it."""
+    exit 3 with one error line, not a traceback under exit 1.  prop1
+    compares every pair with the filled adjacency, and the invariants
+    fill it for the clique search."""
     proc = run_tri_3_7_1_capped(argv)
     assert proc.returncode == 3
     assert proc.stdout == ""
@@ -426,3 +426,14 @@ def test_text_build_counts_edges_without_the_adjacency():
     assert proc.returncode == 0
     assert proc.stdout == "ring tri:3,7,1\nvertices 117649\nedges 4358189556\n"
     assert proc.stderr == "117649 vertices, 4358189556 edges\n"
+
+
+def test_prop0_reads_the_degrees_off_the_mask():
+    """`uct verify --check prop0` passes under the same 1.5 GB limit: a
+    Cayley graph's degrees are |U| at every vertex, so the 13.8 GB
+    adjacency is never filled."""
+    proc = run_tri_3_7_1_capped(["verify", "--check", "prop0"])
+    assert proc.returncode == 0
+    assert proc.stderr == "PASS prop0.regularity @ tri:3,7,1\n"
+    (verdict,) = json.loads(proc.stdout)["verdicts"]
+    assert verdict["computed"]["degree_min"] == 6 ** 3 * 7 ** 3

@@ -467,9 +467,9 @@ def test_hamming_builders_run_no_dense_symmetry_pass(monkeypatch):
 
 def test_antipodal_hamming_cross_check_fills_neither_side(monkeypatch):
     """antipodal(H(12, 2)) against A(H(12, 2)), as the library benchmark
-    checks it: labeled_equal compares the two masks and edge_count is
-    V * |S| / 2, so only H(12, 2)'s own adjacency is filled, once, for the
-    BFS forest behind d0, and no symmetry check runs."""
+    checks it: labeled_equal compares the two masks, edge_count is
+    V * |S| / 2 and the BFS forest behind d0 reads H(12, 2)'s rows through
+    its reader, so no adjacency is filled and no symmetry check runs."""
     refuse_4096_symmetry_checks(monkeypatch)
     real_filled, fills = graph_core._filled, []
 
@@ -481,7 +481,35 @@ def test_antipodal_hamming_cross_check_fills_neither_side(monkeypatch):
     anti, direct = antipodal(h), antipodal_hamming_direct(12, 2)
     assert labeled_equal(anti, direct)
     assert anti.edge_count() == direct.edge_count() == 4096 // 2
-    assert fills == [4096]
+    assert fills == []
+
+
+@pytest.mark.parametrize("text", ["zn:4093", "zn:4096"])
+def test_zn_check_fills_no_adjacency(text):
+    """The zn check counts the degrees on every row of g.rows and reads
+    the forest and the bipartite parts through it: no adjacency is filled."""
+    ring = tc.RingInstance(RingSpec.parse(text))
+    assert tc._measure("zn", ring).passed
+    assert ring.graph._adj is None
+
+
+def test_zn_check_counts_every_row():
+    """A reader fault away from row 0 (edge 5-7 of the complete graph
+    zn:4093 dropped from row 5 alone) fails the zn check: its degrees are
+    counted row by row, not read off the mask as g.degrees() is."""
+    ring = tc.RingInstance(RingSpec.parse("zn:4093"))
+    g = ring.graph
+    read = g.rows
+
+    def faulty(s):
+        block = read(s)
+        block[np.arange(g.vertex_count)[s] == 5, 7] = False
+        return block
+    g.rows = faulty
+    v = tc._measure("zn", ring)
+    assert not v.passed
+    assert v.computed["degree"] == [4091, 4092] and v.computed["complete"] is False
+    assert g.degrees().min() == 4092  # the mask itself is sound
 
 
 def test_suite_reads_no_all_pairs_distances(monkeypatch):
@@ -563,15 +591,15 @@ def test_registry_declares_each_check_once():
 
 
 def test_ring_checks_hold_one_row_block_at_a_time(monkeypatch):
-    """With blocks of 16 rows and the graph, d0 and diagonal digits built,
-    prop1, connectivity, the triameter and theorem3 each hold less than a
-    quarter of a V x V bool array: theorem3 reads the product through its
-    row rule and builds no product graph above the oracle's cap.  The
-    clique check holds less than a sixteenth, where bitset masks of every
-    row would take an eighth."""
+    """With blocks of 16 rows and the graph, its adjacency, d0 and diagonal
+    digits built, prop1, connectivity, the triameter and theorem3 each
+    hold less than a quarter of a V x V bool array: theorem3 reads the
+    product through its row rule and builds no product graph above the
+    oracle's cap.  The clique check holds less than a sixteenth, where
+    bitset masks of every row would take an eighth."""
     monkeypatch.setattr(graph_core, "_ROW_BLOCK_ENTRIES", 1 << 16)
     ring = tc.RingInstance(RingSpec.parse("tri:3,2,2"))
-    v = ring.graph.vertex_count
+    v = ring.graph.adjacency.shape[0]  # prop1 fills it, before tracing
     d0 = graph_core.distances_from_0(ring.graph)
     assert d0.shape == (v,) and ring.diagonal.shape == (v, 3)
     for name, bound in (("prop1", v * v / 4), ("connectivity", v * v / 4),

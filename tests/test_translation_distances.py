@@ -1,14 +1,16 @@
 """The Cayley route against the generic route.  A graph built by
 Graph._cayley (ring graphs, H(n, q), A(H(n, q))) keeps its group and
-mask: distance_rows, all_pairs_distances, diameter and triametral_triple
-read its BFS from 0 at x - y, antipodal builds the Cayley graph of the
-mask d0 == diameter, edge_count is V * |S| / 2 and labeled_equal of two
-Cayley graphs of one group compares their masks.  Graph(g.adjacency)
-keeps no group, so the same calls on it run the generic all-pairs search,
-the search over every triple, the antipodal graph of the all-pairs
-distances, the degree sum and the dense compare, the references here.
-The ring and Hamming builders skip the dense symmetry check, which is run
-here as a reference."""
+mask: its degrees are |S| everywhere, its BFS forest and
+complete_bipartite_parts read rows through its reader (g.rows),
+distance_rows, all_pairs_distances, diameter and triametral_triple read
+its BFS from 0 at x - y, antipodal builds the Cayley graph of the mask
+d0 == diameter and labeled_equal of two Cayley graphs of one group
+compares their masks.  Graph(g.adjacency) keeps no group, so the same
+calls on it count the stored rows, run the generic all-pairs search, the
+search over every triple, the antipodal graph of the all-pairs distances
+and the dense compare, the references here.  The ring and Hamming
+builders skip the dense symmetry check, which is run here as a
+reference."""
 
 import numpy as np
 import pytest
@@ -18,10 +20,10 @@ from scipy.sparse import csgraph, csr_matrix
 
 from test_tri_ring import ALL_TRI_SPECS
 from uct import (DisconnectedGraph, Graph, RingSpec, all_pairs_distances,
-                 antipodal, antipodal_hamming_direct, diameter,
-                 distance_rows, graph_core, hamming_graph, labeled_equal,
-                 triametral_triple, unitary_cayley)
-from uct.graph_core import distances_from_0
+                 antipodal, antipodal_hamming_direct, complete_bipartite_parts,
+                 connected_components, diameter, distance_rows, graph_core,
+                 hamming_graph, labeled_equal, triametral_triple, unitary_cayley)
+from uct.graph_core import distances_from_0, two_coloring
 from uct.tri_ring import DEFAULT_VERTEX_CAP, group_reader, tuple_codes
 
 # Every triangular spec of at most 1024 vertices that the test suite or
@@ -43,17 +45,32 @@ def outcome(invariant, g):
         return type(exc)
 
 
+def plain(x):
+    """x with an array replaced by its dtype and list, for an exact ==."""
+    return (x.dtype, x.tolist()) if isinstance(x, np.ndarray) else x
+
+
+# Read off the mask or through g.rows on a Cayley graph, and off the stored
+# rows on Graph(g.adjacency), whose degrees are streamed row counts.
+ROW_INVARIANTS = (Graph.degrees, Graph.edge_count, connected_components,
+                  two_coloring, complete_bipartite_parts)
+
+
 def assert_matches_generic(g, dtype=None, triple=True):
     """The Cayley route on g against the generic route on Graph(g.adjacency):
-    all_pairs_distances' dtype and bytes, diameter (or DisconnectedGraph)
-    and, when `triple`, triametral_triple (or its error); edge_count, and
-    antipodal (or DisconnectedGraph), its adjacency and edge_count.
-    diameter, triametral_triple and antipodal of the Cayley graph cache no
-    V x V distances, and its antipodal graph is a Cayley graph of the same
-    group.  Returns antipodal's outcome on g."""
+    ROW_INVARIANTS, taken on g first, so on a fresh g they read its mask
+    and reader and fill nothing; all_pairs_distances' dtype and bytes,
+    diameter (or DisconnectedGraph) and, when `triple`, triametral_triple
+    (or its error); and antipodal (or DisconnectedGraph), its adjacency and
+    edge_count.  diameter, triametral_triple and antipodal of the Cayley
+    graph cache no V x V distances, and its antipodal graph is a Cayley
+    graph of the same group.  Returns antipodal's outcome on g."""
+    unfilled = g._adj is None
+    mine = [plain(invariant(g)) for invariant in ROW_INVARIANTS]
+    assert (g._adj is None) == unfilled  # the row invariants fill nothing
     generic = Graph(g.adjacency)
     assert g._group is not None and generic._group is None
-    assert g.edge_count() == generic.edge_count()
+    assert mine == [plain(invariant(generic)) for invariant in ROW_INVARIANTS]
     for invariant in (diameter, triametral_triple)[:1 + triple]:
         assert outcome(invariant, g) == outcome(invariant, generic)
     anti = outcome(antipodal, g)
@@ -93,16 +110,35 @@ def test_matches_generic_distances(text):
 @pytest.mark.parametrize("text", ALL_TRI_SPECS
                          + [f"zn:{m}" for m in range(2, 65)] + ["zn:4096"])
 def test_ring_graphs_pass_the_dense_references(text):
-    """unitary_cayley proves its graph simple from the unit mask; on the
+    """unitary_cayley proves its graph simple from the unit mask; the
+    Cayley route on the fresh graph matches the generic one, and on the
     stored adjacency the V x V symmetry check holds and the diagonal is
-    empty, and the Cayley route matches the generic one."""
+    empty."""
     g = unitary_cayley(RingSpec.parse(text))
+    anti = assert_matches_generic(g)
     assert graph_core._is_symmetric(g.adjacency)
     assert not np.diagonal(g.adjacency).any()
-    anti = assert_matches_generic(g)
     spec = RingSpec.parse(text)
     if spec.kind == "tri" and spec.q == 2:  # 2**(n - 1) components
         assert anti is DisconnectedGraph
+
+
+CAYLEY_BUILDS = {"tri:3,2,2": lambda: unitary_cayley(RingSpec.parse("tri:3,2,2")),
+                 "zn:4096": lambda: unitary_cayley(RingSpec.parse("zn:4096")),
+                 "H(12,2)": lambda: hamming_graph(12, 2)}
+
+
+@pytest.mark.parametrize("name", CAYLEY_BUILDS)
+def test_cayley_invariants_fill_no_adjacency(name):
+    """On a fresh 4096-vertex Cayley graph the row invariants read the mask
+    and g.rows, and the distance calls d0 at x - y (or raise
+    DisconnectedGraph, on tri:3,2,2): none fills the V x V adjacency."""
+    g = CAYLEY_BUILDS[name]()
+    for invariant in ROW_INVARIANTS + (distances_from_0, diameter,
+                                       triametral_triple, all_pairs_distances,
+                                       antipodal):
+        outcome(invariant, g)
+    assert g.vertex_count == 4096 and g._adj is None
 
 
 @pytest.mark.parametrize("n, q", [(1, 5), (3, 3), (4, 2), (2, 6), (12, 2),
@@ -193,9 +229,10 @@ def test_random_circulant_matches_generic(g):
 
 @st.composite
 def cayley_graphs_of_zq_power(draw):
-    """A random Cayley graph of Z_q^n built by Graph._cayley, its adjacency
+    """A random Cayley graph of Z_q^n built by Graph._cayley, its rows
     first checked against the connection set read at a difference table of
-    the digit tuples of tuple_codes, x - y taken digit-wise mod q."""
+    the digit tuples of tuple_codes, x - y taken digit-wise mod q; its
+    adjacency is left unfilled."""
     q = draw(st.integers(min_value=2, max_value=7))
     n = draw(st.sampled_from([n for n in range(1, 7) if q ** n <= 64]))
     t = tuple_codes(n, q).astype(np.int64)
@@ -206,7 +243,7 @@ def cayley_graphs_of_zq_power(draw):
     for s in draw(st.sets(st.integers(min_value=1, max_value=q ** n - 1))):
         mask[s] = mask[negative[s]] = True
     g = Graph._cayley((q, n), mask, None, DEFAULT_VERTEX_CAP)
-    assert np.array_equal(g.adjacency, mask[diff])
+    assert np.array_equal(g.rows(slice(None)), mask[diff])
     return g
 
 
