@@ -26,7 +26,7 @@ from .errors import (FieldTooLarge, GraphTooLarge, GraphTooLargeForOracle,
 from .finite_field import make_field
 from .graph_core import (clique_number, connected_components, diameter,
                          triameter)
-from .graphio import dump_json, to_dot, to_edge_list
+from .graphio import dot_chunks, edge_list_chunks, json_chunks
 from .constructors import unitary_cayley
 from .theorem_checker import CHECKS, checks_for, report_json, run_check, run_suite
 from .tri_ring import DEFAULT_VERTEX_CAP, HARD_VERTEX_CAP, RingSpec
@@ -54,12 +54,13 @@ def _resolve_cap(args) -> int:
     return cap
 
 
-def _write_output(text: str, out):
+def _write_output(chunks, out):
+    """Write the strings `chunks`, in order, to the file `out` or stdout."""
     if out:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _add_common_flags(parser):
@@ -128,21 +129,20 @@ def cmd_build(args) -> int:
     g = unitary_cayley(spec, cap)
     print(f"{g.vertex_count} vertices, {g.edge_count()} edges", file=sys.stderr)
     if args.format == "edges":
-        text = to_edge_list(g)
+        chunks = edge_list_chunks(g)
     elif args.format == "dot":
-        text = to_dot(g)
+        chunks = dot_chunks(g)
     elif args.format == "json":
-        text = dump_json(g)
+        chunks = json_chunks(g)
     else:
-        text = f"ring {spec}\nvertices {g.vertex_count}\nedges {g.edge_count()}\n"
-    _write_output(text, args.out)
+        chunks = [f"ring {spec}\nvertices {g.vertex_count}\nedges {g.edge_count()}\n"]
+    _write_output(chunks, args.out)  # one row block's text at a time
     return EXIT_OK
 
 
 def cmd_invariants(args) -> int:
     cap = _resolve_cap(args)
     g = unitary_cayley(RingSpec.parse(args.spec), cap)
-    clique = clique_number(g)  # fills the adjacency first: the BFS then reads it
     comps = connected_components(g)
     if len(comps) == 1:
         diam = diameter(g)
@@ -155,13 +155,13 @@ def cmd_invariants(args) -> int:
         "components": len(comps),
         "diameter": diam,
         "triameter": triam,
-        "clique": clique,
+        "clique": clique_number(g),
     }
     if args.format == "json":
         text = json.dumps(result, indent=2) + "\n"
     else:
         text = "".join(f"{k} {v}\n" for k, v in result.items())
-    _write_output(text, args.out)
+    _write_output([text], args.out)
     return EXIT_OK
 
 
@@ -183,7 +183,7 @@ def cmd_verify(args) -> int:
         verdicts = [run_check(args.check, spec, cap, args.seed) for spec in specs]
     else:
         verdicts = run_suite(specs, cap=cap, seed=args.seed)
-    _write_output(report_json(verdicts), args.out)
+    _write_output([report_json(verdicts)], args.out)
     for v in verdicts:
         status = "PASS" if v.passed else "FAIL"
         print(f"{status} {v.claim_id} @ {v.spec}", file=sys.stderr)

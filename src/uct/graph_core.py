@@ -11,8 +11,12 @@ one row accessor, reads rows through that reader until the first read
 of .adjacency fills the adjacency from it.  Its degrees (|S| everywhere),
 edge count, labeled comparison with another Cayley graph of the same
 group and antipodal graph (the Cayley graph of d0 == diameter) are read
-off the masks, and its BFS forest reads Graph.rows: none fills an
-adjacency.  Symmetry is checked one 256 x 256 tile pair at a time, each
+off the masks.  Everything else reads Graph.rows a row block at a time:
+the BFS forest, edge_blocks and edges, neighbor_masks, induced_subgraph
+and labeled_equal of any other pair.  None fills an adjacency; only
+callers that need a whole matrix read .adjacency (iso_check,
+twin_classes and the all-pairs search of a graph that is not Cayley).
+Symmetry is checked one 256 x 256 tile pair at a time, each
 mirror tile first copied into one reused buffer whose rows are padded
 off a power-of-two stride (see _is_symmetric), so every pair is compared
 at memory speed at any V, powers of two included, where a full transpose
@@ -76,7 +80,9 @@ class Graph:
     Cayley graph's is filled on its first read; see Graph._cayley).
     g.rows(s), s a slice or an index array, is the len(s) x V bool block of
     rows s, for reading only: the stored rows, or a Cayley graph's read
-    through its reader while its adjacency is not filled.  Expensive
+    through its reader while its adjacency is not filled.  The graph's own
+    row passes read g.rows, so a Cayley graph is filled only by a caller
+    that reads .adjacency for a whole matrix.  Expensive
     derived data (the BFS forest behind components and the two-coloring,
     distances) is cached on first use.  Labels are optional opaque strings
     kept for export.  A sequence (any iterable) of labels is formatted with
@@ -201,7 +207,7 @@ class Graph:
         graph's are |S| at every vertex, read off its mask."""
         if "degrees" not in self._cache:
             self._cache["degrees"] = (
-                row_counts(self.adjacency) if self._mask is None
+                row_counts(self._adj) if self._mask is None
                 else np.full(self._v, np.count_nonzero(self._mask), dtype=np.intp))
             self._cache["degrees"].flags.writeable = False
         return self._cache["degrees"]
@@ -219,10 +225,10 @@ class Graph:
         """Iterate the edges as index arrays (us, vs), us < vs, one
         row_blocks block of the upper triangle at a time; concatenated they
         are the edges in row-major order."""
-        v, adj = self.vertex_count, self.adjacency
+        v = self.vertex_count
         for s in row_blocks(v):
             upper = np.arange(v) > np.arange(s.start, s.stop)[:, None]
-            upper &= adj[s]
+            upper &= self.rows(s)
             us, vs = np.divmod(np.flatnonzero(upper), v)
             us += s.start
             yield us, vs
@@ -231,20 +237,20 @@ class Graph:
         """Adjacency rows as python-int bitsets (bit v set <=> edge to v),
         packed one row_blocks block at a time.  Not cached: the ints take
         V^2 / 8 bytes, so they live only as long as the caller holds them."""
-        masks, adj = [], self.adjacency
+        masks = []
         for s in row_blocks(self.vertex_count):
-            packed = np.packbits(adj[s], axis=1, bitorder="little")
+            packed = np.packbits(self.rows(s), axis=1, bitorder="little")
             masks += [int.from_bytes(row.tobytes(), "little") for row in packed]
         return masks
 
     def induced_subgraph(self, vertices) -> "Graph":
         vs = np.array(list(vertices), dtype=np.intp)
-        source, adj = deferred_labels(self), self.adjacency
+        source = deferred_labels(self)
 
         def labels():
             full = source()
             return None if full is None else [full[v] for v in vs.tolist()]
-        return Graph.from_rows(len(vs), lambda s: adj[np.ix_(vs[s], vs)],
+        return Graph.from_rows(len(vs), lambda s: self.rows(vs[s])[:, vs],
                                labels=labels, cap=max(len(vs), 1))
 
     def __repr__(self):
@@ -315,11 +321,14 @@ def _is_symmetric(adj: np.ndarray) -> bool:
 def labeled_equal(g: Graph, h: Graph) -> bool:
     """Equality as labeled graphs: same adjacency matrix, vertex for vertex.
     Two Cayley graphs of one group are equal iff their masks are, since
-    adj[x, y] = mask[x - y]: no adjacency is filled.  Any other pair is
-    compared on the filled arrays."""
+    adj[x, y] = mask[x - y].  Any other pair of equal order is compared a
+    row block of g.rows and h.rows at a time.  Neither fills an
+    adjacency."""
     if g._group is not None and g._group == h._group:
         return np.array_equal(g._mask, h._mask)
-    return np.array_equal(g.adjacency, h.adjacency)
+    v = g.vertex_count
+    return v == h.vertex_count and all(np.array_equal(g.rows(s), h.rows(s))
+                                       for s in row_blocks(v))
 
 
 def connected_components(g: Graph) -> list:

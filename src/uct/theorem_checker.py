@@ -7,9 +7,12 @@ one RingInstance, and a suite runs its specs one after another.  A ring
 graph is Cayley by construction (unitary_cayley checks U = -U and 0 not
 in U on its unit mask) and keeps its group, so its distances are the
 depths d0 of the components' BFS forest read at x - y
-(graph_core.distance_rows), with no V x V distance array.  Claims
-conditional on the field size are gated: the two-element-field claims
-raise WrongField for q > 2 and vice versa.
+(graph_core.distance_rows), with no V x V distance array.  Every check
+reads the graph's rows through g.rows alone, so a lone check fills no
+adjacency; a suite that runs several checks on a spec (every triangular
+one) fills it once, when the first check builds the graph, and the rest
+read stored rows.  Claims conditional on the field size are gated: the
+two-element-field claims raise WrongField for q > 2 and vice versa.
 """
 
 from __future__ import annotations
@@ -67,15 +70,22 @@ class RingInstance:
     """One spec's unitary Cayley graph and the data derived from it, each
     built on first use and shared by the spec's checks.  An int spec is
     the modulus of Z_n.  The graph keeps its group, so graph_core reads
-    its distances as d(x, y) = d0[x - y] (see graph_core.distance_rows)."""
+    its distances as d(x, y) = d0[x - y] (see graph_core.distance_rows).
+    The checks read its rows through g.rows only; `stored` (a suite
+    running several checks on the spec) fills its adjacency once, where
+    the graph is built, so every later row read is a stored row."""
 
-    def __init__(self, spec, cap: int = DEFAULT_VERTEX_CAP):
+    def __init__(self, spec, cap: int = DEFAULT_VERTEX_CAP, stored: bool = False):
         self.spec = RingSpec.integers_mod(spec) if isinstance(spec, int) else spec
         self.cap = cap
+        self.stored = stored
 
     @cached_property
     def graph(self):
-        return unitary_cayley(self.spec, self.cap)
+        g = unitary_cayley(self.spec, self.cap)
+        if self.stored:
+            g.adjacency  # the suite's one fill
+        return g
 
     @cached_property
     def digits(self) -> np.ndarray:
@@ -161,13 +171,14 @@ def check_prop0(ring: RingInstance):
 def check_prop1(ring: RingInstance):
     """Adjacency criterion: the graph, built by the unit-difference rule,
     has an edge exactly where all diagonal entries differ, on every pair."""
-    adj = ring.graph.adjacency
+    g = ring.graph
     agree = True
-    for rows in row_blocks(len(adj)):
-        differs_everywhere = np.ones_like(adj[rows])
+    for rows in row_blocks(g.vertex_count):
+        block = g.rows(rows)
+        differs_everywhere = np.ones_like(block)
         for col in ring.diagonal.T:
             differs_everywhere &= col[rows, None] != col
-        agree &= np.array_equal(adj[rows], differs_everywhere)
+        agree &= np.array_equal(block, differs_everywhere)
     pairs = ring.spec.order * (ring.spec.order - 1) // 2
     return {"rules_agree": True}, {"rules_agree": agree}, {"pairs_checked": pairs}
 
@@ -216,16 +227,16 @@ def check_connectivity_and_diameter(ring: RingInstance):
     diam = largest_finite_distance(distances_from_0(g))
 
     certificate = {}
-    adj = g.adjacency
-    if not adj[0, 1:].all():
-        w = int(np.argmin(adj[0, 1:])) + 1
+    row0 = g.rows(slice(0, 1))[0]
+    if not row0[1:].all():
+        w = int(np.argmin(row0[1:])) + 1
         da, db = ring.diagonal[0], ring.diagonal[w]
         free = [next(e for e in range(spec.q) if e not in xy) for xy in zip(da, db)]
         mid = _diagonal_matrix_encoding(spec, free)
         certificate = {
             "nonadjacent_pair": [0, w],
             "midpoint": mid,
-            "midpoint_adjacent_to_both": bool(adj[mid, 0] and adj[mid, w]),
+            "midpoint_adjacent_to_both": bool(g.rows([mid])[0, [0, w]].all()),
         }
     expected = {"components": 1, "diameter": 2, "midpoint_ok": True}
     computed = {"components": len(comps), "diameter": diam,
@@ -270,13 +281,12 @@ def check_clique(ring: RingInstance):
     spec, g = ring.spec, ring.graph
     q = spec.q
     scalars = [_diagonal_matrix_encoding(spec, [a] * spec.n) for a in range(q)]
-    adj = g.adjacency
-    scalars_adjacent = all(adj[x, y] for i, x in enumerate(scalars)
-                           for y in scalars[i + 1:])
+    among = g.rows(scalars)[:, scalars]
+    scalars_adjacent = bool(among[np.triu_indices(q, 1)].all())
     d1, independent = ring.diagonal[:, 0], True
-    for s in row_blocks(len(adj)):
+    for s in row_blocks(g.vertex_count):
         eq = d1[s, None] == d1
-        eq &= adj[s]
+        eq &= g.rows(s)
         independent &= not eq.any()
     found = scalars if scalars_adjacent and independent else max_clique(g)
     expected = {"clique_number": q, "scalar_clique_ok": True}
@@ -320,7 +330,7 @@ def check_theorem3(ring: RingInstance, seed: int):
     for s in row_blocks(v):
         block = rows(perm[s])
         degrees[perm[s]] = row_counts(block)
-        pairwise_equal &= np.array_equal(block.take(perm, axis=1), g.adjacency[s])
+        pairwise_equal &= np.array_equal(block.take(perm, axis=1), g.rows(s))
 
     edges = g.edge_count()
     degrees_equal = np.array_equal(np.sort(g.degrees()), np.sort(degrees))
@@ -333,7 +343,8 @@ def check_theorem3(ring: RingInstance, seed: int):
 
     rng = random.Random(seed)
     x, y = np.array([(rng.randrange(v), rng.randrange(v)) for _ in range(100)]).T
-    spot_ok = np.array_equal(g.adjacency[x, y], rows(perm[x])[np.arange(100), perm[y]])
+    spot_ok = np.array_equal(g.rows(x)[np.arange(100), y],
+                             rows(perm[x])[np.arange(100), perm[y]])
 
     expected = {"pairwise_equal": True, "degree_sequences_equal": True,
                 "edge_counts_equal": True, "component_counts_equal": True,
@@ -438,8 +449,9 @@ def _run_spec(spec: RingSpec, cap: int, seed: int) -> list:
                         passed=False,
                         certificate={"error": "RingTooLarge", "order": spec.order},
                         millis=0.0)]
-    ring = RingInstance(spec, cap)
-    return [_run(name, ring, seed) for name in checks_for(spec)]
+    names = checks_for(spec)
+    ring = RingInstance(spec, cap, stored=len(names) > 1)
+    return [_run(name, ring, seed) for name in names]
 
 
 def run_suite(specs=None, cap: int = DEFAULT_VERTEX_CAP, seed: int = 0) -> list:

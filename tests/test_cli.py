@@ -403,13 +403,12 @@ def run_tri_3_7_1_capped(argv):
                           preexec_fn=cap_address_space)
 
 
-@pytest.mark.parametrize("argv", [["verify", "--check", "prop1"],
-                                  ["invariants"]])
+@pytest.mark.parametrize("argv", [["verify"], ["invariants"]])
 def test_out_of_memory_exits_3(argv):
     """An allocation the address-space limit refuses is a resource error:
-    exit 3 with one error line, not a traceback under exit 1.  prop1
-    compares every pair with the filled adjacency, and the invariants
-    fill it for the clique search."""
+    exit 3 with one error line, not a traceback under exit 1.  The suite
+    fills the ring graph's adjacency once, before its checks read rows,
+    and the invariants' clique search packs every row into bitsets."""
     proc = run_tri_3_7_1_capped(argv)
     assert proc.returncode == 3
     assert proc.stdout == ""
@@ -437,3 +436,23 @@ def test_prop0_reads_the_degrees_off_the_mask():
     assert proc.stderr == "PASS prop0.regularity @ tri:3,7,1\n"
     (verdict,) = json.loads(proc.stdout)["verdicts"]
     assert verdict["computed"]["degree_min"] == 6 ** 3 * 7 ** 3
+
+
+def test_lone_check_reads_rows_without_the_adjacency():
+    """`uct verify --check prop1 --spec tri:5,2,1` compares every pair
+    through the graph's row reader: the process peaks far below the
+    32768-vertex adjacency's 1 GB, which a lone check never fills."""
+    src = os.path.dirname(os.path.dirname(uct.__file__))
+    code = ("import resource, sys\n"
+            "from uct import cli\n"
+            "code = cli.main(['verify', '--check', 'prop1', '--spec', 'tri:5,2,1'])\n"
+            "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
+            "print(f'peak {peak:.0f} MB', file=sys.stderr)\n"
+            "sys.exit(code)\n")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    status, peak = proc.stderr.splitlines()
+    assert status == "PASS prop1.diagonal_rule @ tri:5,2,1"
+    assert float(peak.split()[1]) < 256, peak

@@ -445,6 +445,64 @@ def test_ring_path_runs_no_dense_symmetry_or_invariance_pass(monkeypatch,
     assert all_pairs_distances(hamming_graph(12, 2)).max() == 12
 
 
+T232 = RingSpec.triangular(2, 3, 2)  # 729 vertices: above the oracle's cap
+
+
+def count_ring_fills(monkeypatch):
+    """The list of the groups of the Cayley graphs whose adjacency is filled
+    from now on; a ring graph's group is its spec's, A(H(n, q))'s is
+    (q, n)."""
+    fills, real = [], Graph.adjacency.fget
+
+    def counted(g):
+        if g._adj is None and g._group is not None:
+            fills.append(g._group)
+        return real(g)
+    monkeypatch.setattr(Graph, "adjacency", property(counted))
+    return fills
+
+
+def test_a_suite_fills_each_ring_graph_once(monkeypatch, tmp_path):
+    """A suite fills each triangular spec's graph once, where its checks run
+    several; it fills no zn graph (one check), and a lone check, `uct
+    invariants` and `uct build` fill none (above the oracle's cap, where
+    theorem3 runs no iso_check on the whole graph)."""
+    fills = count_ring_fills(monkeypatch)
+    zn = RingSpec.parse("zn:4096")
+    verdicts = run_suite([T32, T23, zn, T42])
+    assert all(v.passed for v in verdicts)
+    assert [g for g in fills if g != (3, 2)] == [T32.group, T23.group, T42.group]
+    del fills[:]
+    for spec in (T42, T232, zn):
+        for name in checks_for(spec):
+            assert run_check(name, spec).passed, name
+    out = str(tmp_path / "out")
+    for argv in (["invariants", "--spec", str(T232)],
+                 ["build", "--spec", str(T232), "--format", "dot"]):
+        assert cli.main(argv + ["--out", out]) == 0
+    assert [g for g in fills if g in (T42.group, T232.group, zn.group)] == []
+
+
+def test_ring_checks_read_no_adjacency(monkeypatch):
+    """No check body reads Graph.adjacency on its ring graph, filled or
+    not: every row is read through g.rows (specs above the oracle's cap,
+    whose iso_check reads whole matrices)."""
+    rings = [tc.RingInstance(spec, stored=stored) for spec in (T42, T232)
+             for stored in (False, True)]
+    graphs = {id(ring.graph) for ring in rings}  # the stored ones fill here
+    assert sum(ring.graph._adj is not None for ring in rings) == 2
+    real = Graph.adjacency.fget
+
+    def refused(g):
+        if id(g) in graphs:
+            raise AssertionError("a check read the ring graph's adjacency")
+        return real(g)
+    monkeypatch.setattr(Graph, "adjacency", property(refused))
+    for ring in rings:
+        for name in checks_for(ring.spec):
+            assert tc._measure(name, ring).passed, name
+
+
 def refuse_4096_symmetry_checks(monkeypatch):
     real_symmetric = graph_core._is_symmetric
 
@@ -599,7 +657,7 @@ def test_ring_checks_hold_one_row_block_at_a_time(monkeypatch):
     bitset masks of every row would take an eighth."""
     monkeypatch.setattr(graph_core, "_ROW_BLOCK_ENTRIES", 1 << 16)
     ring = tc.RingInstance(RingSpec.parse("tri:3,2,2"))
-    v = ring.graph.adjacency.shape[0]  # prop1 fills it, before tracing
+    v = ring.graph.adjacency.shape[0]  # the suite's one fill, before tracing
     d0 = graph_core.distances_from_0(ring.graph)
     assert d0.shape == (v,) and ring.diagonal.shape == (v, 3)
     for name, bound in (("prop1", v * v / 4), ("connectivity", v * v / 4),

@@ -12,6 +12,8 @@ and the dense compare, the references here.  The ring and Hamming
 builders skip the dense symmetry check, which is run here as a
 reference."""
 
+from itertools import chain, islice
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,10 +58,43 @@ ROW_INVARIANTS = (Graph.degrees, Graph.edge_count, connected_components,
                   two_coloring, complete_bipartite_parts)
 
 
+def edge_arrays(g):
+    """The edges of g.edge_blocks, concatenated: us above vs."""
+    return np.vstack([np.concatenate(side) for side in zip(*g.edge_blocks())])
+
+
+def first_edges(g):
+    """The first 2**18 edges of g.edges(), flat: every edge of each graph
+    of at most 1024 vertices here."""
+    return np.fromiter(chain.from_iterable(islice(g.edges(), 1 << 18)),
+                       dtype=np.intp)
+
+
+def some_vertices(g):
+    """induced_subgraph of every third vertex and the last, in reverse."""
+    v = g.vertex_count
+    return g.induced_subgraph([v - 1, *range(v - 2, -1, -3)]).adjacency
+
+
+def equal_to_stored_copies(g):
+    """labeled_equal of g against two stored graphs built from g.rows: its
+    copy and its complement."""
+    v = g.vertex_count
+    copy = Graph.from_rows(v, g.rows)
+    other = Graph.from_rows(v, lambda s: ~g.rows(s) ^ (np.arange(v)[s, None]
+                                                       == np.arange(v)))
+    return labeled_equal(g, copy), labeled_equal(g, other)
+
+
+# The rows read a row block at a time through g.rows on every graph.
+ROW_READS = (edge_arrays, first_edges, Graph.neighbor_masks, some_vertices,
+             equal_to_stored_copies)
+
+
 def assert_matches_generic(g, dtype=None, triple=True):
     """The Cayley route on g against the generic route on Graph(g.adjacency):
-    ROW_INVARIANTS, taken on g first, so on a fresh g they read its mask
-    and reader and fill nothing; all_pairs_distances' dtype and bytes,
+    ROW_INVARIANTS and ROW_READS, taken on g first, so on a fresh g they
+    read its mask and reader and fill nothing; all_pairs_distances' dtype and bytes,
     diameter (or DisconnectedGraph) and, when `triple`, triametral_triple
     (or its error); and antipodal (or DisconnectedGraph), its adjacency and
     edge_count.  diameter, triametral_triple and antipodal of the Cayley
@@ -67,10 +102,14 @@ def assert_matches_generic(g, dtype=None, triple=True):
     graph of the same group.  Returns antipodal's outcome on g."""
     unfilled = g._adj is None
     mine = [plain(invariant(g)) for invariant in ROW_INVARIANTS]
-    assert (g._adj is None) == unfilled  # the row invariants fill nothing
+    reads = [read(g) for read in ROW_READS]
+    assert (g._adj is None) == unfilled  # the row invariants and reads fill nothing
     generic = Graph(g.adjacency)
     assert g._group is not None and generic._group is None
     assert mine == [plain(invariant(generic)) for invariant in ROW_INVARIANTS]
+    for read, got in zip(ROW_READS, reads):
+        assert np.array_equal(got, read(generic)), read.__name__
+    assert reads[-1] == (True, False)
     for invariant in (diameter, triametral_triple)[:1 + triple]:
         assert outcome(invariant, g) == outcome(invariant, generic)
     anti = outcome(antipodal, g)
@@ -318,11 +357,11 @@ def over(group, connection):
     (lambda: (over((4, 1), [1, 2, 3]), over((2, 2), [1, 2, 3])), True),
 ])
 def test_labeled_equal_of_two_groups_compares_the_adjacency(pair, equal):
-    """Cayley graphs of two groups of one order are compared on their
-    filled adjacency, not their masks: equal masks over Z_8 and Z_2^3 give
+    """Cayley graphs of two groups of one order are compared on their rows,
+    not their masks, and neither is filled: equal masks over Z_8 and Z_2^3 give
     different graphs, and K_4 is the same graph over Z_4 and Z_2^2."""
     g, h = pair()
     assert g._group != h._group and g.vertex_count == h.vertex_count
     assert labeled_equal(g, h) is equal
-    assert g._adj is not None and h._adj is not None
+    assert g._adj is None and h._adj is None  # compared through g.rows
     assert np.array_equal(g.adjacency, h.adjacency) is equal
