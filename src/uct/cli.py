@@ -143,6 +143,7 @@ def cmd_build(args) -> int:
 def cmd_invariants(args) -> int:
     cap = _resolve_cap(args)
     g = unitary_cayley(RingSpec.parse(args.spec), cap)
+    clique = clique_number(g)  # first: V^2 / 8 bytes of bitsets fail before the BFS
     comps = connected_components(g)
     if len(comps) == 1:
         diam = diameter(g)
@@ -155,7 +156,7 @@ def cmd_invariants(args) -> int:
         "components": len(comps),
         "diameter": diam,
         "triameter": triam,
-        "clique": clique_number(g),
+        "clique": clique,
     }
     if args.format == "json":
         text = json.dumps(result, indent=2) + "\n"

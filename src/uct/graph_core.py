@@ -268,15 +268,15 @@ def _formatted(labels, v: int):
     return labels
 
 
-def _filled(v, rows):
-    """The read-only v x v bool array whose rows s are rows(s), written one
+def _filled(v, rows, dtype=bool):
+    """The read-only v x v array whose rows s are rows(s), written one
     row_blocks block at a time."""
-    adj = np.empty((v, v), dtype=bool)
+    adj = np.empty((v, v), dtype=dtype)
     for s in row_blocks(v):
         block = np.asarray(rows(s))
         if block.shape != adj[s].shape:
             raise ValueError(f"rows({s}) must be a {adj[s].shape} array")
-        adj[s] = block
+        adj[s], block = block, None  # freed before the next block is read
     adj.flags.writeable = False
     return adj
 
@@ -401,10 +401,7 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
         # d(x, y) <= d(x, root) + d(root, y) <= 2 * the root's eccentricity
         levels = 2 * int(_forest(g)[2].max()) if v else 0
         if g._group is not None:
-            read = distance_rows(g)
-            d = np.empty((v, v), dtype=read.table.dtype)
-            for s in row_blocks(v):
-                d[s] = read(s)
+            d = _filled(v, distance_rows(g), distances_from_0(g).dtype)
         elif levels * -(-v // 64) <= _LEVEL_WORDS_PER_VERTEX * v:
             d = _all_sources_bfs(g.adjacency)
         else:

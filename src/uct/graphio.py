@@ -5,16 +5,16 @@ vertices do not appear in an edge list, so imports accept an explicit
 vertex count for re-checks that need them preserved.
 
 Edge lists, DOT edge lines and the JSON envelope's edges move as bytes,
-not one Python object per edge.  The export gathers each row block's
-edges (Graph.edge_blocks) from two NUL-padded tables of the decimal
-tokens of 0..V-1, each wrapped in the text that comes before and after
-it (a space and a newline for an edge list, " -- " and ";" for DOT, the
-indented brackets json.dumps writes for the envelope), then drops the
-NUL bytes and decodes that block's text.  edge_list_chunks, dot_chunks
-and json_chunks yield the text one row block at a time, so a writer
-holds one block's text; to_edge_list, to_dot and dump_json join them.
-The import hands the text to np.loadtxt as one stream, after blanking
-comment lines with one regex.
+not one Python object per edge.  The export gathers a row block's edges
+(Graph.edge_blocks), 2^18 at a time, from two NUL-padded tables of the
+decimal tokens of 0..V-1, each wrapped in the text that comes before and
+after it (a space and a newline for an edge list, " -- " and ";" for DOT,
+the indented brackets json.dumps writes for the envelope), then drops
+the NUL bytes and decodes that piece's text.  edge_list_chunks,
+dot_chunks and json_chunks yield the text one piece at a time, so a
+writer holds one piece's text; to_edge_list, to_dot and dump_json join
+them.  The import hands the text to np.loadtxt as one stream, after
+blanking comment lines with one regex.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ import numpy as np
 
 from .graph_core import Graph
 
+_EDGE_PIECE = 1 << 18  # edges formatted at once (see _edge_chunks)
+
 
 def to_edge_list(g: Graph) -> str:
     """One "u v" line per edge, u < v, in row-major order."""
@@ -34,22 +36,25 @@ def to_edge_list(g: Graph) -> str:
 
 
 def edge_list_chunks(g: Graph):
-    """to_edge_list's text, one row block's lines at a time."""
+    """to_edge_list's text, one piece of lines at a time."""
     return _edge_chunks(g, b"", b" ", b"\n")
 
 
 def _edge_chunks(g: Graph, before: bytes, between: bytes, after: bytes):
     """before + u + between + v + after for each edge, u < v, in row-major
-    order, u and v in decimal: one str per row block of Graph.edge_blocks."""
+    order, u and v in decimal: one str per _EDGE_PIECE edges of a block of
+    Graph.edge_blocks, as a piece's text is held several times over."""
     v = g.vertex_count
     digits = np.arange(v).astype(f"S{len(str(max(v - 1, 0)))}")
     left = np.strings.add(np.strings.add(before, digits), between)
     right = np.strings.add(digits, after)
     width = max(left.itemsize, right.itemsize)
     for us, vs in g.edge_blocks():
-        lines = np.empty((len(us), 2), dtype=f"S{width}")
-        lines[:, 0], lines[:, 1] = left[us], right[vs]
-        yield lines.tobytes().translate(None, b"\0").decode()
+        for i in range(0, len(us), _EDGE_PIECE):
+            piece = slice(i, i + _EDGE_PIECE)
+            lines = np.empty((len(us[piece]), 2), dtype=f"S{width}")
+            lines[:, 0], lines[:, 1] = left[us[piece]], right[vs[piece]]
+            yield lines.tobytes().translate(None, b"\0").decode()
 
 
 def to_dot(g: Graph, name: str = "G") -> str:
@@ -57,8 +62,8 @@ def to_dot(g: Graph, name: str = "G") -> str:
 
 
 def dot_chunks(g: Graph, name: str = "G"):
-    """to_dot's text: the header and vertex labels, then one row block's
-    edge lines at a time, then the closing brace."""
+    """to_dot's text: the header and vertex labels, then one piece of edge
+    lines at a time, then the closing brace."""
     lines = [f"graph {name} {{"]
     if g.labels is not None:
         for v, label in enumerate(g.labels):
@@ -89,15 +94,14 @@ def dump_json(g: Graph) -> str:
 
 
 def json_chunks(g: Graph):
-    """dump_json's text: the envelope up to its edge list, then one row
-    block's edges at a time (see _edge_chunks), each edge led by the
-    ",\n" that json.dumps puts between two, dropped from the first."""
+    """dump_json's text: the envelope up to its edge list, then one piece
+    of edges at a time (see _edge_chunks, which yields no empty piece),
+    each edge led by the ",\n" that json.dumps puts between two, dropped
+    from the first."""
     head = json.dumps({"vertex_count": g.vertex_count,
                        "labels": None if g.labels is None else list(g.labels),
                        "edges": []}, indent=2)
-    edges = (chunk for chunk in _edge_chunks(g, b",\n    [\n      ",
-                                             b",\n      ", b"\n    ]")
-             if chunk)
+    edges = _edge_chunks(g, b",\n    [\n      ", b",\n      ", b"\n    ]")
     first = next(edges, None)
     if first is None:
         yield head + "\n"

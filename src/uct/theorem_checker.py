@@ -2,16 +2,17 @@
 graphs of upper-triangular matrix rings, with re-checkable certificates.
 
 Every check takes a RingSpec, measures the built graph, compares against
-the claimed value, and returns a Verdict; the checks of one spec share
-one RingInstance, and a suite runs its specs one after another.  A ring
-graph is Cayley by construction (unitary_cayley checks U = -U and 0 not
-in U on its unit mask) and keeps its group, so its distances are the
-depths d0 of the components' BFS forest read at x - y
-(graph_core.distance_rows), with no V x V distance array.  Every check
-reads the graph's rows through g.rows alone, so a lone check fills no
-adjacency; a suite that runs several checks on a spec (every triangular
-one) fills it once, when the first check builds the graph, and the rest
-read stored rows.  Claims conditional on the field size are gated: the
+the claimed value, and returns a Verdict; the checks of one spec share one
+RingInstance, and a suite runs its specs one after another.  A ring graph
+is Cayley by construction (unitary_cayley checks U = -U and 0 not in U on
+its unit mask) and keeps its group, so its distances are the depths d0 of
+the components' BFS forest read at x - y (graph_core.distance_rows), with
+no V x V distance array, and theorem3's relabeled graph is phi(U) read at
+x - y (phi permutes digit slots: it is additive).  Every check reads the
+graph's rows through g.rows alone, so a lone check fills no adjacency; a
+suite that runs several checks on a spec (every triangular one) fills it
+once, when the first check builds the graph, and the rest read stored
+rows.  Claims conditional on the field size are gated: the
 two-element-field claims raise WrongField for q > 2 and vice versa.
 """
 
@@ -36,8 +37,8 @@ from .graph_core import (ISO_ORACLE_CAP, bfs_forest, complete_bipartite_parts,
                          labeled_equal, largest_finite_distance, max_clique,
                          row_blocks, row_counts, triametral_triple)
 from .tri_ring import (DEFAULT_VERTEX_CAP, RingSpec, diagonal_slots, encode,
-                       entry_digit_matrix, from_parts, strict_upper_slots,
-                       unit_mask)
+                       entry_digit_matrix, from_parts, group_reader,
+                       strict_upper_slots, unit_mask)
 
 
 @dataclass
@@ -88,13 +89,10 @@ class RingInstance:
         return g
 
     @cached_property
-    def digits(self) -> np.ndarray:
-        """Canonical entry digits, one row per vertex (triangular rings)."""
-        return entry_digit_matrix(self.spec, self.cap)
-
-    @cached_property
     def diagonal(self) -> np.ndarray:
-        return self.digits[:, list(diagonal_slots(self.spec.n))]
+        """Diagonal entry digits, one row per vertex (triangular rings)."""
+        slots = list(diagonal_slots(self.spec.n))
+        return entry_digit_matrix(self.spec, self.cap)[:, slots]
 
     @cached_property
     def antipodal_hamming(self):
@@ -295,16 +293,16 @@ def check_clique(ring: RingInstance):
 
 
 def theorem3_relabeling(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> np.ndarray:
-    """The structural bijection, as a read-only int64 array indexed by
+    """The structural bijection phi, as a read-only int64 array indexed by
     vertex: matrix -> (strict-upper encoding) * q^n + (diagonal encoding),
     the base-q number whose low n digits are the diagonal.  Maps
     Cayley-graph vertices onto vertices of K_m (bullet) A(H(n, q)) in
-    product order.  A RingInstance may stand in for the spec; its digit
-    matrix is then reused."""
-    ring = spec if isinstance(spec, RingInstance) else RingInstance(spec, cap)
-    q, n = ring.spec.q, ring.spec.n
+    product order.  It only reorders the entry slots, so it permutes the
+    digit slots of (R, +) = Z_p**(k n(n+1)/2) and is additive."""
+    q, n = spec.q, spec.n
     slots = list(diagonal_slots(n) + strict_upper_slots(n))
-    perm = ring.digits[:, slots] @ q ** np.arange(len(slots), dtype=np.int64)
+    digits = entry_digit_matrix(spec, cap)[:, slots]
+    perm = digits @ q ** np.arange(len(slots), dtype=np.int64)
     perm.flags.writeable = False
     return perm
 
@@ -312,25 +310,32 @@ def theorem3_relabeling(spec: RingSpec, cap: int = DEFAULT_VERTEX_CAP) -> np.nda
 @_check("theorem3", "theorem3.semistrong_product", gf2=False, seeded=True)
 def check_theorem3(ring: RingInstance, seed: int):
     """q > 2: the Cayley graph equals K_m (bullet) A(H(n,q)) as a labeled
-    graph after the structural relabeling, m = q^(n(n-1)/2), on every vertex
-    pair of the product's row rule (semistrong_rows) read at perm; its row
-    sums and a BFS forest over it cross-check the degrees, edge count and
-    component count, and the isomorphism oracle confirms small instances."""
+    graph after the structural relabeling phi, m = q^(n(n-1)/2), on every
+    vertex pair of the product's row rule (semistrong_rows).  phi permutes
+    digit slots, so it is additive and maps Cay(R, U) onto Cay(R, phi(U)):
+    the relabeled rows, in product order, are one group_reader of phi(U), U
+    being row 0 (the unit mask; see Graph._cayley).  Row sums and a BFS
+    forest of the product cross-check degrees, edges and components; 100
+    seeded pairs are read off g.rows at phi; the isomorphism oracle
+    confirms small instances."""
     spec, g, cap = ring.spec, ring.graph, ring.cap
     q, n = spec.q, spec.n
     m = q ** (n * (n - 1) // 2)
     factors = complete_graph(m, cap), ring.antipodal_hamming
     rows = semistrong_rows(*factors)
-    perm = theorem3_relabeling(ring)
+    perm = theorem3_relabeling(spec, cap)
     v = g.vertex_count
     if v != m * q ** n or not (np.bincount(perm, minlength=v) == 1).all():
         raise AssertionError("relabeling is not onto the product vertex set")
+    u = np.empty(v, dtype=bool)
+    u[perm] = g.rows(slice(0, 1))[0]
+    relabeled = group_reader(spec.group, u)
     degrees = np.empty(v, dtype=np.intp)  # of the product, in its vertex order
     pairwise_equal = True
     for s in row_blocks(v):
-        block = rows(perm[s])
-        degrees[perm[s]] = row_counts(block)
-        pairwise_equal &= np.array_equal(block.take(perm, axis=1), g.rows(s))
+        block = rows(s)
+        degrees[s] = row_counts(block)
+        pairwise_equal &= np.array_equal(block, relabeled(s))
 
     edges = g.edge_count()
     degrees_equal = np.array_equal(np.sort(g.degrees()), np.sort(degrees))

@@ -264,16 +264,13 @@ def window_digits(group, itemsize: int = 1) -> int:
     return low
 
 
-def group_reader(group, of=None):
+def group_reader(group, of):
     """The function read(rows) over Z_m**count, group = (m, count), whose
     elements are encoded base m, first digit least significant: the
     len(rows) x m**count array of the table `of` (one entry per element)
     read at x - y, for x in rows (a slice or a sequence of encodings) and
-    every y, in of's dtype.  The default `of` is the encodings themselves
-    in the smallest unsigned dtype (uint8 up to 256 elements, uint16 up to
-    2**16), so read(rows) holds the codes of x - y.  A caller reading many
-    row blocks of one table keeps the reader, so its window table is
-    built once.
+    every y, in of's dtype.  A caller reading many row blocks of one table
+    keeps the reader, so its window table is built once.
 
     The digits split into the low L = window_digits and the rest, so x - y
     is hi[x_hi, y_hi] * m**L + lo[x_lo, y_lo], hi and lo the difference
@@ -285,14 +282,11 @@ def group_reader(group, of=None):
     (x_j - y_j) mod m per digit x_j of x, each new digit the most
     significant, and cyclic-table rows are windows of one length-(2m - 1)
     ramp; so for L = 1 (Z_n always) the table is `of` read at the ramp and
-    W a view of its windows.  The reader's `table` attribute is the array
-    W was made from.
+    W a view of its windows.
     """
     m, count = group
     v = m ** count
-    if of is None:
-        of = np.arange(v, dtype=np.min_scalar_type(v - 1))
-    elif len(of) != v:
+    if len(of) != v:
         raise ValueError(f"of must have {v} entries, got {len(of)}")
     of = np.asarray(of)
     low = window_digits(group, of.itemsize)
@@ -310,7 +304,6 @@ def group_reader(group, of=None):
         x_hi, x_lo = np.divmod(x, size)
         hi = _kronecker_rows(cyclic, x_hi, count - low)
         return window[hi, x_lo[:, None]].reshape(len(x), v)
-    read.table = table
     return read
 
 

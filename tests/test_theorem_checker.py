@@ -212,6 +212,57 @@ def test_theorem3_relabeling_is_bijection():
     assert sorted(phi) == list(range(729))
 
 
+@pytest.mark.parametrize("text", [t for t in ALL_TRI_SPECS
+                                  if RingSpec.parse(t).q > 2])
+def test_theorem3_reads_the_relabeled_graph_as_a_cayley_graph(text):
+    """phi permutes digit slots, so it is additive: the reader of phi(U),
+    U = row 0, is the graph relabeled by phi on every pair, k > 1 included."""
+    spec = RingSpec.parse(text)
+    g = unitary_cayley(spec)
+    perm = theorem3_relabeling(spec)
+    u = np.empty(spec.order, dtype=bool)
+    u[perm] = g.rows(slice(0, 1))[0]
+    inv = np.argsort(perm)  # phi^-1
+    assert np.array_equal(tri_ring.group_reader(spec.group, u)(slice(None)),
+                          Graph(g.adjacency).adjacency[np.ix_(inv, inv)])
+
+
+@pytest.mark.parametrize("spec", [T23, T24])
+def test_theorem3_fails_on_a_graph_with_one_more_pair(spec):
+    """The unit mask plus one symmetric pair of non-units z, -z is still a
+    Cayley graph, but not the product: pairwise_equal must fail."""
+    mask = tri_ring.unit_mask(spec).copy()
+    z = int(np.flatnonzero(~mask)[1])  # the first nonzero non-unit
+    codes = np.arange(spec.order)
+    mask[[z, tri_ring.group_reader(spec.group, codes)(slice(0, 1))[0, z]]] = True
+    ring = tc.RingInstance(spec)
+    ring.graph = Graph._cayley(spec.group, mask, None, ring.cap)
+    verdict = tc._measure("theorem3", ring)
+    assert not verdict.computed["pairwise_equal"] and not verdict.passed
+
+
+def test_theorem3_in_a_suite_reads_row_0_and_the_spot_pairs(monkeypatch):
+    """In a stored suite theorem3 reads the ring graph's rows only for row 0
+    (its mask) and the 100 spot pairs; the pairwise pass reads none."""
+    reads, real_measure = [], tc._measure
+
+    def measure(name, ring, seed=0):
+        if name != "theorem3":
+            return real_measure(name, ring, seed)
+        g = ring.graph
+        real_rows = g.rows
+        g.rows = lambda rows: reads.append(rows) or real_rows(rows)
+        try:
+            return real_measure(name, ring, seed)
+        finally:
+            g.rows = real_rows
+    monkeypatch.setattr(tc, "_measure", measure)
+    assert all(v.passed for v in run_suite([T23, T33]))
+    assert len(reads) == 4
+    for row0, spots in zip(reads[::2], reads[1::2]):
+        assert row0 == slice(0, 1) and len(spots) == 100
+
+
 @pytest.mark.parametrize("spec", [T23, T32, T25, T33])
 def test_quotient(spec):
     assert check_quotient(spec).passed
@@ -374,7 +425,7 @@ def test_suite_builds_each_graph_once_and_difference_rows_by_block(monkeypatch):
         graphs.append(str(spec))
         return real_graph(spec, cap)
 
-    def counting_reader(group, of=None):
+    def counting_reader(group, of):
         read = real_reader(group, of)
         tables.append((group, of.dtype.name))
 
@@ -389,16 +440,19 @@ def test_suite_builds_each_graph_once_and_difference_rows_by_block(monkeypatch):
     monkeypatch.setattr(tc, "unitary_cayley", counting_graphs)
     monkeypatch.setattr(tri_ring, "group_reader", counting_reader)
     monkeypatch.setattr(graph_core, "group_reader", counting_reader)
+    monkeypatch.setattr(tc, "group_reader", counting_reader)
     verdicts = run_suite([T23, T22])
     assert all(v.passed for v in verdicts)
     assert graphs == ["tri:2,3,1", "tri:2,2,1"]
     # T23's unit mask; d0 for triametral_triple's search and again, after
     # that reader is gone, for the triameter check's witness reads; then
-    # A(H(2, 3)) over Z_3^2, built once for theorem3 and the quotient check;
-    # T22's unit mask and A(H(2, 2)) for the quotient check.  Adjacency row
-    # 0 is not read: a ring graph is Cayley by construction.
+    # A(H(2, 3)) over Z_3^2, built once for theorem3 and the quotient check,
+    # and theorem3's relabeled unit mask phi(U) over Z_3^3; T22's unit mask
+    # and A(H(2, 2)) for the quotient check.  Adjacency row 0 is not read
+    # for the build: a ring graph is Cayley by construction.
     assert tables == [((3, 3), "bool"), ((3, 3), "uint8"), ((3, 3), "uint8"),
-                      ((3, 2), "bool"), ((2, 3), "bool"), ((2, 2), "bool")]
+                      ((3, 2), "bool"), ((3, 3), "bool"), ((2, 3), "bool"),
+                      ((2, 2), "bool")]
     assert len(entries) > 2 * 27 // 3 and max(entries) <= 3 * 27
 
 

@@ -306,7 +306,8 @@ def test_triameter_through_vertex_0_matches_generic(g):
 def negation(group):
     """The encoding of -z for each element z of Z_m**count: row 0 of the
     reader of the encodings, 0 - y."""
-    return group_reader(group)(slice(0, 1))[0].astype(np.intp)
+    m, count = group
+    return group_reader(group, np.arange(m ** count))(slice(0, 1))[0]
 
 
 @pytest.mark.parametrize("build", [

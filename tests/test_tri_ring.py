@@ -208,6 +208,28 @@ def test_enumerate_ring_decodes_every_encoding(text):
                                     for e in range(spec.order)]
 
 
+def codes(v):
+    """The encodings 0..v-1 in the smallest unsigned dtype, so a reader of
+    them holds the codes of x - y."""
+    return np.arange(v, dtype=np.min_scalar_type(v - 1))
+
+
+def code_reader(spec):
+    return group_reader(spec.group, codes(spec.order))
+
+
+def reader_and_kept_bytes(group, of):
+    """group_reader(group, of) and the bytes it keeps once built: its window
+    table, its ramp of 2m - 1 codes and a few KB of Python objects."""
+    tracemalloc.start()
+    try:
+        read = group_reader(group, of)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return read, kept
+
+
 @pytest.mark.parametrize("text", ALL_TRI_SPECS + ["tri:2,17,1"])
 def test_difference_codes_match_mat_sub(text):
     """group_reader's codes of (R, +) against mat_sub on the TriMatrix
@@ -217,7 +239,7 @@ def test_difference_codes_match_mat_sub(text):
     v = spec.order
     rows = (range(v) if v <= 256 else
             sorted({0, 1, v // 2, v - 1, *random.Random(v).sample(range(v), 4)}))
-    diff = group_reader(spec.group)(rows)
+    diff = code_reader(spec)(rows)
     assert diff.dtype == np.min_scalar_type(v - 1)
     assert diff.shape == (len(rows), v)
     elems = enumerate_ring(spec)
@@ -255,14 +277,14 @@ def test_difference_codes_match_entrywise_sub_table(text):
     spec = RingSpec.parse(text)
     want = entrywise_difference_codes(spec).astype(np.min_scalar_type(spec.order - 1))
     for rows in (np.arange(spec.order), slice(None)):
-        diff = group_reader(spec.group)(rows)
+        diff = code_reader(spec)(rows)
         assert diff.dtype == want.dtype and diff.tobytes() == want.tobytes()
 
 
 def test_difference_codes_zn():
     for m, dtype in [(12, np.uint8), (256, np.uint8), (257, np.uint16),
                      (4093, np.uint16)]:
-        diff = group_reader(RingSpec.integers_mod(m).group)(np.arange(m))
+        diff = code_reader(RingSpec.integers_mod(m))(np.arange(m))
         idx = np.arange(m, dtype=np.int64)
         assert diff.dtype == dtype
         assert np.array_equal(diff, np.subtract.outer(idx, idx) % m)
@@ -274,13 +296,13 @@ def test_difference_rows_in_any_order(text):
     asked for; no rows give a 0 x V array."""
     spec = RingSpec.parse(text)
     v = spec.order
-    table = group_reader(spec.group)(range(v))
+    table = code_reader(spec)(range(v))
     rows = [v - 1, 0, 3, 3, 1, v - 1, 2]
-    assert np.array_equal(group_reader(spec.group)(rows), table[rows])
-    assert np.array_equal(group_reader(spec.group)(np.array(rows[::-1])),
+    assert np.array_equal(code_reader(spec)(rows), table[rows])
+    assert np.array_equal(code_reader(spec)(np.array(rows[::-1])),
                           table[rows[::-1]])
     for empty in ([], np.array([], dtype=np.int64), slice(0, 0)):
-        diff = group_reader(spec.group)(empty)
+        diff = code_reader(spec)(empty)
         assert diff.shape == (0, v) and diff.dtype == table.dtype
 
 
@@ -303,7 +325,7 @@ def test_difference_rows_of_table(text):
     for t in tables:
         for rows in row_sets:
             got = group_reader(spec.group, t)(rows)
-            want = t[group_reader(spec.group)(rows)]
+            want = t[code_reader(spec)(rows)]
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want), (text, t.dtype, rows)
 
@@ -325,7 +347,7 @@ def test_difference_rows_outside_the_ring_raise(rows):
     dtype are rejected, so no code outside 0..V-1 reaches a reader."""
     spec = RingSpec.parse("tri:2,3,1")
     with pytest.raises(ValueError):
-        group_reader(spec.group)(rows)
+        code_reader(spec)(rows)
     read = group_reader(spec.group, np.zeros(spec.order, dtype=bool))
     with pytest.raises(ValueError):
         read(rows)
@@ -357,14 +379,14 @@ def test_window_table_stays_within_its_bound(text):
     m, count = (spec.modulus, 1) if spec.kind == "zn" else (
         spec.p, spec.k * spec.n * (spec.n + 1) // 2)
     assert spec.group == (m, count) and m ** count == v
+    ramp = (2 * m - 1) * np.min_scalar_type(v - 1).itemsize
     for t in (np.zeros(v, dtype=bool), np.zeros(v, dtype=np.uint16)):
         low = window_digits((m, count), t.itemsize)
-        table = group_reader(spec.group, t).table
-        assert table.dtype == t.dtype
-        if low == 1:
-            assert table.size == v // m * (2 * m - 1)
-        else:
-            assert table.size == v * m ** low <= v * v / 16
+        read, kept = reader_and_kept_bytes(spec.group, t)
+        assert read(slice(0, 1)).dtype == t.dtype
+        entries = v // m * (2 * m - 1) if low == 1 else v * m ** low
+        assert low == 1 or entries <= v * v / 16
+        assert 0 <= kept - ramp - entries * t.itemsize < 8192
         assert (m ** low * t.itemsize >= 512 or low == count
                 or 16 * m ** (low + 1) > v)
 
@@ -375,8 +397,9 @@ def test_reader_builds_its_window_table_once(monkeypatch):
     time, far below the 1 MB table, which a rebuild per block would add."""
     monkeypatch.setattr(graph_core, "_ROW_BLOCK_ENTRIES", 1 << 16)
     spec = RingSpec.parse("tri:3,2,2")
-    read = group_reader(spec.group, unit_mask(spec))
-    assert read.table.nbytes == spec.order * 2 ** 8
+    read, kept = reader_and_kept_bytes(spec.group, unit_mask(spec))
+    table = spec.order * 2 ** 8
+    assert 0 <= kept - table < 8192
     blocks = graph_core.row_blocks(spec.order)
     tracemalloc.start()
     try:
@@ -387,7 +410,7 @@ def test_reader_builds_its_window_table_once(monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(blocks) == 256
-    assert peak < 4 * (1 << 16) <= read.table.nbytes / 4, peak
+    assert peak < 4 * (1 << 16) <= table / 4, peak
 
 
 def test_difference_codes_peak_memory():
@@ -397,7 +420,7 @@ def test_difference_codes_peak_memory():
     spec = RingSpec.parse("tri:3,2,2")
     tracemalloc.start()
     try:
-        diff = group_reader(spec.group)(graph_core.row_blocks(spec.order)[1])
+        diff = code_reader(spec)(graph_core.row_blocks(spec.order)[1])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
